@@ -268,6 +268,21 @@ def ball(family: GraphFamily, center: Label, radius: int,
                 edges=tuple(sorted(edges)), dist=dist)
 
 
+def _spec_int(text: str, spec: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise UsageError(f"bad integer {text!r} in family spec {spec!r}") from None
+
+
+def parse_cylinder_spec(spec: str) -> tuple[int, tuple[int, ...]]:
+    """Split ``zcyl:n:v1,v2,...`` into the dimension n and the shift vector."""
+    parts = spec.split(":")
+    if len(parts) != 3:
+        raise UsageError("cylinder spec is zcyl:n:v1,v2,...")
+    return _spec_int(parts[1], spec), tuple(_spec_int(c, spec) for c in parts[2].split(","))
+
+
 def parse_family(spec: str) -> GraphFamily:
     """Resolve a family spec string (``z2``, ``tree:3``, ``hex``,
     ``squareoct``, ``heis``, ``zcyl:n:v1,v2,...``)."""
@@ -278,7 +293,7 @@ def parse_family(spec: str) -> GraphFamily:
             raise UsageError("built-in hypercubic lattices are z1..z4")
         return hypercubic(n)
     if spec.startswith("tree:"):
-        d = int(spec.split(":", 1)[1])
+        d = _spec_int(spec.split(":", 1)[1], spec)
         if not 3 <= d <= 6:
             raise UsageError("built-in regular trees are tree:3..tree:6")
         return regular_tree(d)
@@ -290,12 +305,7 @@ def parse_family(spec: str) -> GraphFamily:
         return heisenberg()
     if spec.startswith("zcyl:"):
         from .quotient import cylinder
-        parts = spec.split(":")
-        if len(parts) != 3:
-            raise UsageError("cylinder spec is zcyl:n:v1,v2,...")
-        n = int(parts[1])
-        v = tuple(int(c) for c in parts[2].split(","))
-        return cylinder(n, v)
+        return cylinder(*parse_cylinder_spec(spec))
     raise UsageError(f"unknown family spec {spec!r}")
 
 

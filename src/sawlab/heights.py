@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .errors import ResourceBudgetError, UsageError, budget
-from .families import Ball, GraphFamily, Label, ball, parse_family
+from .families import Ball, GraphFamily, Label, ball, parse_cylinder_spec, parse_family
 
 
 @dataclass(frozen=True)
@@ -171,8 +171,7 @@ def default_height(family: GraphFamily) -> HeightFunction:
         return heisenberg_height()
     if spec.startswith("zcyl:"):
         from .quotient import cylinder_height
-        parts = spec.split(":")
-        return cylinder_height(int(parts[1]), tuple(int(c) for c in parts[2].split(",")))
+        return cylinder_height(*parse_cylinder_spec(spec))
     raise UsageError(f"no built-in height for family {spec!r}")
 
 

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from typing import Iterator, Literal
 
 from .errors import ResourceBudgetError, UsageError, budget
-from .families import GraphFamily, Label
-from .heights import HeightFunction
+from .families import GraphFamily, Label, parse_family
+from .heights import HeightFunction, parse_height
 
 WalkKind = Literal["saw", "halfspace", "bridge"]
 
@@ -91,85 +91,125 @@ def _deepen(count_one_level, n_max, node_budget):
     return counts
 
 
-def _count_saws_from(family, start, n_max, prefix=None):
-    """counts[d] = number of SAWs of length d extending the prefix (or from
-    start); when a prefix of length p is given, only depths > p are filled."""
-    neighbors = family.neighbors
+# Largest radius-n_max ball the counters compile to int ids.  Lattice balls
+# at the lengths sawlab counts stay well below it; tree balls grow as fast as
+# the walk set, so trees are walked through the family's lazy oracle.
+COMPILED_BALL_MAX_VERTICES = 4096
+
+
+def _compile_ball(family, hf, start, n_max, mode):
+    """The radius-n_max ball around ``start`` as int ids in BFS order.
+
+    Returns ``(adj, heights)`` with start as id 0: ``adj[i]`` holds the ids a
+    walk may step to from vertex i (every neighbor for SAWs, the ones higher
+    than the start for half-space walks and bridges, in the oracle's order),
+    and ``heights[i]`` is vertex i's height (None for SAWs).  Only vertices
+    closer than n_max get an ``adj`` entry: no walk of length n_max steps out
+    of the sphere.  Returns None as soon as the ball has more than
+    COMPILED_BALL_MAX_VERTICES vertices.
+    """
+    cap = COMPILED_BALL_MAX_VERTICES
+    ids = {start: 0}
+    adj = []
+    level = [start]
+    for _ in range(n_max):
+        nxt = []
+        for v in level:
+            nb = family.neighbors(v)
+            for u in nb:
+                if u not in ids:
+                    ids[u] = len(ids)
+                    nxt.append(u)
+            if len(ids) > cap:
+                return None
+            adj.append(tuple(ids[u] for u in nb))
+        level = nxt
+    if len(ids) > cap:
+        return None
+    if mode == "saw":
+        return tuple(adj), None
+    heights = [hf.evaluate(v) for v in ids]
+    h0 = heights[0]
+    return tuple(tuple(u for u in nb if heights[u] > h0) for nb in adj), heights
+
+
+def _kernel_inputs(family, hf, start, ball, mode):
+    """``(neighbors, height, start)`` for :func:`_count_from`: over the
+    compiled ball when there is one, else over the family's labels."""
+    if ball is not None:
+        adj, heights = ball
+        return adj.__getitem__, (None if heights is None else heights.__getitem__), 0
+    if mode == "saw":
+        return family.neighbors, None, start
+    neighbors, ev = family.neighbors, hf.evaluate
+    h0 = ev(start)
+
+    def higher(v):
+        return [u for u in neighbors(v) if ev(u) > h0]
+
+    return higher, ev, start
+
+
+def _count_from(neighbors, height, path, n_max, mode):
+    """Count the walks of each length up to n_max that extend ``path``.
+
+    ``neighbors(v)`` lists the vertices a walk may step to from v (for
+    half-space walks and bridges only those above the start), and ``height``
+    is read for bridges only, whose emission test is the running maximum.
+    Each call counts the one-step extensions of the walk ending at v, so the
+    walks one step short of n_max count their last step in place instead of
+    recursing into it.  Returns ``(counts, spans)``: ``counts[d]`` for
+    d >= len(path) - 1 (lower depths are 0), ``spans[d]`` the bridge span
+    table at each depth, or None for the other kinds.
+    """
     counts = [0] * (n_max + 1)
-    path = list(prefix) if prefix else [start]
     used = set(path)
     base = len(path) - 1
 
-    def go(v, depth):
-        counts[depth] += 1
-        if depth == n_max:
-            return
+    if mode != "bridge":
+        last = n_max - 1
+
+        def walks(v, depth):
+            nb = neighbors(v)
+            if depth == last:
+                counts[n_max] += len(nb) - len(used.intersection(nb))
+                return
+            for u in nb:
+                if u not in used:
+                    counts[depth + 1] += 1
+                    used.add(u)
+                    walks(u, depth + 1)
+                    used.discard(u)
+
+        counts[base] = 1
+        if base < n_max:
+            walks(path[-1], base)
+        return counts, None
+
+    spans = [{} for _ in range(n_max + 1)]
+    h0 = height(path[0])
+
+    def bridges(v, depth, hi):
+        depth += 1
+        table = spans[depth]
         for u in neighbors(v):
             if u not in used:
-                used.add(u)
-                go(u, depth + 1)
-                used.discard(u)
+                hu = height(u)
+                if hu >= hi:
+                    counts[depth] += 1
+                    table[hu - h0] = table.get(hu - h0, 0) + 1
+                if depth < n_max:
+                    used.add(u)
+                    bridges(u, depth, hu if hu > hi else hi)
+                    used.discard(u)
 
-    go(path[-1], base)
-    if prefix:
-        counts[base] = 0
-    return counts
-
-
-def _count_halfspace_from(family, hf, start, n_max, prefix=None):
-    neighbors, ev = family.neighbors, hf.evaluate
-    counts = [0] * (n_max + 1)
-    path = list(prefix) if prefix else [start]
-    used = set(path)
-    h0 = ev(path[0])
-    base = len(path) - 1
-
-    def go(v, depth):
-        counts[depth] += 1
-        if depth == n_max:
-            return
-        for u in neighbors(v):
-            if u not in used and ev(u) > h0:
-                used.add(u)
-                go(u, depth + 1)
-                used.discard(u)
-
-    go(path[-1], base)
-    if prefix:
-        counts[base] = 0
-    return counts
-
-
-def _count_bridges_from(family, hf, start, n_max, prefix=None):
-    """Bridges of each length: half-space pruning during the search, with the
-    final-maximum condition checked at emission via the running maximum."""
-    neighbors, ev = family.neighbors, hf.evaluate
-    counts = [0] * (n_max + 1)
-    spans = [dict() for _ in range(n_max + 1)]
-    path = list(prefix) if prefix else [start]
-    used = set(path)
-    h0 = ev(path[0])
-    base = len(path) - 1
-    run_max = max(ev(v) for v in path)
-
-    def go(v, depth, hi):
-        hv = ev(v)
-        if hv == hi:
-            counts[depth] += 1
-            s = hv - h0
-            spans[depth][s] = spans[depth].get(s, 0) + 1
-        if depth == n_max:
-            return
-        for u in neighbors(v):
-            if u not in used and ev(u) > h0:
-                used.add(u)
-                go(u, depth + 1, max(hi, ev(u)))
-                used.discard(u)
-
-    go(path[-1], base, run_max)
-    if prefix:
-        counts[base] = 0
-        spans[base] = {}
+    hs = [height(v) for v in path]
+    hi = max(hs)
+    if hs[-1] == hi:
+        counts[base] = 1
+        spans[base][hi - h0] = 1
+    if base < n_max:
+        bridges(path[-1], base, hi)
     return counts, spans
 
 
@@ -206,77 +246,59 @@ def _budgeted_level(family, hf, start, n, mode, node_budget):
     return (state["count"], spans), state["nodes"]
 
 
-def _saw_prefixes(family, hf, start, depth, mode):
-    """All SAW prefixes of length exactly `depth` honoring the mode's prune
-    rule, in deterministic neighbor order."""
-    h0 = hf.evaluate(start) if hf is not None else 0
-    out = []
-
-    def go(path, used):
-        if len(path) - 1 == depth:
-            out.append(tuple(path))
-            return
-        for u in family.neighbors(path[-1]):
-            if u in used:
-                continue
-            if mode in ("halfspace", "bridge") and hf.evaluate(u) <= h0:
-                continue
-            path.append(u)
-            used.add(u)
-            go(path, used)
-            used.discard(u)
-            path.pop()
-
-    go([start], {start})
-    return out
+# set in each pool worker by _init_worker; unused in the parent process
+_worker_inputs = None
 
 
-def _worker_counts(args):
-    from .families import parse_family
-    from .heights import parse_height
-    family_spec, height_spec, mode, start, n_max, prefix = args
-    family = parse_family(family_spec)
-    hf = parse_height(family, height_spec) if height_spec else None
-    if mode == "saw":
-        return _count_saws_from(family, start, n_max, prefix), None
-    if mode == "halfspace":
-        return _count_halfspace_from(family, hf, start, n_max, prefix), None
-    counts, spans = _count_bridges_from(family, hf, start, n_max, prefix)
-    return counts, spans
+def _init_worker(ball, specs, mode, n_max):
+    """Pool initializer: set up the kernel's inputs once per worker, from the
+    compiled ball or, above the cap, from the family and height specs."""
+    global _worker_inputs
+    family = hf = start = None
+    if ball is None:
+        family_spec, height_spec, start = specs
+        family = parse_family(family_spec)
+        hf = parse_height(family, height_spec) if height_spec else None
+    neighbors, height, _ = _kernel_inputs(family, hf, start, ball, mode)
+    _worker_inputs = (neighbors, height, n_max, mode)
 
 
-def _merge_spans(total, part):
-    for d, table in enumerate(part):
-        for s, c in table.items():
-            total[d][s] = total[d].get(s, 0) + c
+def _worker_counts(prefix):
+    neighbors, height, n_max, mode = _worker_inputs
+    return _count_from(neighbors, height, list(prefix), n_max, mode)
 
 
-def _parallel_counts(family, hf, start, n_max, mode, jobs, split_depth=3):
-    """Partition the enumeration tree by all prefixes of a fixed depth and
-    add up the per-prefix counts; totals are independent of scheduling."""
-    split = min(split_depth, n_max)
-    if mode == "saw":
-        shallow = _count_saws_from(family, start, split)
-    elif mode == "halfspace":
-        shallow = _count_halfspace_from(family, hf, start, split)
-    else:
-        shallow, shallow_spans = _count_bridges_from(family, hf, start, split)
-    prefixes = _saw_prefixes(family, hf, start, split, mode)
-    counts = [0] * (n_max + 1)
-    counts[:split + 1] = shallow
-    spans = [dict() for _ in range(n_max + 1)]
-    if mode == "bridge":
-        for d in range(split + 1):
-            spans[d] = dict(shallow_spans[d])
-    height_spec = hf.spec if hf is not None else None
-    tasks = [(family.spec, height_spec, mode, start, n_max, p) for p in prefixes]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-        for part_counts, part_spans in pool.map(_worker_counts, tasks, chunksize=8):
+def _count(family, hf, start, n_max, mode, jobs):
+    """Counts (and bridge span tables) of the walks from start; see
+    :func:`_count_from`.
+
+    With jobs > 1 the enumeration tree is partitioned by all prefixes of a
+    fixed depth and the per-prefix counts are added up, so totals are
+    independent of scheduling.
+    """
+    ball = _compile_ball(family, hf, start, n_max, mode)
+    neighbors, height, root = _kernel_inputs(family, hf, start, ball, mode)
+    split = 3
+    if jobs <= 1 or n_max <= split:
+        return _count_from(neighbors, height, [root], n_max, mode)
+    counts, spans = _count_from(neighbors, height, [root], split, mode)
+    counts += [0] * (n_max - split)
+    if spans is not None:
+        spans += [{} for _ in range(n_max - split)]
+    prefixes = [(root,)]
+    for _ in range(split):
+        prefixes = [p + (u,) for p in prefixes for u in neighbors(p[-1]) if u not in p]
+    specs = None if ball is not None else (
+        family.spec, hf.spec if hf is not None else None, start)
+    with concurrent.futures.ProcessPoolExecutor(
+            max_workers=jobs, initializer=_init_worker,
+            initargs=(ball, specs, mode, n_max)) as pool:
+        for part_counts, part_spans in pool.map(_worker_counts, prefixes, chunksize=8):
             for d in range(split + 1, n_max + 1):
                 counts[d] += part_counts[d]
-            if part_spans is not None:
-                _merge_spans(spans, [({} if d <= split else t)
-                                     for d, t in enumerate(part_spans)])
+                if part_spans is not None:
+                    for s, c in part_spans[d].items():
+                        spans[d][s] = spans[d].get(s, 0) + c
     return counts, spans
 
 
@@ -287,6 +309,14 @@ def count_saws(family: GraphFamily, start: Label, n_max: int, jobs: int = 1,
     With a node budget the levels are counted in order and a budget hit
     returns the completed prefix of the table (its length marks the high
     water), instead of an error.
+
+    With ``jobs > 1`` the walks are split by prefix across worker processes.
+    Each worker receives the compiled ball once.  Above
+    ``COMPILED_BALL_MAX_VERTICES`` the workers still rebuild the family (and
+    the height) from its spec, so an in-memory family that
+    :func:`~sawlab.families.parse_family` cannot resolve counts in parallel
+    only while its ball fits under the cap.  The same holds for
+    :func:`count_halfspace` and :func:`count_bridges`.
     """
     if n_max < 0:
         raise UsageError("n_max must be >= 0")
@@ -294,10 +324,7 @@ def count_saws(family: GraphFamily, start: Label, n_max: int, jobs: int = 1,
         levels = _deepen(lambda n, left: _budgeted_level(family, None, start, n, "saw", left),
                          n_max, node_budget)
         return [c for (c, _) in levels]
-    if jobs > 1 and n_max > 3:
-        counts, _ = _parallel_counts(family, None, start, n_max, "saw", jobs)
-        return counts
-    return _count_saws_from(family, start, n_max)
+    return _count(family, None, start, n_max, "saw", jobs)[0]
 
 
 def count_halfspace(family: GraphFamily, hf: HeightFunction, start: Label,
@@ -310,10 +337,7 @@ def count_halfspace(family: GraphFamily, hf: HeightFunction, start: Label,
         levels = _deepen(lambda n, left: _budgeted_level(family, hf, start, n, "halfspace", left),
                          n_max, node_budget)
         return [c for (c, _) in levels]
-    if jobs > 1 and n_max > 3:
-        counts, _ = _parallel_counts(family, hf, start, n_max, "halfspace", jobs)
-        return counts
-    return _count_halfspace_from(family, hf, start, n_max)
+    return _count(family, hf, start, n_max, "halfspace", jobs)[0]
 
 
 def count_bridges(family: GraphFamily, hf: HeightFunction, start: Label,
@@ -326,9 +350,7 @@ def count_bridges(family: GraphFamily, hf: HeightFunction, start: Label,
         levels = _deepen(lambda n, left: _budgeted_level(family, hf, start, n, "bridge", left),
                          n_max, node_budget)
         return [c for (c, _) in levels], [s for (_, s) in levels]
-    if jobs > 1 and n_max > 3:
-        return _parallel_counts(family, hf, start, n_max, "bridge", jobs)
-    return _count_bridges_from(family, hf, start, n_max)
+    return _count(family, hf, start, n_max, "bridge", jobs)
 
 
 # ---------------------------------------------------------------------------

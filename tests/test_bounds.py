@@ -174,9 +174,13 @@ def test_ball_locality_of_counts():
         spec="z2-ball", neighbors=lambda v: adj[v], origin=(0, 0),
         declared_orbits=((0, 0),), orbit_of=lambda v: 0, max_degree=4)
     hf = default_height(Z2)
-    assert count_saws(restricted, (0, 0), n) == count_saws(Z2, (0, 0), n)
-    assert count_halfspace(restricted, hf, (0, 0), n) == count_halfspace(Z2, hf, (0, 0), n)
-    assert count_bridges(restricted, hf, (0, 0), n)[0] == count_bridges(Z2, hf, (0, 0), n)[0]
+    # workers get the compiled ball, so a family no spec can rebuild counts in parallel too
+    for jobs in (1, 2):
+        assert count_saws(restricted, (0, 0), n, jobs=jobs) == count_saws(Z2, (0, 0), n)
+        assert (count_halfspace(restricted, hf, (0, 0), n, jobs=jobs)
+                == count_halfspace(Z2, hf, (0, 0), n))
+        assert (count_bridges(restricted, hf, (0, 0), n, jobs=jobs)[0]
+                == count_bridges(Z2, hf, (0, 0), n)[0])
 
 
 def test_locality_report_agreement_regime():

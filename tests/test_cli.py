@@ -47,6 +47,14 @@ def test_usage_errors_exit_2(tmp_path):
     assert main([]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["count", "--family", "tree:x", "--n", "3"],
+    ["count", "--family", "zcyl:2:a", "--n", "3"],
+])
+def test_bad_family_spec_exits_2(argv):
+    assert main(argv) == 2
+
+
 def test_resource_error_exit_3(tmp_path, monkeypatch):
     monkeypatch.setenv("SAWLAB_BUDGET_QUOTIENT_ORBITS", "4")
     code, _, err = run_cli_env(["quotient", "--family", "z2", "--shifts", "9,0;0,9"],

@@ -3,8 +3,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from sawlab import walks
 from sawlab.errors import ResourceBudgetError, UsageError
-from sawlab.families import hypercubic, parse_family, regular_tree
+from sawlab.families import BUILTIN_FAMILY_SPECS, hypercubic, parse_family, regular_tree
 from sawlab.heights import HeightFunction, default_height
 from sawlab.walks import (
     Walk,
@@ -220,12 +221,45 @@ def test_budgeted_counts_return_clean_prefix():
 
 
 def test_parallel_counts_match_serial():
-    sigma1 = count_saws(Z2, (0, 0), 7, jobs=1)
-    sigma8 = count_saws(Z2, (0, 0), 7, jobs=4)
-    assert sigma1 == sigma8
-    b1, s1 = count_bridges(Z2, HZ2, (0, 0), 7, jobs=1)
-    b8, s8 = count_bridges(Z2, HZ2, (0, 0), 7, jobs=4)
-    assert b1 == b8 and s1 == s8
+    t3 = regular_tree(3)
+    # tree:3's radius-11 ball is above the compile cap: workers walk it lazily
+    assert walks._compile_ball(t3, None, t3.origin, 11, "saw") is None
+    for fam, n in ((Z2, 7), (t3, 11), (parse_family("hex"), 8)):
+        hf = default_height(fam)
+        for rep in hf.h_orbits:
+            assert count_saws(fam, rep, n, jobs=1) == count_saws(fam, rep, n, jobs=4)
+            assert (count_halfspace(fam, hf, rep, n, jobs=1)
+                    == count_halfspace(fam, hf, rep, n, jobs=4))
+            b1, s1 = count_bridges(fam, hf, rep, n, jobs=1)
+            b4, s4 = count_bridges(fam, hf, rep, n, jobs=4)
+            assert b1 == b4 and s1 == s4
+
+
+def _all_counts(fam, hf, rep, n):
+    return (count_saws(fam, rep, n), count_halfspace(fam, hf, rep, n),
+            count_bridges(fam, hf, rep, n))
+
+
+@pytest.mark.parametrize("n", [0, 1, 4])
+@pytest.mark.parametrize("spec", BUILTIN_FAMILY_SPECS + ("zcyl:2:0,6",))
+def test_compiled_and_lazy_sources_match_oracle(spec, n, monkeypatch):
+    fam = parse_family(spec)
+    hf = default_height(fam)
+    for rep in hf.h_orbits:
+        assert walks._compile_ball(fam, None, rep, n, "saw") is not None
+        compiled = _all_counts(fam, hf, rep, n)
+        with monkeypatch.context() as m:
+            m.setattr(walks, "COMPILED_BALL_MAX_VERTICES", 0)
+            lazy = _all_counts(fam, hf, rep, n)
+        sigma = [sum(1 for _ in enumerate_walks(fam, None, rep, k, "saw")) for k in range(n + 1)]
+        c = [sum(1 for _ in enumerate_walks(fam, hf, rep, k, "halfspace")) for k in range(n + 1)]
+        spans = [{} for _ in range(n + 1)]
+        for k in range(n + 1):
+            for w in enumerate_walks(fam, hf, rep, k, "bridge"):
+                s = span(hf, w)
+                spans[k][s] = spans[k].get(s, 0) + 1
+        b = [sum(t.values()) for t in spans]
+        assert compiled == lazy == (sigma, c, (b, spans))
 
 
 @given(st.integers(0, 6))
