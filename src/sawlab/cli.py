@@ -98,16 +98,14 @@ def _bounds_doc(rep: BoundsReport) -> dict:
     }
 
 
-def _parse_shifts(text: str) -> tuple[tuple[int, ...], ...]:
+def _parse_vectors(text: str, flag: str, example: str) -> tuple[tuple[int, ...], ...]:
+    """Integer vectors written as 'a,b;c,d' (``flag`` names the option)."""
     if not text:
-        raise UsageError("missing --shifts (e.g. '3,0;0,3')")
-    return tuple(tuple(int(c) for c in part.split(",")) for part in text.split(";"))
-
-
-def _parse_walk(text: str) -> list[tuple[int, ...]]:
-    if not text:
-        raise UsageError("missing --walk (e.g. '0,0;1,0;1,1')")
-    return [tuple(int(c) for c in part.split(",")) for part in text.split(";")]
+        raise UsageError(f"missing {flag} (e.g. '{example}')")
+    try:
+        return tuple(tuple(int(c) for c in part.split(",")) for part in text.split(";"))
+    except ValueError as exc:
+        raise UsageError(f"bad {flag} {text!r}: {exc}") from exc
 
 
 def _render_table(table) -> str:
@@ -194,7 +192,7 @@ def cmd_locality(cfg: RunConfig) -> int:
 
 def cmd_quotient(cfg: RunConfig) -> int:
     family = parse_family(cfg.family)
-    shifts = _parse_shifts(cfg.shifts)
+    shifts = _parse_vectors(cfg.shifts, "--shifts", "3,0;0,3")
     q = build_quotient(family, SubgroupDescriptor(family.spec, shifts))
     doc = {
         "kind": "quotient",
@@ -219,7 +217,7 @@ def cmd_synth_height(cfg: RunConfig) -> int:
         shifts = tuple(tuple(s) for s in qdoc["shifts"])
     else:
         family = parse_family(cfg.family)
-        shifts = _parse_shifts(cfg.shifts)
+        shifts = _parse_vectors(cfg.shifts, "--shifts", "3,0;0,3")
     q, basis, inc, lifted = synthesize_height(family, shifts, method=cfg.method)
     problems = increment_invariant_problems(inc, basis, q)
     hf = lifted.as_height_function()
@@ -240,6 +238,7 @@ def cmd_synth_height(cfg: RunConfig) -> int:
         "cocycle_ok": verify_cocycle(inc, family, q, 200, seed=cfg.seed),
         "lifted_valid": validation.ok(),
         "lifted_d": hf.declared_d,
+        "declared_r": hf.declared_r,
     }
     _emit(doc, cfg.out)
     return EXIT_OK if not problems and validation.ok() else EXIT_INVARIANT
@@ -273,7 +272,7 @@ def cmd_validate_height(cfg: RunConfig) -> int:
 def cmd_decompose(cfg: RunConfig) -> int:
     family = parse_family(cfg.family)
     hf = parse_height(family, cfg.height)
-    walk = make_walk(family, _parse_walk(cfg.walk))
+    walk = make_walk(family, _parse_vectors(cfg.walk, "--walk", "0,0;1,0;1,1"))
     if not is_halfspace(hf, walk):
         raise UsageError("decompose expects a half-space walk")
     dec = decompose(hf, walk)

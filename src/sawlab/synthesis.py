@@ -25,10 +25,10 @@ its translates are explored segment by segment with each segment total
 forced by the distinguished coordinate of the closed walk it completes,
 totals are spread in equal shares with a small prime-scaled perturbation
 that keeps explored path sums off the integers, inter-component connector
-edges are set to zero, and residual edges are fixed last.  A direct
-rational solve of the same linear system (with greedy nullspace sign
-repair, and the dual-form particular solution as a final resort) acts as an
-independent fallback and cross-check.
+edges are set to zero, and residual edges are fixed last.  The direct
+method is the dual-form solution delta(i, step) = step . w, which meets
+every cycle target and both strict signs by construction; it acts as the
+fallback and cross-check.  On Z^n / kZ^n its lift has m = k and d = 1.
 
 All arithmetic in this module is exact (fractions.Fraction); no floats.
 """
@@ -256,58 +256,6 @@ def cycle_vector(cyc) -> dict:
         if v[e] == 0:
             del v[e]
     return v
-
-
-def _solve_linear(rows: list[dict], rhs: list[Fraction], keys: list):
-    """Gaussian elimination for Sum_k row[k] x[k] = rhs; returns a particular
-    solution (free unknowns zero) and a nullspace basis, or None if
-    inconsistent."""
-    work = [dict(r) for r in rows]
-    b = list(rhs)
-    pivots: list = []
-    r = 0
-    for key in keys:
-        pr = None
-        for i in range(r, len(work)):
-            if work[i].get(key, 0) != 0:
-                pr = i
-                break
-        if pr is None:
-            continue
-        work[r], work[pr] = work[pr], work[r]
-        b[r], b[pr] = b[pr], b[r]
-        inv = 1 / work[r][key]
-        work[r] = {k: c * inv for k, c in work[r].items()}
-        b[r] = b[r] * inv
-        for i in range(len(work)):
-            if i != r and work[i].get(key, 0) != 0:
-                coef = work[i][key]
-                for k2, c2 in work[r].items():
-                    work[i][k2] = work[i].get(k2, Fraction(0)) - coef * c2
-                    if work[i][k2] == 0:
-                        del work[i][k2]
-                b[i] = b[i] - coef * b[r]
-        pivots.append(key)
-        r += 1
-        if r == len(work):
-            break
-    for i in range(r, len(work)):
-        if b[i] != 0:
-            return None
-    # rows are fully reduced, so with free unknowns at zero each pivot reads
-    # its value straight off the right-hand side
-    free = [k for k in keys if k not in set(pivots)]
-    particular = {k: Fraction(0) for k in keys}
-    for i, key in enumerate(pivots):
-        particular[key] = b[i]
-    null_basis = []
-    for f in free:
-        vec = {k: Fraction(0) for k in keys}
-        vec[f] = Fraction(1)
-        for i, key in enumerate(pivots):
-            vec[key] = -work[i].get(f, Fraction(0))
-        null_basis.append(vec)
-    return particular, null_basis
 
 
 # ---------------------------------------------------------------------------
@@ -713,79 +661,15 @@ def _staged_solve(basis: DirectedCycleBasis, q: QuotientGraph) -> dict:
     return values
 
 
-def _dual_particular(q: QuotientGraph) -> dict:
-    """The dual-form solution delta(i, step) = step . w: exact on every
-    basis cycle and sign-valid at every vertex."""
-    w = dual_form(q)
-    out = {}
-    for e in undirected_edges(q):
-        out[e] = sum((Fraction(d) * c for d, c in zip(e[1], w)), Fraction(0))
-    return out
+def _direct_solve(q: QuotientGraph) -> dict:
+    """The dual-form solution delta(i, step) = step . w.
 
-
-def _direct_solve(basis: DirectedCycleBasis, q: QuotientGraph) -> dict:
-    """Rational Gaussian elimination on the cycle constraints with greedy
-    nullspace sign repair; falls back to the dual-form solution if the
-    repair cannot reach every vertex."""
-    keys = undirected_edges(q)
-    rows = []
-    for cyc in basis.cycles:
-        row: dict = {}
-        for e in cyc:
-            c = edge_canonical(q, e)
-            row[c] = row.get(c, Fraction(0)) + (1 if c == e else -1)
-            if row[c] == 0:
-                del row[c]
-        rows.append(row)
-    rhs = [Fraction(0)] * (len(rows) - 1) + [Fraction(1)]
-    solved = _solve_linear(rows, rhs, keys)
-    if solved is None:
-        raise InvariantViolationError("increment system is inconsistent")
-    particular, null_basis = solved
-
-    steps = _unit_steps(_dim(q))
-
-    def signs_ok(vals: dict) -> int:
-        good = 0
-        for i in range(q.orbit_count):
-            outs = []
-            for s in steps:
-                c = edge_canonical(q, (i, s))
-                outs.append(vals[c] if c == (i, s) else -vals[c])
-            if any(v > 0 for v in outs) and any(v < 0 for v in outs):
-                good += 1
-        return good
-
-    current = dict(particular)
-    target = q.orbit_count
-    trial_ts = [Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-1, 2),
-                Fraction(1, 3), Fraction(-1, 3), Fraction(2), Fraction(-2),
-                Fraction(1, 5), Fraction(-1, 5), Fraction(1, 7), Fraction(-1, 7)]
-    for _ in range(6):
-        if signs_ok(current) == target:
-            return current
-        improved = False
-        for nv in null_basis:
-            base = signs_ok(current)
-            best_t, best_score = None, base
-            for t in trial_ts:
-                cand = {k: current[k] + t * nv[k] for k in current}
-                sc = signs_ok(cand)
-                if sc > best_score:
-                    best_t, best_score = t, sc
-            if best_t is not None:
-                current = {k: current[k] + best_t * nv[k] for k in current}
-                improved = True
-                if best_score == target:
-                    return current
-        if not improved:
-            break
-    if signs_ok(current) == target:
-        return current
-    dual = _dual_particular(q)
-    if signs_ok(dual) != target:
-        raise InvariantViolationError("no sign-valid increment solution found")
-    return dual
+    A closed walk then sums to w . (its lift displacement), which is its
+    coefficient on the distinguished cycle, so every basis cycle meets its
+    target; and w != 0 gives every vertex out-increments of both signs.
+    """
+    lam = lam_for(q)
+    return {e: lam([e]) for e in undirected_edges(q)}
 
 
 def increment_invariant_problems(inc: EdgeIncrement, basis: DirectedCycleBasis,
@@ -808,8 +692,8 @@ def solve_increments(basis: DirectedCycleBasis, q: QuotientGraph,
     """Increments satisfying the cycle constraints and the sign condition.
 
     ``auto`` runs the staged exploration and falls back to the direct
-    rational solve (with sign repair) when the staged route gets stuck; the
-    method actually used is recorded on the result.
+    dual-form solution when the staged route gets stuck; the method actually
+    used is recorded on the result.
     """
     if method not in ("auto", "staged", "direct"):
         raise UsageError(f"unknown method {method!r}")
@@ -824,7 +708,7 @@ def solve_increments(basis: DirectedCycleBasis, q: QuotientGraph,
             if name == "staged":
                 values = _staged_solve(basis, q)
             else:
-                values = _direct_solve(basis, q)
+                values = _direct_solve(q)
             label = name if name == "staged" or method == "direct" else "direct-fallback"
             inc = EdgeIncrement(orbit_count=q.orbit_count, values=values, method=label)
             problems = increment_invariant_problems(inc, basis, q)

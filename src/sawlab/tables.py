@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .errors import UsageError
+from .errors import InvariantViolationError, UsageError
 from .families import GraphFamily, parse_family
 from .heights import HeightFunction, parse_height
 from .walks import count_bridges, count_halfspace, count_saws
@@ -82,8 +82,6 @@ def build_count_table(family: GraphFamily, hf: HeightFunction, n_max: int,
         c = count_halfspace(family, hf, rep, n_max, jobs=jobs, node_budget=node_budget)
         b, spans = count_bridges(family, hf, rep, n_max, jobs=jobs, node_budget=node_budget)
         achieved = min(achieved, len(sigma) - 1, len(c) - 1, len(b) - 1)
-        if achieved < 0:
-            raise UsageError("count budget too small to finish a single level")
         sigma_rows.append(tuple(sigma))
         c_rows.append(tuple(c))
         b_rows.append(tuple(b))
@@ -147,19 +145,47 @@ def _label_from_json(x):
     return conv(x)
 
 
+def _dec_int(x) -> int:
+    if type(x) not in (int, str):
+        raise TypeError(f"{x!r} is not an integer")
+    return int(x)
+
+
 def table_from_dict(d: dict) -> CountTable:
-    if d.get("kind") != "count-table":
+    """Decode a count-table document.
+
+    A missing key, a non-integer count or a row whose length is not
+    n_max + 1 raises UsageError.  Top-level ``sigma``, ``c`` or ``b`` series
+    that differ from what the per-representative rows imply raise
+    InvariantViolationError.
+    """
+    if not isinstance(d, dict) or d.get("kind") != "count-table":
         raise UsageError("not a count-table document")
-    return CountTable(
-        family=d["family"], height=d["height"], n_max=int(d["n_max"]),
-        reps=tuple(_label_from_json(r) for r in d["reps"]),
-        sigma_by_rep=tuple(tuple(int(x) for x in row) for row in d["sigma_by_rep"]),
-        c_by_rep=tuple(tuple(int(x) for x in row) for row in d["c_by_rep"]),
-        b_by_rep=tuple(tuple(int(x) for x in row) for row in d["b_by_rep"]),
-        b_spans_by_rep=tuple(
-            tuple({int(s): int(c) for s, c in table.items()} for table in row)
-            for row in d["b_spans_by_rep"]),
-    )
+    try:
+        family, height, n_max = d["family"], d["height"], _dec_int(d["n_max"])
+        reps = tuple(_label_from_json(r) for r in d["reps"])
+        rows = {k: tuple(tuple(_dec_int(x) for x in row) for row in d[k])
+                for k in ("sigma_by_rep", "c_by_rep", "b_by_rep")}
+        spans = tuple(tuple({_dec_int(s): _dec_int(c) for s, c in table.items()} for table in row)
+                      for row in d["b_spans_by_rep"])
+        series = {k: tuple(_dec_int(x) for x in d[k]) for k in ("sigma", "c", "b")}
+    except KeyError as exc:
+        raise UsageError(f"count table lacks key {exc}") from exc
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise UsageError(f"malformed count table: {exc}") from exc
+    by_rep = (*rows.values(), spans)
+    if (n_max < 0 or not reps or any(len(r) != len(reps) for r in by_rep)
+            or any(len(row) != n_max + 1 for r in (*by_rep, series.values()) for row in r)):
+        raise UsageError(f"count table needs one row per representative, each of "
+                         f"n_max + 1 = {n_max + 1} entries")
+    t = CountTable(family=family, height=height, n_max=n_max, reps=reps,
+                   sigma_by_rep=rows["sigma_by_rep"], c_by_rep=rows["c_by_rep"],
+                   b_by_rep=rows["b_by_rep"], b_spans_by_rep=spans)
+    for key, implied in (("sigma", t.sigma), ("c", t.c), ("b", t.b)):
+        if series[key] != implied:
+            raise InvariantViolationError(
+                f"count table {key} differs from what its per-representative rows imply")
+    return t
 
 
 def write_table(t: CountTable, path: str) -> None:

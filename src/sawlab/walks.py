@@ -75,22 +75,6 @@ class _BudgetHit(Exception):
     pass
 
 
-def _deepen(count_one_level, n_max, node_budget):
-    """Iterative deepening under a node budget: levels are completed in
-    order, so a budget hit yields a clean partial table whose length is the
-    high-water mark plus one."""
-    counts = []
-    spent = 0
-    for n in range(n_max + 1):
-        try:
-            level, used = count_one_level(n, node_budget - spent)
-        except _BudgetHit:
-            break
-        counts.append(level)
-        spent += used
-    return counts
-
-
 # Largest radius-n_max ball the counters compile to int ids.  Lattice balls
 # at the lengths sawlab counts stay well below it; tree balls grow as fast as
 # the walk set, so trees are walked through the family's lazy oracle.
@@ -213,37 +197,32 @@ def _count_from(neighbors, height, path, n_max, mode):
     return counts, spans
 
 
-def _budgeted_level(family, hf, start, n, mode, node_budget):
-    """Count walks of length exactly n under a node budget (used only on
-    the budget-protected path)."""
-    neighbors = family.neighbors
-    ev = hf.evaluate if hf is not None else None
-    h0 = ev(start) if ev else 0
-    state = {"nodes": 0, "count": 0}
-    spans: dict = {}
+def _count_budgeted(family, hf, start, n_max, mode, node_budget):
+    """Counts (and bridge span tables) of levels 0..n_max, counted in order
+    by :func:`_count_from` under a budget of neighbor lookups.  A budget hit
+    keeps the completed levels, so the result's length is the high-water
+    mark plus one."""
+    ball = _compile_ball(family, hf, start, n_max, mode)
+    neighbors, height, root = _kernel_inputs(family, hf, start, ball, mode)
+    left = node_budget
 
-    def go(v, depth, hi):
-        state["nodes"] += 1
-        if state["nodes"] > node_budget:
+    def charged(v):
+        nonlocal left
+        left -= 1
+        if left < 0:
             raise _BudgetHit
-        if depth == n:
-            if mode == "bridge":
-                hv = ev(v)
-                if hv == hi:
-                    state["count"] += 1
-                    spans[hv - h0] = spans.get(hv - h0, 0) + 1
-            else:
-                state["count"] += 1
-            return
-        for u in neighbors(v):
-            if u not in used and (mode == "saw" or ev(u) > h0):
-                used.add(u)
-                go(u, depth + 1, hi if mode != "bridge" else max(hi, ev(u)))
-                used.discard(u)
+        return neighbors(v)
 
-    used = {start}
-    go(start, 0, h0)
-    return (state["count"], spans), state["nodes"]
+    counts, spans = [], []
+    for n in range(n_max + 1):
+        try:
+            level, level_spans = _count_from(charged, height, [root], n, mode)
+        except _BudgetHit:
+            break
+        counts.append(level[n])
+        if level_spans is not None:
+            spans.append(level_spans[n])
+    return counts, spans
 
 
 # set in each pool worker by _init_worker; unused in the parent process
@@ -306,9 +285,10 @@ def count_saws(family: GraphFamily, start: Label, n_max: int, jobs: int = 1,
                node_budget: int | None = None) -> list[int]:
     """Exact per-length SAW counts from a start vertex.
 
-    With a node budget the levels are counted in order and a budget hit
-    returns the completed prefix of the table (its length marks the high
-    water), instead of an error.
+    With a node budget the levels are counted in order, each lookup of a
+    vertex's neighbors costing one unit, and a budget hit returns the
+    completed prefix of the table (its length marks the high water) instead
+    of an error.
 
     With ``jobs > 1`` the walks are split by prefix across worker processes.
     Each worker receives the compiled ball once.  Above
@@ -321,9 +301,7 @@ def count_saws(family: GraphFamily, start: Label, n_max: int, jobs: int = 1,
     if n_max < 0:
         raise UsageError("n_max must be >= 0")
     if node_budget is not None:
-        levels = _deepen(lambda n, left: _budgeted_level(family, None, start, n, "saw", left),
-                         n_max, node_budget)
-        return [c for (c, _) in levels]
+        return _count_budgeted(family, None, start, n_max, "saw", node_budget)[0]
     return _count(family, None, start, n_max, "saw", jobs)[0]
 
 
@@ -334,9 +312,7 @@ def count_halfspace(family: GraphFamily, hf: HeightFunction, start: Label,
     if n_max < 0:
         raise UsageError("n_max must be >= 0")
     if node_budget is not None:
-        levels = _deepen(lambda n, left: _budgeted_level(family, hf, start, n, "halfspace", left),
-                         n_max, node_budget)
-        return [c for (c, _) in levels]
+        return _count_budgeted(family, hf, start, n_max, "halfspace", node_budget)[0]
     return _count(family, hf, start, n_max, "halfspace", jobs)[0]
 
 
@@ -347,9 +323,7 @@ def count_bridges(family: GraphFamily, hf: HeightFunction, start: Label,
     if n_max < 0:
         raise UsageError("n_max must be >= 0")
     if node_budget is not None:
-        levels = _deepen(lambda n, left: _budgeted_level(family, hf, start, n, "bridge", left),
-                         n_max, node_budget)
-        return [c for (c, _) in levels], [s for (_, s) in levels]
+        return _count_budgeted(family, hf, start, n_max, "bridge", node_budget)
     return _count(family, hf, start, n_max, "bridge", jobs)
 
 

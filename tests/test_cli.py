@@ -50,9 +50,57 @@ def test_usage_errors_exit_2(tmp_path):
 @pytest.mark.parametrize("argv", [
     ["count", "--family", "tree:x", "--n", "3"],
     ["count", "--family", "zcyl:2:a", "--n", "3"],
+    ["quotient", "--family", "z2", "--shifts", "a,0;0,3"],
+    ["decompose", "--family", "z2", "--walk", "0,0;x,0"],
 ])
 def test_bad_family_spec_exits_2(argv):
     assert main(argv) == 2
+
+
+def _corrupt_short_row(doc):
+    doc["sigma_by_rep"][0].pop()
+
+
+def _corrupt_missing_rows(doc):
+    del doc["c_by_rep"]
+
+
+def _corrupt_non_integer(doc):
+    doc["sigma_by_rep"][0][2] = "x"
+
+
+def _corrupt_top_level_sigma(doc):
+    doc["sigma"][3] = str(int(doc["sigma"][3]) + 1)
+
+
+@pytest.mark.parametrize("corrupt, code", [
+    (_corrupt_short_row, 2),
+    (_corrupt_missing_rows, 2),
+    (_corrupt_non_integer, 2),
+    (_corrupt_top_level_sigma, 4),
+])
+@pytest.mark.parametrize("command", ["verify", "bounds"])
+def test_malformed_table_exit_codes(tmp_path, command, corrupt, code):
+    out = tmp_path / "t.json"
+    assert main(["count", "--family", "z2", "--n", "4", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    corrupt(doc)
+    out.write_text(json.dumps(doc))
+    assert main([command, "--table", str(out), "--out", str(tmp_path / "r.json")]) == code
+
+
+def test_count_budget_writes_partial_table(tmp_path, monkeypatch):
+    full, part = tmp_path / "full.json", tmp_path / "part.json"
+    assert main(["count", "--family", "z2", "--n", "10", "--out", str(full)]) == 0
+    monkeypatch.setenv("SAWLAB_BUDGET_COUNT_NODES", "300")
+    assert main(["count", "--family", "z2", "--n", "10", "--out", str(part)]) == 3
+    f, p = json.loads(full.read_text()), json.loads(part.read_text())
+    assert p["requested_n_max"] == 10 and 0 <= p["n_max"] < 10
+    cut = p["n_max"] + 1
+    for key in ("sigma", "c", "b"):
+        assert p[key] == f[key][:cut]
+    for key in ("sigma_by_rep", "c_by_rep", "b_by_rep", "b_spans_by_rep"):
+        assert p[key] == [row[:cut] for row in f[key]]
 
 
 def test_resource_error_exit_3(tmp_path, monkeypatch):
@@ -91,6 +139,7 @@ def test_quotient_and_synth_cli(tmp_path):
                  "--out", str(sout)]) == 0
     s = json.loads(sout.read_text())
     assert s["cocycle_ok"] and s["lifted_valid"] and not s["invariant_problems"]
+    assert s["declared_r"] >= 0
     assert int(s["scaling_m"]) >= 1
     assert len(s["increments"]) == 18
 

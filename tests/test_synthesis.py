@@ -122,14 +122,22 @@ def test_lift_z2_mod3_recovers_linear_height():
 
 
 def test_direct_solver_cross_checks_staged():
-    for shifts in ([(2, 0), (0, 2)], [(3, 0), (0, 3)]):
-        q = quotient_of(Z2, shifts)
+    for family, shifts in ((Z2, [(2, 0), (0, 2)]), (Z2, [(3, 0), (0, 3)]), (Z1, [(3,)]),
+                           (Z2, [(6, 0), (0, 6)]), (Z3, [(3, 0, 0), (0, 3, 0), (0, 0, 3)])):
+        q = quotient_of(family, shifts)
         basis = cycle_basis(q, unit_square_generators(q))
         staged = solve_increments(basis, q, method="staged")
         direct = solve_increments(basis, q, method="direct")
         for inc in (staged, direct):
             assert not increment_invariant_problems(inc, basis, q)
-            assert verify_cocycle(inc, Z2, q, 100, seed=3)
+            assert verify_cocycle(inc, family, q, 100, seed=3)
+        # the direct method is the dual form delta(i, s) = s . w, whose lift
+        # changes height by at most 1 per edge
+        w = dual_form(q)
+        assert direct.values == {
+            e: sum((Fraction(d) * c for d, c in zip(e[1], w)), Fraction(0))
+            for e in undirected_edges(q)}
+        assert lift_height(direct, family, q).max_edge_change() == 1
 
 
 def test_perturbed_increment_fails_cocycle():

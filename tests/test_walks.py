@@ -209,15 +209,20 @@ def test_enumeration_budget(monkeypatch):
 
 
 def test_budgeted_counts_return_clean_prefix():
+    # the budget counts neighbor lookups, summed over the levels counted so far
     full = count_saws(Z2, (0, 0), 8)
     part = count_saws(Z2, (0, 0), 8, node_budget=300)
-    assert 1 <= len(part) < len(full)
+    assert len(part) == 6
     assert part == full[:len(part)]
     fb, fs = count_bridges(Z2, HZ2, (0, 0), 8)
     pb, ps = count_bridges(Z2, HZ2, (0, 0), 8, node_budget=150)
+    assert len(pb) == len(ps) == 7
     assert pb == fb[:len(pb)] and ps == fs[:len(ps)]
     pc = count_halfspace(Z2, HZ2, (0, 0), 8, node_budget=150)
+    assert len(pc) == 7
     assert pc == count_halfspace(Z2, HZ2, (0, 0), 8)[:len(pc)]
+    # level 0 needs no lookup, so even a zero budget completes it
+    assert count_saws(Z2, (0, 0), 8, node_budget=0) == [1]
 
 
 def test_parallel_counts_match_serial():
