@@ -36,6 +36,8 @@ from .synthesis import (
 from .tables import (
     build_count_table,
     check_table_invariants,
+    decode_int,
+    read_json,
     read_table,
     table_to_dict,
 )
@@ -98,14 +100,19 @@ def _bounds_doc(rep: BoundsReport) -> dict:
     }
 
 
-def _parse_vectors(text: str, flag: str, example: str) -> tuple[tuple[int, ...], ...]:
-    """Integer vectors written as 'a,b;c,d' (``flag`` names the option)."""
-    if not text:
+def _parse_vectors(value, flag: str, example: str) -> tuple[tuple[int, ...], ...]:
+    """Integer vectors written as 'a,b;c,d', or read from a JSON document as
+    a list of integer lists (``flag`` names the option or field)."""
+    if not value:
         raise UsageError(f"missing {flag} (e.g. '{example}')")
+    rows = [part.split(",") for part in value.split(";")] if isinstance(value, str) else value
     try:
-        return tuple(tuple(int(c) for c in part.split(",")) for part in text.split(";"))
-    except ValueError as exc:
-        raise UsageError(f"bad {flag} {text!r}: {exc}") from exc
+        vectors = tuple(tuple(decode_int(c) for c in row) for row in rows)
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"bad {flag} {value!r}: {exc}") from exc
+    if not all(vectors):
+        raise UsageError(f"bad {flag} {value!r}: empty vector")
+    return vectors
 
 
 def _render_table(table) -> str:
@@ -209,12 +216,13 @@ def cmd_quotient(cfg: RunConfig) -> int:
 
 def cmd_synth_height(cfg: RunConfig) -> int:
     if cfg.quotient:
-        with open(cfg.quotient) as fh:
-            qdoc = json.load(fh)
-        if qdoc.get("kind") != "quotient":
+        qdoc = read_json(cfg.quotient, "quotient document")
+        if not isinstance(qdoc, dict) or qdoc.get("kind") != "quotient":
             raise UsageError("--quotient file must be a quotient document")
+        if not isinstance(qdoc.get("family"), str):
+            raise UsageError("quotient document needs a family spec string")
         family = parse_family(qdoc["family"])
-        shifts = tuple(tuple(s) for s in qdoc["shifts"])
+        shifts = _parse_vectors(qdoc.get("shifts"), "quotient shifts", "[[3, 0], [0, 3]]")
     else:
         family = parse_family(cfg.family)
         shifts = _parse_vectors(cfg.shifts, "--shifts", "3,0;0,3")
@@ -363,8 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     defaults: dict = {}
     if args.config:
-        with open(args.config) as fh:
-            defaults = json.load(fh)
+        defaults = read_json(args.config, "config file")
         if not isinstance(defaults, dict):
             raise UsageError("config file must hold a JSON object")
     cfg = RunConfig(command=args.command)

@@ -41,6 +41,9 @@ class GraphFamily:
 
     ``spec`` is the parseable name (see :func:`parse_family`); it is what
     reports carry and what parallel workers use to rebuild the oracle.
+    ``symmetries`` holds generators, as label maps, of graph automorphisms
+    that fix the origin.  The counters verify them on every ball they use
+    them on and never trust the declaration.
     """
 
     spec: str
@@ -49,6 +52,7 @@ class GraphFamily:
     declared_orbits: tuple[Label, ...]
     orbit_of: Callable[[Label], int] = field(repr=False)
     max_degree: int
+    symmetries: tuple[Callable[[Label], Label], ...] = field(default=(), repr=False)
 
     @property
     def name(self) -> str:
@@ -86,6 +90,20 @@ def _check_int_tuple(v, n: int, family: str) -> None:
              "coordinates must be ints")
 
 
+def _flip(i: int) -> Callable[[Label], Label]:
+    return lambda v: v[:i] + (-v[i],) + v[i + 1:]
+
+
+def _swap(i: int) -> Callable[[Label], Label]:
+    return lambda v: v[:i] + (v[i + 1], v[i]) + v[i + 2:]
+
+
+def signed_permutations(n: int) -> tuple[Callable[[Label], Label], ...]:
+    """Generators of the signed permutations of Z^n's axes, as label maps:
+    each axis flip and each transposition of adjacent axes."""
+    return tuple(_flip(i) for i in range(n)) + tuple(_swap(i) for i in range(n - 1))
+
+
 def hypercubic(n: int) -> GraphFamily:
     """The lattice Z^n with nearest-neighbor adjacency."""
     if n < 1:
@@ -104,7 +122,7 @@ def hypercubic(n: int) -> GraphFamily:
     origin = (0,) * n
     return GraphFamily(spec=spec, neighbors=neighbors, origin=origin,
                        declared_orbits=(origin,), orbit_of=lambda v: 0,
-                       max_degree=2 * n)
+                       max_degree=2 * n, symmetries=signed_permutations(n))
 
 
 def regular_tree(d: int) -> GraphFamily:
@@ -211,7 +229,9 @@ def heisenberg() -> GraphFamily:
 
     Vertices (x, y, z) stand for the upper unitriangular matrix with x, y on
     the superdiagonal and z in the corner; edges are right multiplication by
-    the three generators and their inverses.
+    the three generators and their inverses.  The declared symmetries are
+    group automorphisms that permute the generators: a -> a^-1 with
+    c -> c^-1, b -> b^-1 with c -> c^-1, and a <-> b with c -> c^-1.
     """
     spec = "heis"
 
@@ -230,9 +250,14 @@ def heisenberg() -> GraphFamily:
         return tuple(sorted(out))
 
     origin = (0, 0, 0)
+    symmetries = (
+        lambda v: (-v[0], v[1], -v[2]),
+        lambda v: (v[0], -v[1], -v[2]),
+        lambda v: (v[1], v[0], v[0] * v[1] - v[2]),
+    )
     return GraphFamily(spec=spec, neighbors=neighbors, origin=origin,
                        declared_orbits=(origin,), orbit_of=lambda v: 0,
-                       max_degree=6)
+                       max_degree=6, symmetries=symmetries)
 
 
 def ball(family: GraphFamily, center: Label, radius: int,

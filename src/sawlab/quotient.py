@@ -230,7 +230,8 @@ def cylinder(n: int, v: tuple[int, ...]) -> GraphFamily:
 
     Labels are reduced so the first coordinate with a nonzero entry of v
     lies in [0, |v_p|); loops and multiplicities from the collapse are
-    dropped.
+    dropped.  The symmetries are those of Z^n's generators that map v to
+    +-v, each followed by the reduction.
     """
     if n < 2:
         raise UsageError("cylinders need n >= 2")
@@ -259,10 +260,16 @@ def cylinder(n: int, v: tuple[int, ...]) -> GraphFamily:
         out.discard(z)
         return tuple(sorted(out))
 
+    def descend(g):
+        return lambda z: reduce(g(z))
+
+    minus_v = tuple(-c for c in v)
     origin = reduce((0,) * n)
     return GraphFamily(spec=spec, neighbors=neighbors, origin=origin,
                        declared_orbits=(origin,), orbit_of=lambda z: 0,
-                       max_degree=2 * n)
+                       max_degree=2 * n,
+                       symmetries=tuple(descend(g) for g in base.symmetries
+                                        if g(v) in (v, minus_v)))
 
 
 def cylinder_height(n: int, v: tuple[int, ...]):

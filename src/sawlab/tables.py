@@ -145,7 +145,8 @@ def _label_from_json(x):
     return conv(x)
 
 
-def _dec_int(x) -> int:
+def decode_int(x) -> int:
+    """An integer written as a JSON number or a decimal string."""
     if type(x) not in (int, str):
         raise TypeError(f"{x!r} is not an integer")
     return int(x)
@@ -162,13 +163,13 @@ def table_from_dict(d: dict) -> CountTable:
     if not isinstance(d, dict) or d.get("kind") != "count-table":
         raise UsageError("not a count-table document")
     try:
-        family, height, n_max = d["family"], d["height"], _dec_int(d["n_max"])
+        family, height, n_max = d["family"], d["height"], decode_int(d["n_max"])
         reps = tuple(_label_from_json(r) for r in d["reps"])
-        rows = {k: tuple(tuple(_dec_int(x) for x in row) for row in d[k])
+        rows = {k: tuple(tuple(decode_int(x) for x in row) for row in d[k])
                 for k in ("sigma_by_rep", "c_by_rep", "b_by_rep")}
-        spans = tuple(tuple({_dec_int(s): _dec_int(c) for s, c in table.items()} for table in row)
+        spans = tuple(tuple({decode_int(s): decode_int(c) for s, c in table.items()} for table in row)
                       for row in d["b_spans_by_rep"])
-        series = {k: tuple(_dec_int(x) for x in d[k]) for k in ("sigma", "c", "b")}
+        series = {k: tuple(decode_int(x) for x in d[k]) for k in ("sigma", "c", "b")}
     except KeyError as exc:
         raise UsageError(f"count table lacks key {exc}") from exc
     except (AttributeError, TypeError, ValueError) as exc:
@@ -194,9 +195,18 @@ def write_table(t: CountTable, path: str) -> None:
         fh.write("\n")
 
 
+def read_json(path: str, what: str):
+    """Load a JSON document; a file that cannot be read or does not hold
+    JSON raises UsageError naming ``what`` it should have been."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise UsageError(f"cannot load {what} {path!r}: {exc}") from exc
+
+
 def read_table(path: str) -> CountTable:
-    with open(path) as fh:
-        return table_from_dict(json.load(fh))
+    return table_from_dict(read_json(path, "count table"))
 
 
 def table_for_specs(family_spec: str, height_spec: str, n_max: int,

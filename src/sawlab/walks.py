@@ -16,10 +16,11 @@ and breaks at its last maximizer.
 from __future__ import annotations
 
 import concurrent.futures
+import functools
 from dataclasses import dataclass
 from typing import Iterator, Literal
 
-from .errors import ResourceBudgetError, UsageError, budget
+from .errors import InvariantViolationError, ResourceBudgetError, UsageError, budget
 from .families import GraphFamily, Label, parse_family
 from .heights import HeightFunction, parse_height
 
@@ -81,16 +82,22 @@ class _BudgetHit(Exception):
 COMPILED_BALL_MAX_VERTICES = 4096
 
 
-def _compile_ball(family, hf, start, n_max, mode):
+@functools.lru_cache(maxsize=1)
+def _compile_ball(family, start, n_max):
     """The radius-n_max ball around ``start`` as int ids in BFS order.
 
-    Returns ``(adj, heights)`` with start as id 0: ``adj[i]`` holds the ids a
-    walk may step to from vertex i (every neighbor for SAWs, the ones higher
-    than the start for half-space walks and bridges, in the oracle's order),
-    and ``heights[i]`` is vertex i's height (None for SAWs).  Only vertices
-    closer than n_max get an ``adj`` entry: no walk of length n_max steps out
-    of the sphere.  Returns None as soon as the ball has more than
+    Returns ``(labels, adj, perms)`` with start as id 0: ``labels[i]`` is
+    vertex i's label and ``adj[i]`` the ids of its neighbors in the oracle's
+    order.  Only vertices closer than n_max get an ``adj`` entry: no walk of
+    length n_max steps out of the sphere.  When start is the origin,
+    ``perms`` holds each of the family's declared symmetries as a
+    permutation of the ids, verified on the ball; otherwise it is empty.
+    Returns None as soon as the ball has more than
     COMPILED_BALL_MAX_VERTICES vertices.
+
+    The result does not depend on the walk kind, so the one-entry cache
+    serves the SAW, half-space and bridge counts from one start in turn.
+    The cap is read on a miss only: clear the cache after changing it.
     """
     cap = COMPILED_BALL_MAX_VERTICES
     ids = {start: 0}
@@ -110,11 +117,50 @@ def _compile_ball(family, hf, start, n_max, mode):
         level = nxt
     if len(ids) > cap:
         return None
+    labels = tuple(ids)
+    perms = []
+    symmetries = family.symmetries if start == family.origin else ()
+    sorted_adj = [sorted(nb) for nb in adj] if symmetries else None
+    for k, g in enumerate(symmetries):
+        perm = tuple([ids.get(g(v), -1) for v in labels])
+        if perm[0] != 0:
+            why = "moves the origin"
+        elif -1 in perm:
+            why = "maps a vertex out of the ball"
+        elif len(set(perm)) != len(perm):
+            why = "is not a bijection"
+        elif any(perm[i] >= len(adj) or sorted([perm[u] for u in nb]) != sorted_adj[perm[i]]
+                 for i, nb in enumerate(adj)):
+            why = "does not preserve adjacency"
+        else:
+            perms.append(perm)
+            continue
+        raise InvariantViolationError(
+            f"{family.spec}: declared symmetry {k} {why} on the radius-{n_max} ball")
+    return labels, tuple(adj), tuple(perms)
+
+
+def _kind_ball(family, hf, start, n_max, mode):
+    """The compiled ball as the kernel reads it for ``mode``.
+
+    Returns ``((adj, heights), perms)``: ``adj[i]`` holds the ids a walk may
+    step to from vertex i (every neighbor for SAWs, the ones higher than the
+    start for half-space walks and bridges), ``heights[i]`` is vertex i's
+    height (None for SAWs), and ``perms`` are the verified symmetries that
+    also preserve every height in the ball.  Returns ``(None, ())`` above
+    the compile cap.
+    """
+    compiled = _compile_ball(family, start, n_max)
+    if compiled is None:
+        return None, ()
+    labels, adj, perms = compiled
     if mode == "saw":
-        return tuple(adj), None
-    heights = [hf.evaluate(v) for v in ids]
+        return (adj, None), perms
+    heights = [hf.evaluate(v) for v in labels]
     h0 = heights[0]
-    return tuple(tuple(u for u in nb if heights[u] > h0) for nb in adj), heights
+    adj = tuple(tuple(u for u in nb if heights[u] > h0) for nb in adj)
+    perms = tuple(g for g in perms if [heights[j] for j in g] == heights)
+    return (adj, heights), perms
 
 
 def _kernel_inputs(family, hf, start, ball, mode):
@@ -202,7 +248,7 @@ def _count_budgeted(family, hf, start, n_max, mode, node_budget):
     by :func:`_count_from` under a budget of neighbor lookups.  A budget hit
     keeps the completed levels, so the result's length is the high-water
     mark plus one."""
-    ball = _compile_ball(family, hf, start, n_max, mode)
+    ball, _ = _kind_ball(family, hf, start, n_max, mode)
     neighbors, height, root = _kernel_inputs(family, hf, start, ball, mode)
     left = node_budget
 
@@ -247,18 +293,45 @@ def _worker_counts(prefix):
     return _count_from(neighbors, height, list(prefix), n_max, mode)
 
 
+def _prefix_orbits(prefixes, perms):
+    """Split the prefixes into orbits under the group the permutations
+    generate: returns the first prefix of each orbit and the orbit's size."""
+    seen = set()
+    reps, weights = [], []
+    for p in prefixes:
+        if p in seen:
+            continue
+        orbit = {p}
+        todo = [p]
+        while todo:
+            q = todo.pop()
+            for g in perms:
+                image = tuple(g[v] for v in q)
+                if image not in orbit:
+                    orbit.add(image)
+                    todo.append(image)
+        seen |= orbit
+        reps.append(p)
+        weights.append(len(orbit))
+    return reps, weights
+
+
 def _count(family, hf, start, n_max, mode, jobs):
     """Counts (and bridge span tables) of the walks from start; see
     :func:`_count_from`.
 
-    With jobs > 1 the enumeration tree is partitioned by all prefixes of a
-    fixed depth and the per-prefix counts are added up, so totals are
-    independent of scheduling.
+    The walks longer than a fixed depth are split by their prefix of that
+    depth.  A symmetry of the ball that fixes the start (and every height,
+    for half-space walks and bridges) carries the walks through one prefix
+    onto the walks through its image, so only the first prefix of each orbit
+    is counted, weighted by the orbit's size.  With jobs > 1 the orbit
+    representatives are counted in worker processes.  Totals are sums of
+    exact integers, independent of scheduling.
     """
-    ball = _compile_ball(family, hf, start, n_max, mode)
+    ball, perms = _kind_ball(family, hf, start, n_max, mode)
     neighbors, height, root = _kernel_inputs(family, hf, start, ball, mode)
     split = 3
-    if jobs <= 1 or n_max <= split:
+    if n_max <= split:
         return _count_from(neighbors, height, [root], n_max, mode)
     counts, spans = _count_from(neighbors, height, [root], split, mode)
     counts += [0] * (n_max - split)
@@ -267,17 +340,25 @@ def _count(family, hf, start, n_max, mode, jobs):
     prefixes = [(root,)]
     for _ in range(split):
         prefixes = [p + (u,) for p in prefixes for u in neighbors(p[-1]) if u not in p]
+    reps, weights = _prefix_orbits(prefixes, perms)
+
+    def add(parts):
+        for weight, (part_counts, part_spans) in zip(weights, parts):
+            for d in range(split + 1, n_max + 1):
+                counts[d] += weight * part_counts[d]
+                if part_spans is not None:
+                    for s, c in part_spans[d].items():
+                        spans[d][s] = spans[d].get(s, 0) + weight * c
+
+    if jobs <= 1:
+        add(_count_from(neighbors, height, list(p), n_max, mode) for p in reps)
+        return counts, spans
     specs = None if ball is not None else (
         family.spec, hf.spec if hf is not None else None, start)
     with concurrent.futures.ProcessPoolExecutor(
             max_workers=jobs, initializer=_init_worker,
             initargs=(ball, specs, mode, n_max)) as pool:
-        for part_counts, part_spans in pool.map(_worker_counts, prefixes, chunksize=8):
-            for d in range(split + 1, n_max + 1):
-                counts[d] += part_counts[d]
-                if part_spans is not None:
-                    for s, c in part_spans[d].items():
-                        spans[d][s] = spans[d].get(s, 0) + c
+        add(pool.map(_worker_counts, reps))
     return counts, spans
 
 

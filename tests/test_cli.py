@@ -57,6 +57,21 @@ def test_bad_family_spec_exits_2(argv):
     assert main(argv) == 2
 
 
+@pytest.mark.parametrize("files, argv", [
+    ({"t.txt": "not json\n"}, ["verify", "--table", "t.txt"]),
+    ({}, ["verify", "--table", "missing.json"]),
+    ({"q.json": '{"kind": "quotient"}'}, ["synth-height", "--quotient", "q.json"]),
+    ({"q.json": '{"kind": "quotient", "family": "z2", "shifts": "ab"}'},
+     ["synth-height", "--quotient", "q.json"]),
+    ({"c.txt": "not json\n"}, ["--config", "c.txt", "count", "--family", "z2", "--n", "2"]),
+])
+def test_unloadable_documents_exit_2(tmp_path, monkeypatch, files, argv):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+
+
 def _corrupt_short_row(doc):
     doc["sigma_by_rep"][0].pop()
 

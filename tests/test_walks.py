@@ -1,12 +1,15 @@
 """SAW engine: exact counts, streaming enumeration, bridge decomposition."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, strategies as st
 
 from sawlab import walks
-from sawlab.errors import ResourceBudgetError, UsageError
+from sawlab.errors import InvariantViolationError, ResourceBudgetError, UsageError
 from sawlab.families import BUILTIN_FAMILY_SPECS, hypercubic, parse_family, regular_tree
 from sawlab.heights import HeightFunction, default_height
+from sawlab.tables import build_count_table
 from sawlab.walks import (
     Walk,
     count_bridges,
@@ -228,7 +231,7 @@ def test_budgeted_counts_return_clean_prefix():
 def test_parallel_counts_match_serial():
     t3 = regular_tree(3)
     # tree:3's radius-11 ball is above the compile cap: workers walk it lazily
-    assert walks._compile_ball(t3, None, t3.origin, 11, "saw") is None
+    assert walks._compile_ball(t3, t3.origin, 11) is None
     for fam, n in ((Z2, 7), (t3, 11), (parse_family("hex"), 8)):
         hf = default_height(fam)
         for rep in hf.h_orbits:
@@ -240,9 +243,22 @@ def test_parallel_counts_match_serial():
             assert b1 == b4 and s1 == s4
 
 
-def _all_counts(fam, hf, rep, n):
-    return (count_saws(fam, rep, n), count_halfspace(fam, hf, rep, n),
-            count_bridges(fam, hf, rep, n))
+def _all_counts(fam, hf, rep, n, jobs=1):
+    return (count_saws(fam, rep, n, jobs=jobs), count_halfspace(fam, hf, rep, n, jobs=jobs),
+            count_bridges(fam, hf, rep, n, jobs=jobs))
+
+
+def _oracle_counts(fam, hf, rep, n):
+    """``_all_counts`` from enumerate_walks, the independent oracle."""
+    sigma = [sum(1 for _ in enumerate_walks(fam, None, rep, k, "saw")) for k in range(n + 1)]
+    c = [sum(1 for _ in enumerate_walks(fam, hf, rep, k, "halfspace")) for k in range(n + 1)]
+    spans = [{} for _ in range(n + 1)]
+    for k in range(n + 1):
+        for w in enumerate_walks(fam, hf, rep, k, "bridge"):
+            s = span(hf, w)
+            spans[k][s] = spans[k].get(s, 0) + 1
+    b = [sum(t.values()) for t in spans]
+    return sigma, c, (b, spans)
 
 
 @pytest.mark.parametrize("n", [0, 1, 4])
@@ -251,20 +267,57 @@ def test_compiled_and_lazy_sources_match_oracle(spec, n, monkeypatch):
     fam = parse_family(spec)
     hf = default_height(fam)
     for rep in hf.h_orbits:
-        assert walks._compile_ball(fam, None, rep, n, "saw") is not None
+        assert walks._compile_ball(fam, rep, n) is not None
         compiled = _all_counts(fam, hf, rep, n)
         with monkeypatch.context() as m:
             m.setattr(walks, "COMPILED_BALL_MAX_VERTICES", 0)
+            walks._compile_ball.cache_clear()
             lazy = _all_counts(fam, hf, rep, n)
-        sigma = [sum(1 for _ in enumerate_walks(fam, None, rep, k, "saw")) for k in range(n + 1)]
-        c = [sum(1 for _ in enumerate_walks(fam, hf, rep, k, "halfspace")) for k in range(n + 1)]
-        spans = [{} for _ in range(n + 1)]
-        for k in range(n + 1):
-            for w in enumerate_walks(fam, hf, rep, k, "bridge"):
-                s = span(hf, w)
-                spans[k][s] = spans[k].get(s, 0) + 1
-        b = [sum(t.values()) for t in spans]
-        assert compiled == lazy == (sigma, c, (b, spans))
+        assert compiled == lazy == _oracle_counts(fam, hf, rep, n)
+
+
+@pytest.mark.parametrize("spec", ["z1", "z2", "z3", "z4", "heis", "zcyl:2:0,6", "zcyl:3:1,1,0"])
+def test_symmetry_reduced_counts_match_unreduced(spec):
+    fam = parse_family(spec)
+    hf = default_height(fam)
+    assert walks._compile_ball(fam, fam.origin, 6)[2], "no symmetry survived verification"
+    unreduced = _all_counts(dataclasses.replace(fam, symmetries=()), hf, fam.origin, 6)
+    for jobs in (1, 2):
+        assert _all_counts(fam, hf, fam.origin, 6, jobs) == unreduced
+    assert _all_counts(fam, hf, fam.origin, 4) == _oracle_counts(fam, hf, fam.origin, 4)
+
+
+def _swap_20_02(v):
+    return {(2, 0): (0, 2), (0, 2): (2, 0)}.get(v, v)
+
+
+@pytest.mark.parametrize("spec, g, why", [
+    ("hex", lambda v: (v[0], -v[1]), "out of the ball"),
+    ("z2", lambda v: (v[0] + 1, v[1]), "moves the origin"),
+    ("z2", lambda v: (0, 0), "not a bijection"),
+    ("z2", _swap_20_02, "does not preserve adjacency"),
+])
+def test_bad_symmetry_declarations_are_rejected(spec, g, why):
+    fam = dataclasses.replace(parse_family(spec), symmetries=(g,))
+    with pytest.raises(InvariantViolationError, match=why):
+        count_saws(fam, fam.origin, 5)
+
+
+def test_one_ball_compile_per_representative():
+    z3 = parse_family("z3")
+    calls = 0
+
+    def counted(v):
+        nonlocal calls
+        calls += 1
+        return z3.neighbors(v)
+
+    fam = dataclasses.replace(z3, neighbors=counted)
+    build_count_table(fam, default_height(fam), 5)
+    table_calls, calls = calls, 0
+    walks._compile_ball.cache_clear()
+    walks._compile_ball(fam, fam.origin, 5)
+    assert table_calls == calls > 0
 
 
 @given(st.integers(0, 6))
