@@ -16,7 +16,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+import typing
+from dataclasses import dataclass
 
 from .bounds import BoundsReport, bracket, check_fekete, locality_report
 from .errors import (
@@ -47,6 +48,10 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 EXIT_INVARIANT = 4
+
+# the options that take one of a few values, on the command line and in a
+# config file alike
+CHOICES = {"kind": ("saw", "halfspace", "bridge"), "method": ("auto", "staged", "direct")}
 
 
 @dataclass
@@ -326,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
             elif flag == "height_b":
                 p.add_argument("--height-b", dest="height_b", default=None)
             elif flag == "kind":
-                p.add_argument("--kind", choices=["saw", "halfspace", "bridge"], default=None)
+                p.add_argument("--kind", choices=CHOICES["kind"], default=None)
             elif flag == "n":
                 p.add_argument("--n", dest="n_max", type=int, default=None)
             elif flag == "cap":
@@ -354,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
             elif flag == "quotient":
                 p.add_argument("--quotient", default=None)
             elif flag == "method":
-                p.add_argument("--method", choices=["auto", "staged", "direct"], default=None)
+                p.add_argument("--method", choices=CHOICES["method"], default=None)
         return p
 
     add("count", "family", "height", "kind", "n", "per_span", "pretty", "jobs", "out")
@@ -368,12 +373,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_config(defaults: dict) -> None:
+    """Each key of a config file must name a RunConfig option and its value
+    have the option's type (an int is not a bool here, nor a bool an int)."""
+    types = typing.get_type_hints(RunConfig)
+    del types["command"]
+    for name, value in defaults.items():
+        if name not in types:
+            raise UsageError(f"config file: unknown option {name!r}")
+        allowed = typing.get_args(types[name]) or (types[name],)
+        if not any(type(value) is t for t in allowed):
+            want = " or ".join("null" if t is type(None) else t.__name__ for t in allowed)
+            raise UsageError(f"config file: option {name!r} must be {want}, not {value!r}")
+        if value not in CHOICES.get(name, (value,)):
+            raise UsageError(f"config file: option {name!r} must be one of {CHOICES[name]}")
+
+
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     defaults: dict = {}
     if args.config:
         defaults = read_json(args.config, "config file")
         if not isinstance(defaults, dict):
             raise UsageError("config file must hold a JSON object")
+        _check_config(defaults)
     cfg = RunConfig(command=args.command)
     for name in vars(cfg):
         if name == "command":

@@ -36,14 +36,33 @@ Label = tuple
 
 
 @dataclass(frozen=True)
+class ConeTypes:
+    """Step types of a graph whose walks never close a cycle.
+
+    In such a graph every SAW is a non-backtracking walk, so how a walk may
+    continue depends only on the type of its last step.  A step of type k
+    changes the family's default height (``heights.default_height``) by
+    ``increments[k]``; ``start[k]`` steps of type k leave the start vertex,
+    and ``follow[j][k]`` steps of type k may follow a step of type j.  A
+    step's type is read off its increment, so the increments are distinct.
+    """
+
+    names: tuple[str, ...]
+    increments: tuple[int, ...]
+    start: tuple[int, ...]
+    follow: tuple[tuple[int, ...], ...]
+
+
+@dataclass(frozen=True)
 class GraphFamily:
     """Lazy oracle for one infinite graph.
 
     ``spec`` is the parseable name (see :func:`parse_family`); it is what
     reports carry and what parallel workers use to rebuild the oracle.
     ``symmetries`` holds generators, as label maps, of graph automorphisms
-    that fix the origin.  The counters verify them on every ball they use
-    them on and never trust the declaration.
+    that fix the origin, and ``cone_types`` the step types of a family whose
+    balls are trees (see :class:`ConeTypes`).  The counters verify both on a
+    ball before they use them and never trust the declaration.
     """
 
     spec: str
@@ -53,6 +72,7 @@ class GraphFamily:
     orbit_of: Callable[[Label], int] = field(repr=False)
     max_degree: int
     symmetries: tuple[Callable[[Label], Label], ...] = field(default=(), repr=False)
+    cone_types: ConeTypes | None = field(default=None, repr=False)
 
     @property
     def name(self) -> str:
@@ -131,6 +151,9 @@ def regular_tree(d: int) -> GraphFamily:
     Labels are ``(j, path)``: follow the ray to its j-th vertex, then descend
     along ``path`` (tuples of child indices).  Each vertex has one neighbor
     one level closer to the ray's end and d-1 neighbors one level further.
+    Its cone types: a step up (toward the ray's end, height -1) may be
+    followed by one more step up or by d-2 steps down, a step down (+1)
+    only by d-1 steps down.
     """
     if d < 3:
         raise UsageError("regular tree needs degree >= 3")
@@ -164,9 +187,11 @@ def regular_tree(d: int) -> GraphFamily:
         return tuple(out)
 
     origin = (0, ())
+    cone_types = ConeTypes(names=("up", "down"), increments=(-1, 1),
+                           start=(1, d - 1), follow=((1, d - 2), (0, d - 1)))
     return GraphFamily(spec=spec, neighbors=neighbors, origin=origin,
                        declared_orbits=(origin,), orbit_of=lambda v: 0,
-                       max_degree=d)
+                       max_degree=d, cone_types=cone_types)
 
 
 def hexagonal() -> GraphFamily:

@@ -142,6 +142,8 @@ def build_quotient(family: GraphFamily, sub: SubgroupDescriptor) -> QuotientGrap
     if not (family.spec.startswith("z") and family.spec[1:].isdigit()):
         raise UsageError("only translation subgroups of z{n} lattices are supported")
     n = int(family.spec[1:])
+    if len(sub.shifts[0]) != n:
+        raise UsageError(f"shifts have dimension {len(sub.shifts[0])}, {family.spec} has {n}")
     lat = lattice_structure(sub.shifts)
     if len(lat.hnf_rows) < n:
         raise ResourceBudgetError(

@@ -22,7 +22,7 @@ from typing import Iterator, Literal
 
 from .errors import InvariantViolationError, ResourceBudgetError, UsageError, budget
 from .families import GraphFamily, Label, parse_family
-from .heights import HeightFunction, parse_height
+from .heights import HeightFunction, default_height, parse_height
 
 WalkKind = Literal["saw", "halfspace", "bridge"]
 
@@ -76,10 +76,130 @@ class _BudgetHit(Exception):
     pass
 
 
-# Largest radius-n_max ball the counters compile to int ids.  Lattice balls
-# at the lengths sawlab counts stay well below it; tree balls grow as fast as
-# the walk set, so trees are walked through the family's lazy oracle.
+# Largest radius-n_max ball the counters compile to int ids, and the largest
+# ball a cone-type declaration is verified on.  Lattice balls at the lengths
+# sawlab counts stay well below it; tree balls grow as fast as the walk set,
+# so trees are counted from their cone types instead.
 COMPILED_BALL_MAX_VERTICES = 4096
+
+
+@functools.lru_cache(maxsize=1)
+def _cone_ball(family, start, n_max):
+    """Verify the family's cone types on a ball around ``start``.
+
+    A breadth-first search expands every vertex closer than n_max to the
+    start, or stops once the ball has more than COMPILED_BALL_MAX_VERTICES
+    vertices.  Each expanded vertex must list its parent once and only new
+    vertices besides (so the ball is a tree), and its onward steps must
+    match its type in number and in measured default-height increments; a
+    child's type is the one with its increment.  A mismatch raises
+    InvariantViolationError.  When the whole radius-n_max ball was expanded
+    it holds every walk counted, so the cone-type counts are verified
+    exactly; beyond the ball they rest on the declaration.
+
+    Returns the labels reached, each mapped to its default height relative
+    to the start's.  The result does not depend on the walk kind, so the
+    one-entry cache serves the SAW, half-space and bridge counts from one
+    start in turn.
+    """
+    cones = family.cone_types
+    k = len(cones.names)
+    if (len(set(cones.increments)) != k or len(cones.start) != k or len(cones.follow) != k
+            or any(len(row) != k or min(row) < 0 for row in (cones.start, *cones.follow))):
+        raise InvariantViolationError(
+            f"{family.spec}: cone types need one distinct increment per type and "
+            f"a non-negative count of each type after the start and after each type")
+    # a miss: drop the previous start's ball before this one is built, so
+    # that two balls are never held at once
+    _cone_ball.cache_clear()
+    type_of = {inc: t for t, inc in enumerate(cones.increments)}
+    ev = default_height(family).evaluate
+    h0 = ev(start)
+    heights = {start: 0}
+    level = [(start, None, None)]
+    for radius in range(n_max):
+        nxt = []
+        for v, parent, t in level:
+            allowed = cones.start if t is None else cones.follow[t]
+            hv = heights[v]
+            onward = [0] * k
+            parents = 0
+            for u in family.neighbors(v):
+                if u == parent:
+                    parents += 1
+                    continue
+                if u in heights:
+                    raise InvariantViolationError(
+                        f"{family.spec}: declares cone types, but {u!r} closes a cycle "
+                        f"at distance {radius + 1} from {start!r}")
+                hu = ev(u) - h0
+                tu = type_of.get(hu - hv)
+                if tu is None:
+                    raise InvariantViolationError(
+                        f"{family.spec}: the step {v!r} -> {u!r} changes the height by "
+                        f"{hu - hv}, an increment no declared cone type has")
+                onward[tu] += 1
+                heights[u] = hu
+                nxt.append((u, v, tu))
+            if parents != (parent is not None):
+                raise InvariantViolationError(
+                    f"{family.spec}: {v!r} lists the vertex it was reached from "
+                    f"{parents} times")
+            if tuple(onward) != allowed:
+                name = "start" if t is None else cones.names[t]
+                raise InvariantViolationError(
+                    f"{family.spec}: {v!r} has onward steps {tuple(onward)} by type "
+                    f"{cones.names} where its cone type {name!r} declares {allowed}")
+            if len(heights) > COMPILED_BALL_MAX_VERTICES:
+                return heights
+        level = nxt
+    return heights
+
+
+def _count_cones(family, hf, start, n_max, mode):
+    """Counts (and bridge span tables) of the walks from start, as
+    :func:`_count_from` returns them, by an exact DP over the family's
+    verified cone types.
+
+    A walk's state is the type of its last step, its height above the start
+    and the running maximum of its heights; the walks sharing a state
+    continue alike.  Half-space walks and bridges keep only the states
+    above the start, and a walk is a bridge when its height is the running
+    maximum, its span that height.
+    """
+    heights = _cone_ball(family, start, n_max)
+    if hf is not None:
+        h0 = hf.evaluate(start)
+        if any(hf.evaluate(v) - h0 != h for v, h in heights.items()):
+            raise InvariantViolationError(
+                f"{family.spec}: height {hf.spec!r} differs from the one the family's "
+                f"cone-type increments are measured in")
+    cones = family.cone_types
+    counts = [1] + [0] * n_max
+    spans = [{0: 1}] + [{} for _ in range(n_max)] if mode == "bridge" else None
+    states = {(None, 0, 0): 1}
+    for depth in range(1, n_max + 1):
+        nxt = {}
+        for (t, h, hi), num in states.items():
+            for u, mult in enumerate(cones.start if t is None else cones.follow[t]):
+                hu = h + cones.increments[u]
+                if not mult or (mode != "saw" and hu <= 0):
+                    continue
+                if mode == "saw":
+                    key = (u, 0, 0)
+                elif mode == "halfspace":
+                    key = (u, hu, 0)
+                else:
+                    key = (u, hu, max(hi, hu))
+                nxt[key] = nxt.get(key, 0) + num * mult
+        states = nxt
+        for (t, h, hi), num in states.items():
+            if mode != "bridge":
+                counts[depth] += num
+            elif h == hi:
+                counts[depth] += num
+                spans[depth][h] = spans[depth].get(h, 0) + num
+    return counts, spans
 
 
 @functools.lru_cache(maxsize=1)
@@ -326,8 +446,11 @@ def _count(family, hf, start, n_max, mode, jobs):
     onto the walks through its image, so only the first prefix of each orbit
     is counted, weighted by the orbit's size.  With jobs > 1 the orbit
     representatives are counted in worker processes.  Totals are sums of
-    exact integers, independent of scheduling.
+    exact integers, independent of scheduling.  A family that declares cone
+    types is counted by :func:`_count_cones` instead, at every ``jobs``.
     """
+    if family.cone_types is not None:
+        return _count_cones(family, hf, start, n_max, mode)
     ball, perms = _kind_ball(family, hf, start, n_max, mode)
     neighbors, height, root = _kernel_inputs(family, hf, start, ball, mode)
     split = 3
@@ -376,8 +499,10 @@ def count_saws(family: GraphFamily, start: Label, n_max: int, jobs: int = 1,
     ``COMPILED_BALL_MAX_VERTICES`` the workers still rebuild the family (and
     the height) from its spec, so an in-memory family that
     :func:`~sawlab.families.parse_family` cannot resolve counts in parallel
-    only while its ball fits under the cap.  The same holds for
-    :func:`count_halfspace` and :func:`count_bridges`.
+    only while its ball fits under the cap.  A family that declares cone
+    types (the trees) is counted by an exact DP over them instead, in
+    process at every ``jobs``.  The same holds for :func:`count_halfspace`
+    and :func:`count_bridges`.
     """
     if n_max < 0:
         raise UsageError("n_max must be >= 0")

@@ -52,6 +52,8 @@ def test_usage_errors_exit_2(tmp_path):
     ["count", "--family", "zcyl:2:a", "--n", "3"],
     ["quotient", "--family", "z2", "--shifts", "a,0;0,3"],
     ["decompose", "--family", "z2", "--walk", "0,0;x,0"],
+    ["quotient", "--family", "z2", "--shifts", "3,0,0"],
+    ["synth-height", "--family", "z2", "--shifts", "3,0,0"],
 ])
 def test_bad_family_spec_exits_2(argv):
     assert main(argv) == 2
@@ -64,6 +66,14 @@ def test_bad_family_spec_exits_2(argv):
     ({"q.json": '{"kind": "quotient", "family": "z2", "shifts": "ab"}'},
      ["synth-height", "--quotient", "q.json"]),
     ({"c.txt": "not json\n"}, ["--config", "c.txt", "count", "--family", "z2", "--n", "2"]),
+    ({"q.json": '{"kind": "quotient", "family": "z2", "shifts": [[3, 0, 0]]}'},
+     ["synth-height", "--quotient", "q.json"]),
+    ({"c.json": '{"n_max": "x"}'}, ["--config", "c.json", "count", "--family", "z2"]),
+    ({"c.json": '{"per_span": "no"}'}, ["--config", "c.json", "count", "--family", "z2"]),
+    ({"c.json": '{"jobs": true}'}, ["--config", "c.json", "count", "--family", "z2"]),
+    ({"c.json": '{"r": "3"}'}, ["--config", "c.json", "validate-height", "--family", "z2"]),
+    ({"c.json": '{"kind": "walk"}'}, ["--config", "c.json", "count", "--family", "z2"]),
+    ({"c.json": '{"n": 3}'}, ["--config", "c.json", "count", "--family", "z2"]),
 ])
 def test_unloadable_documents_exit_2(tmp_path, monkeypatch, files, argv):
     for name, text in files.items():
@@ -169,11 +179,11 @@ def test_validate_height_cli(tmp_path):
 
 def test_config_file_defaults(tmp_path):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"family": "z2", "n_max": 5}))
+    cfg.write_text(json.dumps({"family": "z2", "n_max": 5, "per_span": False, "r": None}))
     out = tmp_path / "t.json"
     assert main(["--config", str(cfg), "count", "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
-    assert doc["n_max"] == 5 and doc["family"] == "z2"
+    assert doc["n_max"] == 5 and doc["family"] == "z2" and "b_by_span" not in doc
 
 
 def test_parallel_determinism_byte_identical(tmp_path):

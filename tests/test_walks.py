@@ -7,7 +7,13 @@ from hypothesis import given, strategies as st
 
 from sawlab import walks
 from sawlab.errors import InvariantViolationError, ResourceBudgetError, UsageError
-from sawlab.families import BUILTIN_FAMILY_SPECS, hypercubic, parse_family, regular_tree
+from sawlab.families import (
+    BUILTIN_FAMILY_SPECS,
+    ConeTypes,
+    hypercubic,
+    parse_family,
+    regular_tree,
+)
 from sawlab.heights import HeightFunction, default_height
 from sawlab.tables import build_count_table
 from sawlab.walks import (
@@ -229,8 +235,9 @@ def test_budgeted_counts_return_clean_prefix():
 
 
 def test_parallel_counts_match_serial():
-    t3 = regular_tree(3)
-    # tree:3's radius-11 ball is above the compile cap: workers walk it lazily
+    # without its cone types tree:3 runs on the counting kernel, and its
+    # radius-11 ball is above the compile cap: workers walk it lazily
+    t3 = dataclasses.replace(regular_tree(3), cone_types=None)
     assert walks._compile_ball(t3, t3.origin, 11) is None
     for fam, n in ((Z2, 7), (t3, 11), (parse_family("hex"), 8)):
         hf = default_height(fam)
@@ -264,7 +271,8 @@ def _oracle_counts(fam, hf, rep, n):
 @pytest.mark.parametrize("n", [0, 1, 4])
 @pytest.mark.parametrize("spec", BUILTIN_FAMILY_SPECS + ("zcyl:2:0,6",))
 def test_compiled_and_lazy_sources_match_oracle(spec, n, monkeypatch):
-    fam = parse_family(spec)
+    # trees are counted from their cone types unless those are removed
+    fam = dataclasses.replace(parse_family(spec), cone_types=None)
     hf = default_height(fam)
     for rep in hf.h_orbits:
         assert walks._compile_ball(fam, rep, n) is not None
@@ -318,6 +326,77 @@ def test_one_ball_compile_per_representative():
     walks._compile_ball.cache_clear()
     walks._compile_ball(fam, fam.origin, 5)
     assert table_calls == calls > 0
+
+
+@pytest.mark.parametrize("spec", ["tree:3", "tree:4", "tree:5", "tree:6"])
+def test_cone_type_counts_match_kernel_and_oracle(spec):
+    fam = parse_family(spec)
+    hf = default_height(fam)
+    kernel = dataclasses.replace(fam, cone_types=None)
+    expected = _all_counts(kernel, hf, fam.origin, 7)
+    assert expected == _oracle_counts(fam, hf, fam.origin, 7)
+    for jobs in (1, 2):
+        assert _all_counts(fam, hf, fam.origin, 7, jobs) == expected
+    # a start other than the origin: its ball and its heights differ
+    start = (1, (0,))
+    assert _all_counts(fam, hf, start, 6) == _all_counts(kernel, hf, start, 6)
+
+
+def _x_tree_types(degree):
+    """Cone types of the degree-regular tree covering a lattice whose steps
+    change x by -1 or +1 (one step each) or by 0 (degree - 2 steps): every
+    step but the one back may follow."""
+    flat = degree - 2
+    return ConeTypes(
+        names=("west", "east", "flat"), increments=(-1, 1, 0), start=(1, 1, flat),
+        follow=((1, 0, flat), (0, 1, flat), (1, 1, flat - 1)))
+
+
+@pytest.mark.parametrize("spec, cones, why", [
+    ("tree:4", regular_tree(3).cone_types, "onward steps"),
+    ("tree:3", dataclasses.replace(regular_tree(3).cone_types, increments=(-1, 2)),
+     "no declared cone type"),
+    ("tree:3", dataclasses.replace(regular_tree(3).cone_types, increments=(1, 1)),
+     "one distinct increment"),
+    ("z2", _x_tree_types(4), "closes a cycle"),
+    ("hex", _x_tree_types(3), "closes a cycle"),
+])
+def test_bad_cone_type_declarations_are_rejected(spec, cones, why):
+    fam = dataclasses.replace(parse_family(spec), cone_types=cones)
+    hf = default_height(fam)
+    for count in (lambda: count_saws(fam, fam.origin, 8),
+                  lambda: count_halfspace(fam, hf, fam.origin, 8),
+                  lambda: count_bridges(fam, hf, fam.origin, 8, jobs=2)):
+        walks._cone_ball.cache_clear()
+        with pytest.raises(InvariantViolationError, match=why):
+            count()
+
+
+def test_cone_types_are_checked_against_the_height_used():
+    t3 = regular_tree(3)
+    hf = default_height(t3)
+    doubled = dataclasses.replace(hf, evaluate=lambda v: 2 * hf.evaluate(v))
+    with pytest.raises(InvariantViolationError, match="differs"):
+        count_halfspace(t3, doubled, t3.origin, 5)
+
+
+def test_one_cone_check_per_representative():
+    # a tree table asks the oracle only for the ball its cone types are
+    # checked on, once for all three kinds: no call per walk
+    t5 = parse_family("tree:5")
+    calls = 0
+
+    def counted(v):
+        nonlocal calls
+        calls += 1
+        return t5.neighbors(v)
+
+    fam = dataclasses.replace(t5, neighbors=counted)
+    build_count_table(fam, default_height(fam), 9)
+    table_calls, calls = calls, 0
+    walks._cone_ball.cache_clear()
+    walks._cone_ball(fam, fam.origin, 9)
+    assert table_calls == calls < walks.COMPILED_BALL_MAX_VERTICES
 
 
 @given(st.integers(0, 6))
