@@ -145,7 +145,7 @@ def cmd_count(cfg: RunConfig) -> int:
     if table.n_max < cfg.n_max:
         doc["requested_n_max"] = cfg.n_max
         _emit(doc, cfg.out)
-        print(f"resource error: count budget reached at n = {table.n_max} "
+        print(f"resource error: count or ball budget reached at n = {table.n_max} "
               f"(requested {cfg.n_max}); partial table written", file=sys.stderr)
         return EXIT_RESOURCE
     _emit(doc, cfg.out)

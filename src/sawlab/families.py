@@ -58,7 +58,7 @@ class GraphFamily:
     """Lazy oracle for one infinite graph.
 
     ``spec`` is the parseable name (see :func:`parse_family`); it is what
-    reports carry and what parallel workers use to rebuild the oracle.
+    reports carry.
     ``symmetries`` holds generators, as label maps, of graph automorphisms
     that fix the origin, and ``cone_types`` the step types of a family whose
     balls are trees (see :class:`ConeTypes`).  The counters verify both on a
@@ -195,7 +195,11 @@ def regular_tree(d: int) -> GraphFamily:
 
 
 def hexagonal() -> GraphFamily:
-    """Hexagonal lattice in brick-wall coordinates on Z^2 (degree 3)."""
+    """Hexagonal lattice in brick-wall coordinates on Z^2 (degree 3).
+
+    The declared symmetry is the reflection (x, y) -> (-x, y), which keeps
+    the brick pattern because x+y and -x+y have the same parity.
+    """
     spec = "hex"
 
     @cache
@@ -212,7 +216,7 @@ def hexagonal() -> GraphFamily:
     origin = (0, 0)
     return GraphFamily(spec=spec, neighbors=neighbors, origin=origin,
                        declared_orbits=(origin,), orbit_of=lambda v: 0,
-                       max_degree=3)
+                       max_degree=3, symmetries=(lambda v: (-v[0], v[1]),))
 
 
 # Corner codes for the square/octagon lattice: cell (i, j) is a small square

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from typing import Iterator, Literal
 
 from .errors import InvariantViolationError, ResourceBudgetError, UsageError, budget
-from .families import GraphFamily, Label, parse_family
-from .heights import HeightFunction, default_height, parse_height
+from .families import GraphFamily, Label
+from .heights import HeightFunction, default_height
 
 WalkKind = Literal["saw", "halfspace", "bridge"]
 
@@ -76,11 +76,10 @@ class _BudgetHit(Exception):
     pass
 
 
-# Largest radius-n_max ball the counters compile to int ids, and the largest
-# ball a cone-type declaration is verified on.  Lattice balls at the lengths
-# sawlab counts stay well below it; tree balls grow as fast as the walk set,
-# so trees are counted from their cone types instead.
-COMPILED_BALL_MAX_VERTICES = 4096
+# Largest ball a cone-type declaration is verified on.  Tree balls grow as
+# fast as the walk set, so the check covers the short walks exactly and
+# stays cheap; the counts beyond it rest on the declaration.
+CONE_CHECK_MAX_VERTICES = 4096
 
 
 @functools.lru_cache(maxsize=1)
@@ -88,7 +87,7 @@ def _cone_ball(family, start, n_max):
     """Verify the family's cone types on a ball around ``start``.
 
     A breadth-first search expands every vertex closer than n_max to the
-    start, or stops once the ball has more than COMPILED_BALL_MAX_VERTICES
+    start, or stops once the ball has more than CONE_CHECK_MAX_VERTICES
     vertices.  Each expanded vertex must list its parent once and only new
     vertices besides (so the ball is a tree), and its onward steps must
     match its type in number and in measured default-height increments; a
@@ -150,7 +149,7 @@ def _cone_ball(family, start, n_max):
                 raise InvariantViolationError(
                     f"{family.spec}: {v!r} has onward steps {tuple(onward)} by type "
                     f"{cones.names} where its cone type {name!r} declares {allowed}")
-            if len(heights) > COMPILED_BALL_MAX_VERTICES:
+            if len(heights) > CONE_CHECK_MAX_VERTICES:
                 return heights
         level = nxt
     return heights
@@ -212,14 +211,14 @@ def _compile_ball(family, start, n_max):
     length n_max steps out of the sphere.  When start is the origin,
     ``perms`` holds each of the family's declared symmetries as a
     permutation of the ids, verified on the ball; otherwise it is empty.
-    Returns None as soon as the ball has more than
-    COMPILED_BALL_MAX_VERTICES vertices.
+    Raises ResourceBudgetError as soon as the ball has more than
+    ``budget("BALL_VERTICES")`` vertices.
 
     The result does not depend on the walk kind, so the one-entry cache
     serves the SAW, half-space and bridge counts from one start in turn.
     The cap is read on a miss only: clear the cache after changing it.
     """
-    cap = COMPILED_BALL_MAX_VERTICES
+    cap = budget("BALL_VERTICES")
     ids = {start: 0}
     adj = []
     level = [start]
@@ -232,11 +231,10 @@ def _compile_ball(family, start, n_max):
                     ids[u] = len(ids)
                     nxt.append(u)
             if len(ids) > cap:
-                return None
+                raise ResourceBudgetError(
+                    f"ball({family.spec}, r={n_max}) around {start!r} exceeds {cap} vertices")
             adj.append(tuple(ids[u] for u in nb))
         level = nxt
-    if len(ids) > cap:
-        return None
     labels = tuple(ids)
     perms = []
     symmetries = family.symmetries if start == family.origin else ()
@@ -263,41 +261,20 @@ def _compile_ball(family, start, n_max):
 def _kind_ball(family, hf, start, n_max, mode):
     """The compiled ball as the kernel reads it for ``mode``.
 
-    Returns ``((adj, heights), perms)``: ``adj[i]`` holds the ids a walk may
+    Returns ``(adj, heights, perms)``: ``adj[i]`` holds the ids a walk may
     step to from vertex i (every neighbor for SAWs, the ones higher than the
     start for half-space walks and bridges), ``heights[i]`` is vertex i's
     height (None for SAWs), and ``perms`` are the verified symmetries that
-    also preserve every height in the ball.  Returns ``(None, ())`` above
-    the compile cap.
+    also preserve every height in the ball.  The start is id 0.
     """
-    compiled = _compile_ball(family, start, n_max)
-    if compiled is None:
-        return None, ()
-    labels, adj, perms = compiled
+    labels, adj, perms = _compile_ball(family, start, n_max)
     if mode == "saw":
-        return (adj, None), perms
+        return adj, None, perms
     heights = [hf.evaluate(v) for v in labels]
     h0 = heights[0]
     adj = tuple(tuple(u for u in nb if heights[u] > h0) for nb in adj)
     perms = tuple(g for g in perms if [heights[j] for j in g] == heights)
-    return (adj, heights), perms
-
-
-def _kernel_inputs(family, hf, start, ball, mode):
-    """``(neighbors, height, start)`` for :func:`_count_from`: over the
-    compiled ball when there is one, else over the family's labels."""
-    if ball is not None:
-        adj, heights = ball
-        return adj.__getitem__, (None if heights is None else heights.__getitem__), 0
-    if mode == "saw":
-        return family.neighbors, None, start
-    neighbors, ev = family.neighbors, hf.evaluate
-    h0 = ev(start)
-
-    def higher(v):
-        return [u for u in neighbors(v) if ev(u) > h0]
-
-    return higher, ev, start
+    return adj, heights, perms
 
 
 def _count_from(neighbors, height, path, n_max, mode):
@@ -365,11 +342,10 @@ def _count_from(neighbors, height, path, n_max, mode):
 
 def _count_budgeted(family, hf, start, n_max, mode, node_budget):
     """Counts (and bridge span tables) of levels 0..n_max, counted in order
-    by :func:`_count_from` under a budget of neighbor lookups.  A budget hit
-    keeps the completed levels, so the result's length is the high-water
-    mark plus one."""
-    ball, _ = _kind_ball(family, hf, start, n_max, mode)
-    neighbors, height, root = _kernel_inputs(family, hf, start, ball, mode)
+    by :func:`_count_from` under a budget of neighbor lookups, each level on
+    the ball of its own radius.  A budget hit, or a ball over
+    ``budget("BALL_VERTICES")``, keeps the completed levels, so the result's
+    length is the high-water mark plus one."""
     left = node_budget
 
     def charged(v):
@@ -377,13 +353,15 @@ def _count_budgeted(family, hf, start, n_max, mode, node_budget):
         left -= 1
         if left < 0:
             raise _BudgetHit
-        return neighbors(v)
+        return adj[v]
 
     counts, spans = [], []
     for n in range(n_max + 1):
         try:
-            level, level_spans = _count_from(charged, height, [root], n, mode)
-        except _BudgetHit:
+            adj, heights, _ = _kind_ball(family, hf, start, n, mode)
+            level, level_spans = _count_from(
+                charged, heights and heights.__getitem__, [0], n, mode)
+        except (_BudgetHit, ResourceBudgetError):
             break
         counts.append(level[n])
         if level_spans is not None:
@@ -395,17 +373,11 @@ def _count_budgeted(family, hf, start, n_max, mode, node_budget):
 _worker_inputs = None
 
 
-def _init_worker(ball, specs, mode, n_max):
+def _init_worker(adj, heights, mode, n_max):
     """Pool initializer: set up the kernel's inputs once per worker, from the
-    compiled ball or, above the cap, from the family and height specs."""
+    compiled ball."""
     global _worker_inputs
-    family = hf = start = None
-    if ball is None:
-        family_spec, height_spec, start = specs
-        family = parse_family(family_spec)
-        hf = parse_height(family, height_spec) if height_spec else None
-    neighbors, height, _ = _kernel_inputs(family, hf, start, ball, mode)
-    _worker_inputs = (neighbors, height, n_max, mode)
+    _worker_inputs = (adj.__getitem__, heights and heights.__getitem__, n_max, mode)
 
 
 def _worker_counts(prefix):
@@ -451,16 +423,16 @@ def _count(family, hf, start, n_max, mode, jobs):
     """
     if family.cone_types is not None:
         return _count_cones(family, hf, start, n_max, mode)
-    ball, perms = _kind_ball(family, hf, start, n_max, mode)
-    neighbors, height, root = _kernel_inputs(family, hf, start, ball, mode)
+    adj, heights, perms = _kind_ball(family, hf, start, n_max, mode)
+    neighbors, height = adj.__getitem__, heights and heights.__getitem__
     split = 3
     if n_max <= split:
-        return _count_from(neighbors, height, [root], n_max, mode)
-    counts, spans = _count_from(neighbors, height, [root], split, mode)
+        return _count_from(neighbors, height, [0], n_max, mode)
+    counts, spans = _count_from(neighbors, height, [0], split, mode)
     counts += [0] * (n_max - split)
     if spans is not None:
         spans += [{} for _ in range(n_max - split)]
-    prefixes = [(root,)]
+    prefixes = [(0,)]
     for _ in range(split):
         prefixes = [p + (u,) for p in prefixes for u in neighbors(p[-1]) if u not in p]
     reps, weights = _prefix_orbits(prefixes, perms)
@@ -476,11 +448,9 @@ def _count(family, hf, start, n_max, mode, jobs):
     if jobs <= 1:
         add(_count_from(neighbors, height, list(p), n_max, mode) for p in reps)
         return counts, spans
-    specs = None if ball is not None else (
-        family.spec, hf.spec if hf is not None else None, start)
     with concurrent.futures.ProcessPoolExecutor(
             max_workers=jobs, initializer=_init_worker,
-            initargs=(ball, specs, mode, n_max)) as pool:
+            initargs=(adj, heights, mode, n_max)) as pool:
         add(pool.map(_worker_counts, reps))
     return counts, spans
 
@@ -494,15 +464,13 @@ def count_saws(family: GraphFamily, start: Label, n_max: int, jobs: int = 1,
     completed prefix of the table (its length marks the high water) instead
     of an error.
 
-    With ``jobs > 1`` the walks are split by prefix across worker processes.
-    Each worker receives the compiled ball once.  Above
-    ``COMPILED_BALL_MAX_VERTICES`` the workers still rebuild the family (and
-    the height) from its spec, so an in-memory family that
-    :func:`~sawlab.families.parse_family` cannot resolve counts in parallel
-    only while its ball fits under the cap.  A family that declares cone
-    types (the trees) is counted by an exact DP over them instead, in
-    process at every ``jobs``.  The same holds for :func:`count_halfspace`
-    and :func:`count_bridges`.
+    The walks are counted on the radius-n_max ball compiled to int ids; a
+    ball of more than ``budget("BALL_VERTICES")`` vertices raises
+    ResourceBudgetError.  With ``jobs > 1`` the walks are split by prefix
+    across worker processes, and each worker receives the compiled ball
+    once.  A family that declares cone types (the trees) is counted by an
+    exact DP over them instead, in process at every ``jobs``.  The same
+    holds for :func:`count_halfspace` and :func:`count_bridges`.
     """
     if n_max < 0:
         raise UsageError("n_max must be >= 0")

@@ -128,6 +128,26 @@ def test_count_budget_writes_partial_table(tmp_path, monkeypatch):
         assert p[key] == [row[:cut] for row in f[key]]
 
 
+def test_count_budget_on_a_tree_writes_partial_table(tmp_path):
+    # the budgeted count compiles each level's ball, not the radius-40 one
+    out = tmp_path / "part.json"
+    code, _, err = run_cli_env(["count", "--family", "tree:3", "--n", "40", "--out", str(out)],
+                               {"SAWLAB_BUDGET_COUNT_NODES": "300"})
+    assert code == 3, err
+    doc = json.loads(out.read_text())
+    assert doc["n_max"] == 6 and doc["requested_n_max"] == 40
+    assert doc["sigma"] == ["1", "3", "6", "12", "24", "48", "96"]
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_ball_over_budget_exits_3(jobs):
+    # z4's radius-9 ball has 5,641 vertices
+    code, out, err = run_cli_env(["count", "--family", "z4", "--n", "9", "--jobs", jobs],
+                                 {"SAWLAB_BUDGET_BALL_VERTICES": "1000"})
+    assert code == 3, err
+    assert "exceeds 1000 vertices" in err and not out
+
+
 def test_resource_error_exit_3(tmp_path, monkeypatch):
     monkeypatch.setenv("SAWLAB_BUDGET_QUOTIENT_ORBITS", "4")
     code, _, err = run_cli_env(["quotient", "--family", "z2", "--shifts", "9,0;0,9"],

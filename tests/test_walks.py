@@ -235,10 +235,8 @@ def test_budgeted_counts_return_clean_prefix():
 
 
 def test_parallel_counts_match_serial():
-    # without its cone types tree:3 runs on the counting kernel, and its
-    # radius-11 ball is above the compile cap: workers walk it lazily
+    # without its cone types tree:3 runs on the counting kernel
     t3 = dataclasses.replace(regular_tree(3), cone_types=None)
-    assert walks._compile_ball(t3, t3.origin, 11) is None
     for fam, n in ((Z2, 7), (t3, 11), (parse_family("hex"), 8)):
         hf = default_height(fam)
         for rep in hf.h_orbits:
@@ -270,21 +268,36 @@ def _oracle_counts(fam, hf, rep, n):
 
 @pytest.mark.parametrize("n", [0, 1, 4])
 @pytest.mark.parametrize("spec", BUILTIN_FAMILY_SPECS + ("zcyl:2:0,6",))
-def test_compiled_and_lazy_sources_match_oracle(spec, n, monkeypatch):
+def test_compiled_and_lazy_sources_match_oracle(spec, n):
     # trees are counted from their cone types unless those are removed
     fam = dataclasses.replace(parse_family(spec), cone_types=None)
     hf = default_height(fam)
     for rep in hf.h_orbits:
-        assert walks._compile_ball(fam, rep, n) is not None
-        compiled = _all_counts(fam, hf, rep, n)
-        with monkeypatch.context() as m:
-            m.setattr(walks, "COMPILED_BALL_MAX_VERTICES", 0)
-            walks._compile_ball.cache_clear()
-            lazy = _all_counts(fam, hf, rep, n)
-        assert compiled == lazy == _oracle_counts(fam, hf, rep, n)
+        assert _all_counts(fam, hf, rep, n) == _oracle_counts(fam, hf, rep, n)
 
 
-@pytest.mark.parametrize("spec", ["z1", "z2", "z3", "z4", "heis", "zcyl:2:0,6", "zcyl:3:1,1,0"])
+def test_z4_radius_9_ball_compiles():
+    z4 = parse_family("z4")
+    labels, adj, perms = walks._compile_ball(z4, z4.origin, 9)
+    assert len(labels) == 5641
+    assert len(perms) == len(z4.symmetries) == 7
+    assert count_saws(z4, z4.origin, 9)[9] == 40_613_816  # OEIS A010575
+
+
+def test_ball_over_budget_is_a_resource_error(monkeypatch):
+    z2 = parse_family("z2")
+    monkeypatch.setenv("SAWLAB_BUDGET_BALL_VERTICES", "100")
+    walks._compile_ball.cache_clear()
+    with pytest.raises(ResourceBudgetError, match="exceeds 100 vertices"):
+        count_saws(z2, z2.origin, 8)
+    # under a node budget the over-cap ball ends the count at the last level
+    # whose ball fits: radius 6 has 85 vertices, radius 7 has 113
+    walks._compile_ball.cache_clear()
+    assert count_saws(z2, z2.origin, 8, node_budget=10**9) == count_saws(Z2, (0, 0), 6)
+
+
+@pytest.mark.parametrize("spec", ["z1", "z2", "z3", "z4", "heis", "hex", "zcyl:2:0,6",
+                                  "zcyl:3:1,1,0"])
 def test_symmetry_reduced_counts_match_unreduced(spec):
     fam = parse_family(spec)
     hf = default_height(fam)
@@ -396,7 +409,7 @@ def test_one_cone_check_per_representative():
     table_calls, calls = calls, 0
     walks._cone_ball.cache_clear()
     walks._cone_ball(fam, fam.origin, 9)
-    assert table_calls == calls < walks.COMPILED_BALL_MAX_VERTICES
+    assert table_calls == calls < walks.CONE_CHECK_MAX_VERTICES
 
 
 @given(st.integers(0, 6))
