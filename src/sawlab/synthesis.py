@@ -30,16 +30,29 @@ method is the dual-form solution delta(i, step) = step . w, which meets
 every cycle target and both strict signs by construction; it acts as the
 fallback and cross-check.  On Z^n / kZ^n its lift has m = k and d = 1.
 
-All arithmetic in this module is exact (fractions.Fraction); no floats.
+The staged construction runs on the quotient compiled once into int tables
+(:class:`QuotientTables`): edge ids in sorted ``(tail, step)`` order with
+their head, reverse and canonical edge.  Which vertex pairs already have an
+explored SAW with a non-integer sum is answered by one depth-first sweep
+per source vertex (:func:`nonint_saw_pairs`), and return paths by
+:func:`find_saw`.  Each source's sweep (it serves all of that source's
+pairs at once) and each return-path search may enter at most
+``SAW_NODE_CAP`` = 100,000 nodes.  Hitting the cap makes the staged method
+stuck, and ``auto`` falls back to the direct method.  A lifted height sums integer
+scaled increments m * delta along the same tables.
+
+All arithmetic in this module is exact (fractions.Fraction, or ints over a
+common denominator); no floats.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from bisect import insort
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import InvariantViolationError, UsageError
 from .families import GraphFamily, Label
@@ -141,11 +154,6 @@ def distinguished_cycle(q: QuotientGraph, start_orbit: int = 0) -> tuple[Directe
     if edge_head(q, cyc[-1]) != cyc[0][0]:
         raise InvariantViolationError("distinguished path does not close in the quotient")
     return cyc
-
-
-def _is_simple_cycle(q: QuotientGraph, cyc) -> bool:
-    tails = [e[0] for e in cyc]
-    return len(set(tails)) == len(tails) and len({edge_canonical(q, e) for e in cyc}) == len(cyc)
 
 
 def _solve_square_rational(matrix, rhs):
@@ -417,72 +425,186 @@ class _StagedStuck(Exception):
     pass
 
 
-def _staged_solve(basis: DirectedCycleBasis, q: QuotientGraph) -> dict:
-    """The staged exploration; returns canonical-edge values."""
-    lam = lam_for(q)
-    values: dict[DirectedEdge, Fraction] = {}
-    explored_adj: dict[int, list[DirectedEdge]] = {i: [] for i in range(q.orbit_count)}
+SAW_NODE_CAP = 100_000
 
-    def set_value(e: DirectedEdge, val: Fraction):
-        c = edge_canonical(q, e)
-        values[c] = val if c == e else -val
-        explored_adj[c[0]].append(c)
-        p = edge_partner(q, c)
-        explored_adj[p[0]].append(p)
 
-    def unset_value(e: DirectedEdge):
-        c = edge_canonical(q, e)
-        del values[c]
-        explored_adj[c[0]].remove(c)
-        p = edge_partner(q, c)
-        explored_adj[p[0]].remove(p)
+class QuotientTables:
+    """The directed edges of a lattice quotient compiled to int ids, with
+    one ``q.project`` per directed edge.
 
-    def edge_value(e: DirectedEdge) -> Fraction:
-        c = edge_canonical(q, e)
-        v = values[c]
-        return v if c == e else -v
+    Ids follow sorted ``(tail, step)`` order, so comparing ids compares
+    edges, and the edge leaving orbit i along the step of rank r (in sorted
+    step order) has id ``i * len(step_rank) + r``.  ``head``, ``partner`` and
+    ``canonical`` map an id to its head orbit, its reverse edge and the
+    smaller of the two.
+    """
 
-    def is_explored(e: DirectedEdge) -> bool:
-        return edge_canonical(q, e) in values
+    def __init__(self, q: QuotientGraph):
+        steps = sorted(_unit_steps(_dim(q)))
+        self.step_rank = {s: r for r, s in enumerate(steps)}
+        self.edges = tuple((i, s) for i in range(q.orbit_count) for s in steps)
+        self.head = tuple(edge_head(q, e) for e in self.edges)
+        self.partner = tuple(h * len(steps) + self.step_rank[_vec_neg(e[1])]
+                             for e, h in zip(self.edges, self.head))
+        self.canonical = tuple(min(k, p) for k, p in enumerate(self.partner))
 
-    def touched(i: int) -> bool:
-        return bool(explored_adj[i])
+    def edge_id(self, e: DirectedEdge) -> int:
+        return e[0] * len(self.step_rank) + self.step_rank[e[1]]
 
-    def find_saw(a: int, b: int, need_nonint: bool, node_cap: int = 100_000):
-        """Directed SAW over explored edges from a to b; with need_nonint
-        only a non-integer value sum is accepted."""
-        if a == b:
-            return None if need_nonint else []
-        nodes = 0
-        path: list[DirectedEdge] = []
-        used = {a}
+    def tail(self, k: int) -> int:
+        return k // len(self.step_rank)
 
-        def dfs(v: int, acc: Fraction):
-            nonlocal nodes
+    def walk(self, start: int, steps) -> list[int]:
+        """Edge ids of the quotient walk from orbit ``start`` along ``steps``."""
+        out = []
+        for s in steps:
+            k = self.edge_id((start, s))
+            out.append(k)
+            start = self.head[k]
+        return out
+
+
+# ---------------------------------------------------------------------------
+# directed SAWs over explored edges
+#
+# The explored graph is given by ``adj[v]``, the ascending ids of the
+# explored edges leaving vertex v, ``head[e]``, the head of edge e, and
+# ``values[e]``, its Fraction.  A SAW visits distinct vertices, so it never
+# returns to its start.
+
+def _common_denominator(adj, values) -> tuple[list[int], int]:
+    """``(nums, den)`` with values[e] == nums[e] / den on every edge of adj."""
+    den = 1
+    for out in adj:
+        for e in out:
+            den = lcm(den, values[e].denominator)
+    nums = [0] * len(values)
+    for out in adj:
+        for e in out:
+            nums[e] = values[e].numerator * (den // values[e].denominator)
+    return nums, den
+
+
+def _explored_saws(adj, head, nums, a: int, node_cap: int, avoid: int | None = None):
+    """Depth-first over the SAWs leaving a, extending in ascending edge order.
+
+    Yields ``(path, total)`` once per SAW: ``path`` lists its edge ids (the
+    same list, updated in place as the search goes on) and ``total`` is the
+    sum of their ``nums``.  A SAW ending at ``avoid`` is yielded but not
+    extended.  Entering more than ``node_cap`` nodes (the start counts as
+    one) raises ``_StagedStuck``.
+    """
+    on_path = [False] * len(adj)
+    on_path[a] = True
+    path: list[int] = []
+    totals = [0]
+    stack = [iter(adj[a])]
+    nodes = 1
+    while stack:
+        for e in stack[-1]:
+            w = head[e]
+            if on_path[w]:
+                continue
+            total = totals[-1] + nums[e]
+            path.append(e)
+            yield path, total
+            if w == avoid:
+                path.pop()
+                continue
             nodes += 1
             if nodes > node_cap:
                 raise _StagedStuck("explored-SAW search budget exceeded")
-            for e in sorted(explored_adj[v]):
-                w = edge_head(q, e)
-                if w == b:
-                    tot = acc + edge_value(e)
-                    if not need_nonint or tot.denominator != 1:
-                        path.append(e)
-                        return True
-                    continue
-                if w in used:
-                    continue
-                path.append(e)
-                used.add(w)
-                if dfs(w, acc + edge_value(e)):
-                    return True
-                used.discard(w)
-                path.pop()
-            return False
+            on_path[w] = True
+            totals.append(total)
+            stack.append(iter(adj[w]))
+            break
+        else:
+            stack.pop()
+            if path:
+                on_path[head[path.pop()]] = False
+                totals.pop()
 
-        if dfs(a, Fraction(0)):
+
+def find_saw(adj, head, values, a: int, b: int, need_nonint: bool,
+             node_cap: int = SAW_NODE_CAP) -> list[int] | None:
+    """The first directed SAW from a to b in ascending edge order, as edge
+    ids, or None; with ``need_nonint`` only a non-integer value sum is
+    accepted.  The search never passes through b, and more than
+    ``node_cap`` nodes raise ``_StagedStuck``."""
+    if a == b:
+        return None if need_nonint else []
+    nums, den = _common_denominator(adj, values)
+    for path, total in _explored_saws(adj, head, nums, a, node_cap, avoid=b):
+        if head[path[-1]] == b and (not need_nonint or total % den):
             return list(path)
-        return None
+    return None
+
+
+def nonint_saw_pairs(adj, head, values, pairs, node_cap: int = SAW_NODE_CAP) -> set:
+    """The pairs (a, b) of ``pairs`` joined by a directed SAW from a to b
+    whose value sum is not an integer.
+
+    One depth-first sweep per source a walks the SAWs leaving a and marks
+    the end vertex of each one with a non-integer sum; it stops early once
+    every target of a is marked.  The sweep is a complete search, so a pair
+    is returned exactly when such a SAW exists.  A sweep that enters more
+    than ``node_cap`` nodes raises ``_StagedStuck``.
+    """
+    targets: dict[int, set[int]] = {}
+    for a, b in pairs:
+        if a != b:
+            targets.setdefault(a, set()).add(b)
+    found: set[tuple[int, int]] = set()
+    if not targets:
+        return found
+    nums, den = _common_denominator(adj, values)
+    for a, want in targets.items():
+        for path, total in _explored_saws(adj, head, nums, a, node_cap):
+            w = head[path[-1]]
+            if w in want and total % den:
+                found.add((a, w))
+                want.discard(w)
+                if not want:
+                    break
+    return found
+
+
+def _staged_solve(basis: DirectedCycleBasis, q: QuotientGraph) -> dict:
+    """The staged exploration on the compiled quotient; returns
+    canonical-edge values."""
+    t = QuotientTables(q)
+    head, partner, canonical = t.head, t.partner, t.canonical
+    n_orb = q.orbit_count
+    w = dual_form(q)
+    lam_edge = [sum((Fraction(d) * c for d, c in zip(e[1], w)), Fraction(0)) for e in t.edges]
+
+    def lam(seg) -> Fraction:
+        return sum((lam_edge[k] for k in seg), Fraction(0))
+
+    signed: list[Fraction | None] = [None] * len(t.edges)  # None until explored
+    explored: list[list[int]] = [[] for _ in range(n_orb)]  # ascending ids per tail
+
+    def set_value(k: int, val: Fraction):
+        c = canonical[k]
+        if c != k:
+            val = -val
+        p = partner[c]
+        signed[c], signed[p] = val, -val
+        insort(explored[t.tail(c)], c)
+        insort(explored[t.tail(p)], p)
+
+    def unset_value(k: int):
+        c = canonical[k]
+        p = partner[c]
+        signed[c] = signed[p] = None
+        explored[t.tail(c)].remove(c)
+        explored[t.tail(p)].remove(p)
+
+    def touched(i: int) -> bool:
+        return bool(explored[i])
+
+    def back_sum(back) -> Fraction:
+        return sum((signed[k] for k in back), Fraction(0))
 
     # path-sum bookkeeping: once a pair of vertices has a non-integer
     # explored SAW it keeps one (the explored set only grows), so only
@@ -490,19 +612,17 @@ def _staged_solve(basis: DirectedCycleBasis, q: QuotientGraph) -> dict:
     nonint_ok: set[tuple[int, int]] = set()
 
     def unresolved_pairs():
-        verts = [i for i in range(q.orbit_count) if touched(i)]
+        verts = [i for i in range(n_orb) if touched(i)]
         return [(a, b) for a, b in itertools.combinations(verts, 2)
                 if (a, b) not in nonint_ok]
 
-    def count_resolvable(pairs) -> int:
-        return sum(1 for a, b in pairs if find_saw(a, b, need_nonint=True) is not None)
+    def resolvable(pairs) -> set:
+        return nonint_saw_pairs(explored, head, signed, pairs)
 
     def record_pairs() -> None:
-        for a, b in unresolved_pairs():
-            if find_saw(a, b, need_nonint=True) is not None:
-                nonint_ok.add((a, b))
+        nonint_ok.update(resolvable(unresolved_pairs()))
 
-    def assign_segment(seg: list[DirectedEdge], total: Fraction):
+    def assign_segment(seg: list[int], total: Fraction):
         """Spread total in equal shares of one sign, perturbed so that as
         many explored path sums as possible avoid the integers."""
         m = len(seg)
@@ -528,67 +648,65 @@ def _staged_solve(basis: DirectedCycleBasis, q: QuotientGraph) -> dict:
             raise _StagedStuck("no same-sign distribution available")
         best = None
         for vals in candidates:
-            for e, v in zip(seg, vals):
-                set_value(e, v)
+            for k, v in zip(seg, vals):
+                set_value(k, v)
             pairs = unresolved_pairs()
-            good = count_resolvable(pairs)
-            if good == len(pairs):
-                record_pairs()
+            resolved = resolvable(pairs)
+            if len(resolved) == len(pairs):
+                nonint_ok.update(resolved)
                 return
-            if best is None or good > best[0]:
-                best = (good, vals)
-            for e in seg:
-                unset_value(e)
+            if best is None or len(resolved) > len(best[1]):
+                best = (vals, resolved)
+            for k in seg:
+                unset_value(k)
         # no candidate resolved everything; apply the best one
-        for e, v in zip(seg, best[1]):
-            set_value(e, v)
-        record_pairs()
+        for k, v in zip(seg, best[0]):
+            set_value(k, v)
+        nonint_ok.update(best[1])
 
-    def explore_cycle(cyc: tuple[DirectedEdge, ...]):
-        if all(is_explored(e) for e in cyc):
+    def explore_cycle(cyc: list[int]):
+        if all(signed[k] is not None for k in cyc):
             return
-        tails = [e[0] for e in cyc]
-        start = next((k for k, t in enumerate(tails) if touched(t)), None)
+        start = next((i for i, k in enumerate(cyc) if touched(t.tail(k))), None)
         if start is None:
             raise _StagedStuck("cycle does not meet the explored region")
-        cyc = cyc[start:] + cyc[:start]
-        run: list[DirectedEdge] = []
-        for e in cyc:
-            if is_explored(e):
+        run: list[int] = []
+        for k in cyc[start:] + cyc[:start]:
+            if signed[k] is not None:
                 if run:
-                    _finish_run(run)
+                    finish_run(run)
                     run = []
                 continue
-            run.append(e)
-            if touched(edge_head(q, e)):
-                _finish_run(run)
+            run.append(k)
+            if touched(head[k]):
+                finish_run(run)
                 run = []
         if run:
-            _finish_run(run)
+            finish_run(run)
 
-    def _finish_run(seg: list[DirectedEdge]):
-        seg = list(seg)
-        a = seg[0][0]
-        b = edge_head(q, seg[-1])
+    def finish_run(seg: list[int]):
+        a = t.tail(seg[0])
+        b = head[seg[-1]]
         if a == b:
             total = lam(seg)
         else:
-            back = find_saw(b, a, need_nonint=True)
+            back = find_saw(explored, head, signed, b, a, need_nonint=True)
             if back is None:
                 raise _StagedStuck("no non-integer return SAW for a segment")
-            total = lam(list(seg) + back) - sum((edge_value(e) for e in back), Fraction(0))
+            total = lam(seg + back) - back_sum(back)
         assign_segment(seg, total)
 
     # translates of the distinguished cycle through every orbit
     translates = {}
-    for i in range(q.orbit_count):
-        cyc = project_walk(q, q.reps[i], basis.distinguished_steps)
-        if not _is_simple_cycle(q, cyc):
+    for i in range(n_orb):
+        cyc = t.walk(i, basis.distinguished_steps)
+        if (len({t.tail(k) for k in cyc}) != len(cyc)
+                or len({canonical[k] for k in cyc}) != len(cyc)):
             raise _StagedStuck("a distinguished translate is not a simple cycle")
         translates[i] = cyc
 
     # connected components of the union of the translates
-    comp = list(range(q.orbit_count))
+    comp = list(range(n_orb))
 
     def find_root(x):
         while comp[x] != x:
@@ -597,28 +715,29 @@ def _staged_solve(basis: DirectedCycleBasis, q: QuotientGraph) -> dict:
         return x
 
     for cyc in translates.values():
-        r0 = find_root(cyc[0][0])
-        for e in cyc:
-            r = find_root(edge_head(q, e))
+        r0 = find_root(t.tail(cyc[0]))
+        for k in cyc:
+            r = find_root(head[k])
             if r != r0:
                 comp[r] = r0
                 r0 = find_root(r0)
-    roots = sorted({find_root(i) for i in range(q.orbit_count)})
-    component_of = {i: roots.index(find_root(i)) for i in range(q.orbit_count)}
+    roots = sorted({find_root(i) for i in range(n_orb)})
+    component_of = {i: roots.index(find_root(i)) for i in range(n_orb)}
 
     # connectors between components, in canonical edge order (set to zero
     # when their target component's exploration starts)
-    connectors: list[DirectedEdge] = []
+    undirected = [k for k, c in enumerate(canonical) if c == k]
+    connectors: list[int] = []
     order = [component_of[0]]
     joined = {component_of[0]}
     remaining = set(range(len(roots))) - joined
     while remaining:
         found = None
-        for e in undirected_edges(q):
-            ca, cb = component_of[e[0]], component_of[edge_head(q, e)]
+        for k in undirected:
+            ca, cb = component_of[t.tail(k)], component_of[head[k]]
             if ca == cb or ((ca in joined) == (cb in joined)):
                 continue
-            found = (e, cb if cb not in joined else ca)
+            found = (k, cb if cb not in joined else ca)
             break
         if found is None:
             raise _StagedStuck("components cannot be connected")
@@ -631,7 +750,7 @@ def _staged_solve(basis: DirectedCycleBasis, q: QuotientGraph) -> dict:
     dist = basis.distinguished()
     unit = Fraction(1, len(dist))
     for e in dist:
-        set_value(e, unit)
+        set_value(t.edge_id(e), unit)
     record_pairs()
 
     # Stages 2-4: explore each component's translate cycles in order
@@ -642,23 +761,22 @@ def _staged_solve(basis: DirectedCycleBasis, q: QuotientGraph) -> dict:
             record_pairs()
         pending = [i for i in sorted(translates) if component_of[i] == comp_id]
         while pending:
-            nxt = next((i for i in pending if any(touched(e[0]) for e in translates[i])), None)
+            nxt = next((i for i in pending if any(touched(t.tail(k)) for k in translates[i])),
+                       None)
             if nxt is None:
                 raise _StagedStuck("no translate touches the explored region")
             pending.remove(nxt)
             explore_cycle(translates[nxt])
 
     # Stage 5: residual edges fixed by the explored-walk rule
-    for e in undirected_edges(q):
-        if e in values:
+    for k in undirected:
+        if signed[k] is not None:
             continue
-        a, b = e[0], edge_head(q, e)
-        back = find_saw(b, a, need_nonint=False)
+        back = find_saw(explored, head, signed, head[k], t.tail(k), need_nonint=False)
         if back is None:
             raise _StagedStuck("residual edge endpoints not connected by explored SAWs")
-        val = lam([e] + back) - sum((edge_value(x) for x in back), Fraction(0))
-        set_value(e, val)
-    return values
+        set_value(k, lam([k] + back) - back_sum(back))
+    return {t.edges[c]: signed[c] for c in undirected}
 
 
 def _direct_solve(q: QuotientGraph) -> dict:
@@ -727,28 +845,53 @@ def solve_increments(basis: DirectedCycleBasis, q: QuotientGraph,
 @dataclass(frozen=True)
 class LiftedHeight:
     """Integer height on the lattice obtained by scaling and integrating an
-    edge increment along paths from the origin."""
+    edge increment along paths from the origin.
+
+    The scaled increments m * delta are compiled once per directed edge (each
+    must be an integer), and :meth:`evaluate` sums them along the straight
+    path from the origin over the compiled head table.
+    """
 
     scaling: int
     increments: EdgeIncrement
     quotient: QuotientGraph = field(repr=False)
+    _tables: QuotientTables = field(init=False, repr=False, compare=False)
+    _scaled: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _axes: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
+    _origin_orbit: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        q = self.quotient
+        t = QuotientTables(q)
+        scaled = []
+        for k, c in enumerate(t.canonical):
+            v = self.increments.values[t.edges[c]] * self.scaling
+            if v.denominator != 1:
+                raise InvariantViolationError("scaled height is not an integer")
+            scaled.append(int(v) if c == k else -int(v))
+        n = _dim(q)
+        units = [tuple(1 if k == i else 0 for k in range(n)) for i in range(n)]
+        object.__setattr__(self, "_tables", t)
+        object.__setattr__(self, "_scaled", tuple(scaled))
+        object.__setattr__(self, "_axes", tuple(
+            (t.step_rank[u], t.step_rank[_vec_neg(u)]) for u in units))
+        object.__setattr__(self, "_origin_orbit", q.project((0,) * n))
 
     def evaluate(self, v: Label) -> int:
-        q = self.quotient
-        total = Fraction(0)
-        cur = (0,) * _dim(q)
-        for n_step in straight_steps(tuple(v)):
-            total += self.increments.value(q, (q.project(cur), n_step))
-            cur = _vec_add(cur, n_step)
-        scaled = total * self.scaling
-        if scaled.denominator != 1:
-            raise InvariantViolationError("scaled height is not an integer")
-        return int(scaled)
+        head, scaled = self._tables.head, self._scaled
+        width = len(self._tables.step_rank)
+        orbit = self._origin_orbit
+        total = 0
+        for c, (up, down) in zip(v, self._axes):
+            r = up if c > 0 else down
+            for _ in range(abs(c)):
+                k = orbit * width + r
+                total += scaled[k]
+                orbit = head[k]
+        return total
 
     def max_edge_change(self) -> int:
-        q = self.quotient
-        return max(abs(int(self.increments.value(q, e) * self.scaling))
-                   for e in directed_edges(q))
+        return max(abs(x) for x in self._scaled)
 
     def as_height_function(self):
         from .heights import HeightFunction

@@ -1,19 +1,31 @@
 """CLI: exit codes, determinism, round-trips."""
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import sawlab
 from sawlab.cli import main
 
 RUN = [sys.executable, "-m", "sawlab.cli"]
+# the directory holding the imported package, so a child process finds the
+# same sources without an installed copy
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(sawlab.__file__)))
+
+
+def run_cli_env(args, env_extra):
+    env = dict(os.environ)
+    env.update(env_extra)
+    env["PYTHONPATH"] = SRC + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    proc = subprocess.run(RUN + args, capture_output=True, text=True, env=env)
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 def run_cli(args, tmp_path=None):
-    proc = subprocess.run(RUN + args, capture_output=True, text=True)
-    return proc.returncode, proc.stdout, proc.stderr
+    return run_cli_env(args, {})
 
 
 def test_count_table_roundtrip(tmp_path):
@@ -153,14 +165,6 @@ def test_resource_error_exit_3(tmp_path, monkeypatch):
     code, _, err = run_cli_env(["quotient", "--family", "z2", "--shifts", "9,0;0,9"],
                                {"SAWLAB_BUDGET_QUOTIENT_ORBITS": "4"})
     assert code == 3
-
-
-def run_cli_env(args, env_extra):
-    import os
-    env = dict(os.environ)
-    env.update(env_extra)
-    proc = subprocess.run(RUN + args, capture_output=True, text=True, env=env)
-    return proc.returncode, proc.stdout, proc.stderr
 
 
 def test_decompose_cli(tmp_path):

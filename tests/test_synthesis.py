@@ -4,13 +4,16 @@ Everything here is exact rational arithmetic; float appearances would be a
 bug in themselves.
 """
 
+import hashlib
+import json
+from collections import deque
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from sawlab.errors import InvariantViolationError
-from sawlab.families import hypercubic
+from sawlab.families import ball, hypercubic
 from sawlab.heights import validate_height
 from sawlab.quotient import SubgroupDescriptor, build_quotient
 from sawlab.synthesis import (
@@ -22,8 +25,10 @@ from sawlab.synthesis import (
     dual_form,
     edge_canonical,
     edge_partner,
+    find_saw,
     increment_invariant_problems,
     lift_height,
+    nonint_saw_pairs,
     project_walk,
     solve_increments,
     synthesize_height,
@@ -31,6 +36,7 @@ from sawlab.synthesis import (
     unit_square_generators,
     verify_cocycle,
     _Echelon,
+    _StagedStuck,
 )
 
 Z1 = hypercubic(1)
@@ -224,3 +230,141 @@ def test_project_walk_roundtrip():
     edges = project_walk(q, (0, 0), [(1, 0), (0, 1), (-1, 0), (0, -1)])
     assert len(edges) == 4
     assert edges[0][0] == q.project((0, 0))
+
+
+# ---------------------------------------------------------------------------
+# explored-SAW sweep against brute force
+
+@st.composite
+def explored_graphs(draw):
+    """(adj, head, values): a random directed multigraph with loops, edge
+    ids in ascending tail order, and rational edge values."""
+    n = draw(st.integers(2, 5))
+    edges = draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                  st.integers(-6, 6), st.integers(1, 4)),
+        max_size=12))
+    edges.sort(key=lambda e: e[0])
+    adj = [[k for k, e in enumerate(edges) if e[0] == v] for v in range(n)]
+    head = [e[1] for e in edges]
+    values = [Fraction(num, den) for _, _, num, den in edges]
+    return adj, head, values
+
+
+def brute_force_nonint_pairs(adj, head, values):
+    """Every (a, b) joined by a directed SAW with a non-integer sum, by
+    enumerating all vertex-distinct paths."""
+    found = set()
+
+    def extend(a, v, seen, total):
+        for e in adj[v]:
+            w = head[e]
+            if w in seen:
+                continue
+            if (total + values[e]).denominator != 1:
+                found.add((a, w))
+            extend(a, w, seen | {w}, total + values[e])
+
+    for a in range(len(adj)):
+        extend(a, a, {a}, Fraction(0))
+    return found
+
+
+@settings(max_examples=200, deadline=None)
+@given(explored_graphs())
+def test_sweep_matches_brute_force_saw_enumeration(graph):
+    adj, head, values = graph
+    n = len(adj)
+    pairs = [(a, b) for a in range(n) for b in range(n)]
+    expected = brute_force_nonint_pairs(adj, head, values)
+    assert nonint_saw_pairs(adj, head, values, pairs) == expected
+    for a, b in pairs:
+        path = find_saw(adj, head, values, a, b, need_nonint=True)
+        assert (path is not None) == ((a, b) in expected)
+        if path is not None:
+            tails = [a] + [head[e] for e in path[:-1]]
+            assert all(e in adj[v] for e, v in zip(path, tails))
+            assert len(set(tails)) == len(tails) and head[path[-1]] == b
+            assert sum((values[e] for e in path), Fraction(0)).denominator != 1
+
+
+def test_sweep_over_node_cap_raises():
+    # complete digraph on 6 vertices with integer values: no target is ever
+    # marked, so the sweep from 0 enters every one of the
+    # 1 + 5 + 20 + 60 + 120 + 120 = 326 SAWs that leave it
+    n = 6
+    edges = [(v, w) for v in range(n) for w in range(n) if v != w]
+    adj = [[k for k, e in enumerate(edges) if e[0] == v] for v in range(n)]
+    head = [w for _, w in edges]
+    values = [Fraction(1)] * len(edges)
+    assert nonint_saw_pairs(adj, head, values, [(0, 5)], node_cap=326) == set()
+    with pytest.raises(_StagedStuck):
+        nonint_saw_pairs(adj, head, values, [(0, 5)], node_cap=325)
+
+
+# ---------------------------------------------------------------------------
+# staged outputs: SHA-256 of (method, scaling_m, sorted increments), recorded
+# with the per-pair explored-SAW search that the per-source sweep replaced
+
+STAGED_DIGESTS = {
+    ('z1', ((3,),)):
+        "c030cf21f9503b03488175d7320a2cba543cdf815a8b80e7fb722060e7e821dc",
+    ('z2', ((2, 0), (0, 2))):
+        "814bb71eeaaa11bd4756c5f00f950a75d404967bae369af325805ee09eb40d1f",
+    ('z2', ((3, 0), (0, 3))):
+        "3279a182cc745c1421d8eee181049433e24965ab1343bd274cb44949405c4400",
+    ('z2', ((4, 0), (0, 4))):
+        "cd5ef80ae6408cfa9bf5553c9518183336d750dcf26f9797969bde4050bcc0da",
+    ('z2', ((5, 0), (0, 5))):
+        "3b2b7cab55cff79ecf9ec51519a926828a1d64cd57198b617269b76d6667c938",
+    ('z2', ((2, 1), (0, 3))):
+        "dea889cc6a35dadd25f54103a8cebddf2d1e18ff23069ad6056f1909afa4a6ec",
+    ('z2', ((3, 2), (0, 3))):
+        "5a1ac0c2a31ae3e6a79afda460a79cb6f283adac3f593a0f77d26cbf723150a8",
+    ('z2', ((2, 1), (0, 5))):
+        "fbde9d9808cb3c10e7672b9657a2355017fc55ba4917804f62c8e2e7b470511e",
+    ('z3', ((2, 0, 0), (0, 2, 0), (0, 0, 2))):
+        "ebd51fad9bc42889a11cff8accecd2478a41ed9850c82830ee258959cd9f6bde",
+    ('z3', ((3, 0, 0), (0, 3, 0), (0, 0, 3))):
+        "eefe40b079db52d41c117ce95d27d08b36c5ef8b4b9b03412a08f42bd017e460",
+}
+
+
+def staged_digest(family, shifts) -> str:
+    q, basis, inc, lifted = synthesize_height(family, shifts, method="staged")
+    doc = [inc.method, str(lifted.scaling),
+           [[i, list(step), str(v.numerator), str(v.denominator)]
+            for (i, step), v in sorted(inc.values.items())]]
+    return hashlib.sha256(json.dumps(doc, separators=(",", ":")).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("spec,shifts", list(STAGED_DIGESTS))
+def test_staged_outputs_are_pinned(spec, shifts):
+    family = {"z1": Z1, "z2": Z2, "z3": Z3}[spec]
+    assert staged_digest(family, shifts) == STAGED_DIGESTS[spec, shifts]
+
+
+@pytest.mark.parametrize("method", ["staged", "direct"])
+@pytest.mark.parametrize("family,shifts", [
+    (Z2, [(2, 1), (0, 5)]),
+    (Z3, [(3, 0, 0), (0, 3, 0), (0, 0, 3)]),
+])
+def test_lifted_evaluate_matches_bfs_lift_on_radius_6_ball(family, shifts, method):
+    q = quotient_of(family, shifts)
+    basis = cycle_basis(q, unit_square_generators(q))
+    inc = solve_increments(basis, q, method=method)
+    assert inc.method == method
+    lifted = lift_height(inc, family, q)
+    verts = ball(family, family.origin, 6).dist
+    heights = {family.origin: Fraction(0)}
+    queue = deque([family.origin])
+    while queue:
+        v = queue.popleft()
+        for u in family.neighbors(v):
+            if u in verts and u not in heights:
+                step = tuple(a - c for a, c in zip(u, v))
+                heights[u] = heights[v] + inc.value(q, (q.project(v), step))
+                queue.append(u)
+    assert len(heights) == len(verts)
+    for v, h in heights.items():
+        assert lifted.evaluate(v) == h * lifted.scaling, v
