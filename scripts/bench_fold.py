@@ -12,9 +12,11 @@ record as ``run.py`` computes them: ``pass_s`` is the sum over operations of
 each one's median scaled time, ``setup_s`` the median scaled set-up time and
 ``walks_per_s`` the pass's walk count W (``run.walks_total`` over the
 checkout's ``perfbench/refs.json``) over ``pass_s``.  The record does not
-hold ``peak_rss_mb`` nor a traced run's ``families.neighbors.calls``: they
-are read from the metrics line a run prints last, when its stdout was saved
-beside the record as ``run-<workload>-seed<S>-trace<T>.out``.
+hold ``peak_rss_mb`` nor a traced run's work counter
+(``synthesis.edge_head.calls`` on synth, ``families.neighbors.calls`` on
+the other workloads): they are read from the metrics line a run prints
+last, when its stdout was saved beside the record as
+``run-<workload>-seed<S>-trace<T>.out``.
 
 The output holds, per workload, each side's median and quartiles of every
 end-to-end metric, the number of pairs the change wins, the traced counter,
@@ -37,6 +39,8 @@ from run import walks_total  # noqa: E402  (perfbench/ is not a package)
 
 RECORD = re.compile(r"run-(?P<workload>.+)-seed(?P<seed>\d+)-trace(?P<trace>[01])\.json$")
 CALLS = "families.neighbors.calls"
+# synthesis barely asks the neighbor oracle; its work shows in edge_head calls
+TRACED_COUNTER = {"synth": "synthesis.edge_head.calls"}
 
 
 def printed(stdout_path: str, name: str) -> float | None:
@@ -81,7 +85,7 @@ def load_side(out_dir: str) -> tuple[dict, dict]:
             side["plain"][seed] = end_to_end(record, walks_total(workload, refs[workload]),
                                              stdout_path)
         else:
-            calls = printed(stdout_path, CALLS)
+            calls = printed(stdout_path, TRACED_COUNTER.get(workload, CALLS))
             if calls is not None:
                 side["calls"][seed] = calls
     if len(hosts) > 1:
@@ -122,7 +126,7 @@ def fold(parent_dir: str, change_dir: str) -> dict:
             }
         entry = {"seeds": seeds, "end_to_end": metrics}
         if p["calls"] and c["calls"]:
-            entry["traced"] = {CALLS: {
+            entry["traced"] = {TRACED_COUNTER.get(workload, CALLS): {
                 "parent": statistics.median(p["calls"].values()),
                 "change": statistics.median(c["calls"].values()),
                 "seeds": sorted(set(p["calls"]) | set(c["calls"]))}}
