@@ -31,6 +31,7 @@ from .heights import parse_height, validate_height, verify_r
 from .quotient import SubgroupDescriptor, build_quotient, check_symmetric
 from .synthesis import (
     increment_invariant_problems,
+    quotient_tables,
     synthesize_height,
     verify_cocycle,
 )
@@ -235,6 +236,7 @@ def cmd_synth_height(cfg: RunConfig) -> int:
     problems = increment_invariant_problems(inc, basis, q)
     hf = lifted.as_height_function()
     validation = validate_height(family, hf, min(cfg.radius, 6))
+    t = quotient_tables(q)
     doc = {
         "kind": "height-synthesis",
         "family": family.spec,
@@ -244,7 +246,7 @@ def cmd_synth_height(cfg: RunConfig) -> int:
         "method": inc.method,
         "scaling_m": str(lifted.scaling),
         "increments": [
-            {"from": i, "to": int(_head(q, (i, step))), "step": list(step),
+            {"from": i, "to": t.head[t.edge_id((i, step))], "step": list(step),
              "numerator": str(v.numerator), "denominator": str(v.denominator)}
             for (i, step), v in sorted(inc.values.items())],
         "invariant_problems": problems,
@@ -255,11 +257,6 @@ def cmd_synth_height(cfg: RunConfig) -> int:
     }
     _emit(doc, cfg.out)
     return EXIT_OK if not problems and validation.ok() else EXIT_INVARIANT
-
-
-def _head(q, e):
-    from .synthesis import edge_head
-    return edge_head(q, e)
 
 
 def cmd_validate_height(cfg: RunConfig) -> int:

@@ -9,10 +9,17 @@ graph that
 * give every quotient vertex an outgoing edge of each strict sign,
 
 then lifts and scales the increments to an integer height function on the
-lattice.  Directed quotient edges are identified with pairs
-``(orbit_index, step)`` where ``step`` is a signed unit vector, which pins
-down parallel edge copies and makes the antisymmetry delta(-e) = -delta(e)
-a property of the representation.
+lattice.  A directed quotient edge is the pair ``(orbit_index, step)``
+where ``step`` is a signed unit vector, which pins down parallel edge
+copies and makes the antisymmetry delta(-e) = -delta(e) a property of the
+representation.
+
+Edge ids are the working form: each quotient is compiled once into int
+tables (:func:`quotient_tables`), with one ``q.project`` per directed edge,
+and every stage reads them.  ``(orbit, step)`` pairs are the document
+form: the keys of :attr:`EdgeIncrement.values`, which the ``synth-height``
+document lists, and the steps a caller passes.  Ids follow the sorted pair
+order, so comparing ids compares pairs.
 
 The basis is arranged so that every cycle except the distinguished one has
 zero winding along the distinguished lattice generator.  The coefficient of
@@ -30,16 +37,14 @@ method is the dual-form solution delta(i, step) = step . w, which meets
 every cycle target and both strict signs by construction; it acts as the
 fallback and cross-check.  On Z^n / kZ^n its lift has m = k and d = 1.
 
-The staged construction runs on the quotient compiled once into int tables
-(:class:`QuotientTables`): edge ids in sorted ``(tail, step)`` order with
-their head, reverse and canonical edge.  Which vertex pairs already have an
-explored SAW with a non-integer sum is answered by one depth-first sweep
-per source vertex (:func:`nonint_saw_pairs`), and return paths by
-:func:`find_saw`.  Each source's sweep (it serves all of that source's
-pairs at once) and each return-path search may enter at most
-``SAW_NODE_CAP`` = 100,000 nodes.  Hitting the cap makes the staged method
-stuck, and ``auto`` falls back to the direct method.  A lifted height sums integer
-scaled increments m * delta along the same tables.
+Which vertex pairs already have an explored SAW with a non-integer sum is
+answered by one depth-first sweep per source vertex
+(:func:`nonint_saw_pairs`), and return paths by :func:`find_saw`.  Each
+source's sweep (it serves all of that source's pairs at once) and each
+return-path search may enter at most ``SAW_NODE_CAP`` = 100,000 nodes.
+Hitting the cap makes the staged method stuck, and ``auto`` falls back to
+the direct method.  A lifted height sums integer scaled increments
+m * delta along the same tables.
 
 All arithmetic in this module is exact (fractions.Fraction, or ints over a
 common denominator); no floats.
@@ -47,15 +52,17 @@ common denominator); no floats.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from bisect import insort
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 from .errors import InvariantViolationError, UsageError
-from .families import GraphFamily, Label
+from .families import GraphFamily, Label, ball
 from .quotient import QuotientGraph, SubgroupDescriptor, build_quotient, check_symmetric
 
 DirectedEdge = tuple[int, tuple[int, ...]]  # (tail orbit, unit step)
@@ -90,45 +97,78 @@ def edge_head(q: QuotientGraph, e: DirectedEdge) -> int:
     return q.project(_vec_add(q.reps[e[0]], e[1]))
 
 
-def edge_partner(q: QuotientGraph, e: DirectedEdge) -> DirectedEdge:
-    return (edge_head(q, e), _vec_neg(e[1]))
+class QuotientTables:
+    """The directed edges of a lattice quotient compiled to int ids, with
+    one ``edge_head`` (one ``q.project``) per directed edge.
+
+    Ids follow sorted ``(tail, step)`` order, so comparing ids compares
+    edges, and the edge leaving orbit i along the step of rank r (in sorted
+    step order) has id ``i * len(step_rank) + r``.  ``head``, ``partner`` and
+    ``canonical`` map an id to its head orbit, its reverse edge and the
+    smaller of the two; ``undirected`` lists the canonical ids in order.
+    ``lam`` maps an id to its winding ``step . w`` (:func:`dual_form`), so
+    a closed walk's coefficient on the distinguished cycle is its sum.
+    """
+
+    def __init__(self, q: QuotientGraph):
+        steps = sorted(_unit_steps(_dim(q)))
+        self.step_rank = {s: r for r, s in enumerate(steps)}
+        self.edges = tuple((i, s) for i in range(q.orbit_count) for s in steps)
+        self.head = tuple(edge_head(q, e) for e in self.edges)
+        self.partner = tuple(h * len(steps) + self.step_rank[_vec_neg(e[1])]
+                             for e, h in zip(self.edges, self.head))
+        self.canonical = tuple(min(k, p) for k, p in enumerate(self.partner))
+        self.undirected = tuple(k for k, c in enumerate(self.canonical) if c == k)
+        w = dual_form(q)
+        lam_step = {s: sum((Fraction(d) * c for d, c in zip(s, w)), Fraction(0))
+                    for s in steps}
+        self.lam = tuple(lam_step[s] for _, s in self.edges)
+
+    def edge_id(self, e: DirectedEdge) -> int:
+        return e[0] * len(self.step_rank) + self.step_rank[e[1]]
+
+    def tail(self, k: int) -> int:
+        return k // len(self.step_rank)
+
+    def out_edges(self, i: int) -> range:
+        """The ids of the edges leaving orbit i, in ascending order."""
+        width = len(self.step_rank)
+        return range(i * width, (i + 1) * width)
+
+    def walk(self, start: int, steps) -> list[int]:
+        """Edge ids of the quotient walk from orbit ``start`` along ``steps``."""
+        out = []
+        for s in steps:
+            k = self.edge_id((start, s))
+            out.append(k)
+            start = self.head[k]
+        return out
+
+    def winding(self, ids) -> Fraction:
+        """The coefficient of a closed walk on the distinguished cycle."""
+        return sum((self.lam[k] for k in ids), Fraction(0))
 
 
-def edge_canonical(q: QuotientGraph, e: DirectedEdge) -> DirectedEdge:
-    return min(e, edge_partner(q, e))
+@functools.lru_cache(maxsize=1)
+def quotient_tables(q: QuotientGraph) -> QuotientTables:
+    """The compiled tables of q.  The one-entry cache serves every stage of
+    one synthesis in turn: cycle basis, solve, invariant check, lift and
+    cocycle check build the tables once between them."""
+    return QuotientTables(q)
 
 
-def directed_edges(q: QuotientGraph) -> list[DirectedEdge]:
-    return [(i, s) for i in range(q.orbit_count) for s in _unit_steps(_dim(q))]
-
-
-def undirected_edges(q: QuotientGraph) -> list[DirectedEdge]:
-    return sorted({edge_canonical(q, e) for e in directed_edges(q)})
-
-
-def project_walk(q: QuotientGraph, start: tuple[int, ...], steps) -> tuple[DirectedEdge, ...]:
-    """Project a lattice walk (start vector plus unit steps) to quotient edges."""
-    cur = start
-    out = []
-    for s in steps:
-        out.append((q.project(cur), tuple(s)))
-        cur = _vec_add(cur, s)
-    return tuple(out)
-
-
-def unit_square_generators(q: QuotientGraph) -> list[tuple[DirectedEdge, ...]]:
-    """Projections of the unit squares of Z^n from each orbit representative.
+def unit_square_generators(q: QuotientGraph) -> list[tuple[int, ...]]:
+    """Projections of the unit squares of Z^n from each orbit, as edge ids.
 
     These generate the lattice's cycle space with respect to any translation
     subgroup; Z^1 has none (a tree).
     """
-    n = _dim(q)
+    t = quotient_tables(q)
+    units = _unit_steps(_dim(q))[0::2]
     squares = []
-    for rep in q.reps:
-        for i, j in itertools.combinations(range(n), 2):
-            ei = tuple(1 if k == i else 0 for k in range(n))
-            ej = tuple(1 if k == j else 0 for k in range(n))
-            squares.append(project_walk(q, rep, [ei, ej, _vec_neg(ei), _vec_neg(ej)]))
+    for i in range(q.orbit_count):
+        for ei, ej in itertools.combinations(units, 2):
+            squares.append(tuple(t.walk(i, [ei, ej, _vec_neg(ei), _vec_neg(ej)])))
     return squares
 
 
@@ -146,12 +186,12 @@ def straight_steps(shift: tuple[int, ...]):
     return steps
 
 
-def distinguished_cycle(q: QuotientGraph, start_orbit: int = 0) -> tuple[DirectedEdge, ...]:
-    """Projection of the straight path realizing the longest lattice shift,
-    based at an orbit representative: a closed walk of the quotient."""
-    shift = distinguished_shift(q)
-    cyc = project_walk(q, q.reps[start_orbit], straight_steps(shift))
-    if edge_head(q, cyc[-1]) != cyc[0][0]:
+def distinguished_cycle(q: QuotientGraph, start_orbit: int = 0) -> tuple[int, ...]:
+    """Edge ids of the projected straight path realizing the longest
+    lattice shift from ``start_orbit``: a closed walk of the quotient."""
+    t = quotient_tables(q)
+    cyc = tuple(t.walk(start_orbit, straight_steps(distinguished_shift(q))))
+    if t.head[cyc[-1]] != start_orbit:
         raise InvariantViolationError("distinguished path does not close in the quotient")
     return cyc
 
@@ -186,50 +226,30 @@ def dual_form(q: QuotientGraph) -> tuple[Fraction, ...]:
     return _solve_square_rational([list(r) for r in rows], rhs)
 
 
-def walk_displacement(edges) -> tuple[int, ...]:
-    disp = None
-    for _, step in edges:
-        disp = step if disp is None else _vec_add(disp, step)
-    return disp
-
-
-def lam_for(q: QuotientGraph):
-    """Distinguished-coordinate functional on closed walks (edge sequences)."""
-    w = dual_form(q)
-
-    def lam(edges) -> Fraction:
-        disp = walk_displacement(edges)
-        return sum((Fraction(d) * c for d, c in zip(disp, w)), Fraction(0))
-
-    return lam
-
-
 # ---------------------------------------------------------------------------
 # exact linear algebra over directed-edge vectors
 
 class _Echelon:
-    """Incremental row echelon over Q for sparse vectors keyed by a fixed
-    total order; used for rank and independence tests."""
+    """Incremental reduced row echelon form over Q for sparse vectors keyed
+    by edge id; used for rank and independence tests.  Each row is stored
+    under its smallest key, its pivot, where its coefficient is 1, and no
+    row holds another row's pivot."""
 
     def __init__(self):
         self.rows: dict = {}  # pivot key -> reduced row (dict key->Fraction)
 
     @staticmethod
     def _reduce(vec: dict, rows: dict) -> dict:
+        # a row holds no other row's pivot, so eliminating one pivot of v
+        # leaves the coefficients of its other pivots as they were
         v = {k: c for k, c in vec.items() if c != 0}
-        while True:
-            pivot = None
-            for key in sorted(v):
-                if key in rows:
-                    pivot = key
-                    break
-            if pivot is None:
-                return v
+        for pivot in [k for k in v if k in rows]:
             coef = v[pivot]
             for k2, c2 in rows[pivot].items():
                 v[k2] = v.get(k2, Fraction(0)) - coef * c2
                 if v[k2] == 0:
                     del v[k2]
+        return v
 
     def add(self, vec: dict) -> bool:
         """Insert if independent of the current span; returns True if added."""
@@ -239,7 +259,7 @@ class _Echelon:
         pivot = min(v)
         inv = 1 / v[pivot]
         row = {k: c * inv for k, c in v.items()}
-        for p, r in list(self.rows.items()):
+        for r in self.rows.values():
             if pivot in r:
                 coef = r[pivot]
                 for k2, c2 in row.items():
@@ -276,16 +296,16 @@ class DirectedCycleBasis:
     The first ``rho`` elements span the projections of the generating set;
     the last is the distinguished cycle, the only basis element with nonzero
     winding along the distinguished lattice generator.  Elements are stored
-    as directed edge sequences (the non-distinguished ones may be formal
-    compositions rather than single closed walks).
+    as sequences of edge ids of :func:`quotient_tables` (the
+    non-distinguished ones may be formal compositions rather than single
+    closed walks).
     """
 
-    cycles: tuple[tuple[DirectedEdge, ...], ...]
+    cycles: tuple[tuple[int, ...], ...]
     rho: int
     dim: int
-    distinguished_steps: tuple[tuple[int, ...], ...] = ()
 
-    def distinguished(self) -> tuple[DirectedEdge, ...]:
+    def distinguished(self) -> tuple[int, ...]:
         return self.cycles[-1]
 
 
@@ -293,23 +313,31 @@ class DirectedCycleBasis:
 class EdgeIncrement:
     """Antisymmetric rational edge values on the doubled quotient graph.
 
-    Values are stored on canonical edge representatives only, so
-    delta(-e) = -delta(e) holds by construction.
+    Values are stored on canonical ``(orbit, step)`` edges only, so
+    delta(-e) = -delta(e) holds by construction; the methods take edge ids
+    of :func:`quotient_tables`.
     """
 
     orbit_count: int
     values: dict = field(repr=False)  # canonical DirectedEdge -> Fraction
     method: str = "staged"
 
-    def value(self, q: QuotientGraph, e: DirectedEdge) -> Fraction:
-        c = edge_canonical(q, e)
-        return self.values[c] if c == e else -self.values[c]
+    def value(self, q: QuotientGraph, k: int) -> Fraction:
+        return self._signed(quotient_tables(q), k)
 
-    def walk_sum(self, q: QuotientGraph, edges) -> Fraction:
-        return sum((self.value(q, e) for e in edges), Fraction(0))
+    def walk_sum(self, q: QuotientGraph, ids) -> Fraction:
+        t = quotient_tables(q)
+        return sum((self._signed(t, k) for k in ids), Fraction(0))
 
     def out_values(self, q: QuotientGraph, i: int) -> list[Fraction]:
-        return [self.value(q, (i, s)) for s in _unit_steps(_dim(q))]
+        """delta on the edges leaving orbit i, in ascending id order."""
+        t = quotient_tables(q)
+        return [self._signed(t, k) for k in t.out_edges(i)]
+
+    def _signed(self, t: QuotientTables, k: int) -> Fraction:
+        c = t.canonical[k]
+        v = self.values[t.edges[c]]
+        return v if c == k else -v
 
 
 def cycle_basis(q: QuotientGraph, generators) -> DirectedCycleBasis:
@@ -318,62 +346,58 @@ def cycle_basis(q: QuotientGraph, generators) -> DirectedCycleBasis:
     Built from the doubled-edge pairs and the spanning-tree fundamental
     cycles (the latter composed with distinguished-cycle copies to cancel
     their distinguished winding), ordered so a maximal independent family of
-    generator projections comes first and the distinguished cycle last.
-    Dimension is |E| plus the undirected cycle-space dimension.
+    generator projections (edge id sequences) comes first and the
+    distinguished cycle last.  Dimension is |E| plus the undirected
+    cycle-space dimension.
     """
     if not check_symmetric(q):
         raise UsageError("cycle basis requires a symmetric quotient")
     n_orb = q.orbit_count
-    undirected = undirected_edges(q)
-    lam = lam_for(q)
+    t = quotient_tables(q)
 
-    # spanning tree over orbits (BFS in canonical edge order, loops skipped)
-    parent_edge: dict[int, DirectedEdge] = {}
+    # spanning tree over orbits (BFS in edge id order, loops skipped)
+    parent_edge: dict[int, int] = {}
     seen = {0}
-    frontier = [0]
-    adjacency: dict[int, list[DirectedEdge]] = {i: [] for i in range(n_orb)}
-    for e in directed_edges(q):
-        adjacency[e[0]].append(e)
+    frontier = deque([0])
     while frontier:
-        i = frontier.pop(0)
-        for e in sorted(adjacency[i]):
-            j = edge_head(q, e)
+        i = frontier.popleft()
+        for k in t.out_edges(i):
+            j = t.head[k]
             if j not in seen:
                 seen.add(j)
-                parent_edge[j] = e  # directed parent -> child
+                parent_edge[j] = k  # directed parent -> child
                 frontier.append(j)
     if len(seen) != n_orb:
         raise InvariantViolationError("quotient graph is disconnected")
-    tree_canon = {edge_canonical(q, e) for e in parent_edge.values()}
+    tree_canon = {t.canonical[k] for k in parent_edge.values()}
 
-    def tree_path(i: int, j: int) -> list[DirectedEdge]:
-        def to_root(k):
+    def tree_path(i: int, j: int) -> list[int]:
+        def to_root(v):
             out = []
-            while k != 0:
-                e = parent_edge[k]
-                out.append(e)
-                k = e[0]
+            while v != 0:
+                k = parent_edge[v]
+                out.append(k)
+                v = t.tail(k)
             return out
         up_i = to_root(i)
         up_j = to_root(j)
         while up_i and up_j and up_i[-1] == up_j[-1]:
             up_i.pop()
             up_j.pop()
-        path = [edge_partner(q, e) for e in up_i]  # i up to the meet point
-        path.extend(reversed(up_j))                # meet point down to j
+        path = [t.partner[k] for k in up_i]  # i up to the meet point
+        path.extend(reversed(up_j))          # meet point down to j
         return path
 
-    def fundamental_cycle(f: DirectedEdge) -> tuple[DirectedEdge, ...]:
-        i, j = f[0], edge_head(q, f)
-        return tuple([f] + tree_path(j, i))
+    def fundamental_cycle(f: int) -> tuple[int, ...]:
+        return tuple([f] + tree_path(t.head[f], t.tail(f)))
 
     dist = distinguished_cycle(q)
-    rev_dist = tuple(edge_partner(q, e) for e in reversed(dist))
-    if lam(dist) != 1:
+    rev_dist = tuple(t.partner[k] for k in reversed(dist))
+    if t.winding(dist) != 1:
         raise InvariantViolationError("distinguished cycle must have unit winding")
 
-    def cancel_winding(seq) -> tuple[DirectedEdge, ...]:
-        c = lam(seq)
+    def cancel_winding(seq) -> tuple[int, ...]:
+        c = t.winding(seq)
         if c.denominator != 1:
             raise InvariantViolationError("closed walk with fractional winding")
         c = int(c)
@@ -383,42 +407,39 @@ def cycle_basis(q: QuotientGraph, generators) -> DirectedCycleBasis:
             return tuple(seq) + dist * (-c)
         return tuple(seq)
 
-    gen_cycles = [tuple(g) for g in generators]
     ech = _Echelon()
-    chosen: list[tuple[DirectedEdge, ...]] = []
-    rho = 0
-    for g in gen_cycles:
-        if lam(g) != 0:
+    chosen: list[tuple[int, ...]] = []
+    for g in generators:
+        g = tuple(g)
+        if t.winding(g) != 0:
             raise InvariantViolationError("generator projection must lift to a cycle")
-        for oriented in (g, tuple(edge_partner(q, e) for e in reversed(g))):
+        for oriented in (g, tuple(t.partner[k] for k in reversed(g))):
             if ech.add(cycle_vector(oriented)):
                 chosen.append(oriented)
-                rho += 1
 
     if not ech.add(cycle_vector(dist)):
         raise InvariantViolationError(
             "distinguished cycle lies in the generator span; no room for the unit total")
 
-    middle: list[tuple[DirectedEdge, ...]] = []
-    for e in undirected:
-        digon = (e, edge_partner(q, e))
+    middle: list[tuple[int, ...]] = []
+    for k in t.undirected:
+        digon = (k, t.partner[k])
         if ech.add(cycle_vector(digon)):
             middle.append(digon)
-    for f in undirected:
+    for f in t.undirected:
         if f in tree_canon:
             continue
         cyc = cancel_winding(fundamental_cycle(f))
         if ech.add(cycle_vector(cyc)):
             middle.append(cyc)
 
-    n_edges = len(undirected)
+    n_edges = len(t.undirected)
     expected_dim = n_edges + (n_edges - (n_orb - 1))
     if ech.rank != expected_dim:
         raise InvariantViolationError(
             f"cycle space dimension {ech.rank} != expected {expected_dim}")
-    cycles = tuple(chosen + middle + [dist])
-    return DirectedCycleBasis(cycles=cycles, rho=rho, dim=expected_dim,
-                              distinguished_steps=tuple(straight_steps(distinguished_shift(q))))
+    return DirectedCycleBasis(cycles=tuple(chosen + middle + [dist]), rho=len(chosen),
+                              dim=expected_dim)
 
 
 class _StagedStuck(Exception):
@@ -426,42 +447,6 @@ class _StagedStuck(Exception):
 
 
 SAW_NODE_CAP = 100_000
-
-
-class QuotientTables:
-    """The directed edges of a lattice quotient compiled to int ids, with
-    one ``q.project`` per directed edge.
-
-    Ids follow sorted ``(tail, step)`` order, so comparing ids compares
-    edges, and the edge leaving orbit i along the step of rank r (in sorted
-    step order) has id ``i * len(step_rank) + r``.  ``head``, ``partner`` and
-    ``canonical`` map an id to its head orbit, its reverse edge and the
-    smaller of the two.
-    """
-
-    def __init__(self, q: QuotientGraph):
-        steps = sorted(_unit_steps(_dim(q)))
-        self.step_rank = {s: r for r, s in enumerate(steps)}
-        self.edges = tuple((i, s) for i in range(q.orbit_count) for s in steps)
-        self.head = tuple(edge_head(q, e) for e in self.edges)
-        self.partner = tuple(h * len(steps) + self.step_rank[_vec_neg(e[1])]
-                             for e, h in zip(self.edges, self.head))
-        self.canonical = tuple(min(k, p) for k, p in enumerate(self.partner))
-
-    def edge_id(self, e: DirectedEdge) -> int:
-        return e[0] * len(self.step_rank) + self.step_rank[e[1]]
-
-    def tail(self, k: int) -> int:
-        return k // len(self.step_rank)
-
-    def walk(self, start: int, steps) -> list[int]:
-        """Edge ids of the quotient walk from orbit ``start`` along ``steps``."""
-        out = []
-        for s in steps:
-            k = self.edge_id((start, s))
-            out.append(k)
-            start = self.head[k]
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -572,14 +557,9 @@ def nonint_saw_pairs(adj, head, values, pairs, node_cap: int = SAW_NODE_CAP) -> 
 def _staged_solve(basis: DirectedCycleBasis, q: QuotientGraph) -> dict:
     """The staged exploration on the compiled quotient; returns
     canonical-edge values."""
-    t = QuotientTables(q)
+    t = quotient_tables(q)
     head, partner, canonical = t.head, t.partner, t.canonical
     n_orb = q.orbit_count
-    w = dual_form(q)
-    lam_edge = [sum((Fraction(d) * c for d, c in zip(e[1], w)), Fraction(0)) for e in t.edges]
-
-    def lam(seg) -> Fraction:
-        return sum((lam_edge[k] for k in seg), Fraction(0))
 
     signed: list[Fraction | None] = [None] * len(t.edges)  # None until explored
     explored: list[list[int]] = [[] for _ in range(n_orb)]  # ascending ids per tail
@@ -664,7 +644,7 @@ def _staged_solve(basis: DirectedCycleBasis, q: QuotientGraph) -> dict:
             set_value(k, v)
         nonint_ok.update(best[1])
 
-    def explore_cycle(cyc: list[int]):
+    def explore_cycle(cyc: tuple[int, ...]):
         if all(signed[k] is not None for k in cyc):
             return
         start = next((i for i, k in enumerate(cyc) if touched(t.tail(k))), None)
@@ -688,18 +668,18 @@ def _staged_solve(basis: DirectedCycleBasis, q: QuotientGraph) -> dict:
         a = t.tail(seg[0])
         b = head[seg[-1]]
         if a == b:
-            total = lam(seg)
+            total = t.winding(seg)
         else:
             back = find_saw(explored, head, signed, b, a, need_nonint=True)
             if back is None:
                 raise _StagedStuck("no non-integer return SAW for a segment")
-            total = lam(seg + back) - back_sum(back)
+            total = t.winding(seg + back) - back_sum(back)
         assign_segment(seg, total)
 
     # translates of the distinguished cycle through every orbit
     translates = {}
     for i in range(n_orb):
-        cyc = t.walk(i, basis.distinguished_steps)
+        cyc = distinguished_cycle(q, i)
         if (len({t.tail(k) for k in cyc}) != len(cyc)
                 or len({canonical[k] for k in cyc}) != len(cyc)):
             raise _StagedStuck("a distinguished translate is not a simple cycle")
@@ -726,14 +706,13 @@ def _staged_solve(basis: DirectedCycleBasis, q: QuotientGraph) -> dict:
 
     # connectors between components, in canonical edge order (set to zero
     # when their target component's exploration starts)
-    undirected = [k for k, c in enumerate(canonical) if c == k]
     connectors: list[int] = []
     order = [component_of[0]]
     joined = {component_of[0]}
     remaining = set(range(len(roots))) - joined
     while remaining:
         found = None
-        for k in undirected:
+        for k in t.undirected:
             ca, cb = component_of[t.tail(k)], component_of[head[k]]
             if ca == cb or ((ca in joined) == (cb in joined)):
                 continue
@@ -749,8 +728,8 @@ def _staged_solve(basis: DirectedCycleBasis, q: QuotientGraph) -> dict:
     # Stage 1: seed the distinguished cycle uniformly
     dist = basis.distinguished()
     unit = Fraction(1, len(dist))
-    for e in dist:
-        set_value(t.edge_id(e), unit)
+    for k in dist:
+        set_value(k, unit)
     record_pairs()
 
     # Stages 2-4: explore each component's translate cycles in order
@@ -769,14 +748,14 @@ def _staged_solve(basis: DirectedCycleBasis, q: QuotientGraph) -> dict:
             explore_cycle(translates[nxt])
 
     # Stage 5: residual edges fixed by the explored-walk rule
-    for k in undirected:
+    for k in t.undirected:
         if signed[k] is not None:
             continue
         back = find_saw(explored, head, signed, head[k], t.tail(k), need_nonint=False)
         if back is None:
             raise _StagedStuck("residual edge endpoints not connected by explored SAWs")
-        set_value(k, lam([k] + back) - back_sum(back))
-    return {t.edges[c]: signed[c] for c in undirected}
+        set_value(k, t.winding([k] + back) - back_sum(back))
+    return {t.edges[c]: signed[c] for c in t.undirected}
 
 
 def _direct_solve(q: QuotientGraph) -> dict:
@@ -786,8 +765,8 @@ def _direct_solve(q: QuotientGraph) -> dict:
     coefficient on the distinguished cycle, so every basis cycle meets its
     target; and w != 0 gives every vertex out-increments of both signs.
     """
-    lam = lam_for(q)
-    return {e: lam([e]) for e in undirected_edges(q)}
+    t = quotient_tables(q)
+    return {t.edges[k]: t.lam[k] for k in t.undirected}
 
 
 def increment_invariant_problems(inc: EdgeIncrement, basis: DirectedCycleBasis,
@@ -847,9 +826,9 @@ class LiftedHeight:
     """Integer height on the lattice obtained by scaling and integrating an
     edge increment along paths from the origin.
 
-    The scaled increments m * delta are compiled once per directed edge (each
-    must be an integer), and :meth:`evaluate` sums them along the straight
-    path from the origin over the compiled head table.
+    The scaled increments m * delta are listed once per edge id (each must
+    be an integer), and :meth:`evaluate` sums them along the straight path
+    from the origin over the compiled head table.
     """
 
     scaling: int
@@ -862,19 +841,16 @@ class LiftedHeight:
 
     def __post_init__(self):
         q = self.quotient
-        t = QuotientTables(q)
-        scaled = []
-        for k, c in enumerate(t.canonical):
-            v = self.increments.values[t.edges[c]] * self.scaling
-            if v.denominator != 1:
-                raise InvariantViolationError("scaled height is not an integer")
-            scaled.append(int(v) if c == k else -int(v))
+        t = quotient_tables(q)
+        scaled = [d * self.scaling for i in range(q.orbit_count)
+                  for d in self.increments.out_values(q, i)]
+        if any(v.denominator != 1 for v in scaled):
+            raise InvariantViolationError("scaled height is not an integer")
         n = _dim(q)
-        units = [tuple(1 if k == i else 0 for k in range(n)) for i in range(n)]
         object.__setattr__(self, "_tables", t)
-        object.__setattr__(self, "_scaled", tuple(scaled))
+        object.__setattr__(self, "_scaled", tuple(int(v) for v in scaled))
         object.__setattr__(self, "_axes", tuple(
-            (t.step_rank[u], t.step_rank[_vec_neg(u)]) for u in units))
+            (t.step_rank[u], t.step_rank[_vec_neg(u)]) for u in _unit_steps(n)[0::2]))
         object.__setattr__(self, "_origin_orbit", q.project((0,) * n))
 
     def evaluate(self, v: Label) -> int:
@@ -917,35 +893,26 @@ def lift_height(inc: EdgeIncrement, family: GraphFamily, q: QuotientGraph,
                 check_radius: int = 4) -> LiftedHeight:
     """Scale increments to integers and integrate; verifies path
     independence on a ball (any closed-walk sum must vanish)."""
-    denoms = [v.denominator for v in inc.values.values()]
-    m = 1
-    for d in denoms:
-        m = m * d // gcd(m, d)
-    lifted = LiftedHeight(scaling=m, increments=inc, quotient=q)
-    from collections import deque
-
-    from .families import ball
+    lifted = LiftedHeight(scaling=lcm(*(v.denominator for v in inc.values.values())),
+                          increments=inc, quotient=q)
+    t, scaled = lifted._tables, lifted._scaled
     b = ball(family, family.origin, check_radius)
     # BFS accumulation, then consistency across every ball edge
     cache = {family.origin: 0}
     queue = deque([family.origin])
     while queue:
         v = queue.popleft()
+        i = q.project(v)
         for u in family.neighbors(v):
             if u not in b.dist:
                 continue
-            step = tuple(a - c for a, c in zip(u, v))
-            inc_val = inc.value(q, (q.project(v), step)) * m
-            if inc_val.denominator != 1:
-                raise InvariantViolationError("scaling did not clear denominators")
+            h = cache[v] + scaled[t.edge_id((i, tuple(a - c for a, c in zip(u, v))))]
             if u not in cache:
-                cache[u] = cache[v] + int(inc_val)
+                cache[u] = h
                 queue.append(u)
-            elif cache[u] != cache[v] + int(inc_val):
+            elif cache[u] != h:
                 raise InvariantViolationError(
                     f"path-dependent increments: closed walk through {u!r} has nonzero sum")
-    if cache[family.origin] != 0:
-        raise InvariantViolationError("origin height must be zero")
     for v in list(cache)[:64]:
         if lifted.evaluate(v) != cache[v]:
             raise InvariantViolationError("straight-path evaluation disagrees with BFS lift")
@@ -959,6 +926,7 @@ def verify_cocycle(inc: EdgeIncrement, family: GraphFamily, q: QuotientGraph,
     rng = random.Random(seed)
     n = _dim(q)
     steps = _unit_steps(n)
+    t = quotient_tables(q)
     for _ in range(trials):
         start = tuple(rng.randint(-3, 3) for _ in range(n))
         length = rng.randint(2, 10)
@@ -967,8 +935,7 @@ def verify_cocycle(inc: EdgeIncrement, family: GraphFamily, q: QuotientGraph,
         for s in walk:
             end = _vec_add(end, s)
         closed = walk + straight_steps(tuple(a - c for a, c in zip(start, end)))
-        total = inc.walk_sum(q, project_walk(q, start, closed))
-        if total != 0:
+        if inc.walk_sum(q, t.walk(q.project(start), closed)) != 0:
             return False
     return True
 

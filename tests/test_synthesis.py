@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sawlab import synthesis
 from sawlab.errors import InvariantViolationError
 from sawlab.families import ball, hypercubic
 from sawlab.heights import validate_height
@@ -20,19 +21,15 @@ from sawlab.synthesis import (
     EdgeIncrement,
     cycle_basis,
     cycle_vector,
-    directed_edges,
     distinguished_cycle,
     dual_form,
-    edge_canonical,
-    edge_partner,
     find_saw,
     increment_invariant_problems,
     lift_height,
     nonint_saw_pairs,
-    project_walk,
+    quotient_tables,
     solve_increments,
     synthesize_height,
-    undirected_edges,
     unit_square_generators,
     verify_cocycle,
     _Echelon,
@@ -55,7 +52,8 @@ def test_z1_mod3_single_cycle_stage1_only():
     assert basis.dim == 4  # 3 digons plus the winding 3-cycle
     inc = solve_increments(basis, q)
     assert inc.method == "staged"
-    forward = {e: inc.value(q, e) for e in directed_edges(q) if e[1] == (1,)}
+    t = quotient_tables(q)
+    forward = {k: inc.value(q, k) for k, (_, step) in enumerate(t.edges) if step == (1,)}
     assert set(forward.values()) == {Fraction(1, 3)}
 
 
@@ -88,8 +86,9 @@ def test_antisymmetry_is_structural():
     q = quotient_of(Z2, [(2, 0), (0, 2)])
     basis = cycle_basis(q, unit_square_generators(q))
     inc = solve_increments(basis, q)
-    for e in directed_edges(q):
-        assert inc.value(q, e) == -inc.value(q, edge_partner(q, e))
+    t = quotient_tables(q)
+    for k in range(len(t.edges)):
+        assert inc.value(q, k) == -inc.value(q, t.partner[k])
     # no floats anywhere in the increment values
     assert all(isinstance(v, Fraction) for v in inc.values.values())
 
@@ -140,9 +139,10 @@ def test_direct_solver_cross_checks_staged():
         # the direct method is the dual form delta(i, s) = s . w, whose lift
         # changes height by at most 1 per edge
         w = dual_form(q)
+        t = quotient_tables(q)
         assert direct.values == {
-            e: sum((Fraction(d) * c for d, c in zip(e[1], w)), Fraction(0))
-            for e in undirected_edges(q)}
+            t.edges[k]: sum((Fraction(d) * c for d, c in zip(t.edges[k][1], w)), Fraction(0))
+            for k in t.undirected}
         assert lift_height(direct, family, q).max_edge_change() == 1
 
 
@@ -169,12 +169,15 @@ def test_lift_detects_path_dependence():
 def test_dual_form_detects_winding():
     q = quotient_of(Z2, [(3, 0), (0, 3)])
     w = dual_form(q)
-    dist = distinguished_cycle(q)
-    total = sum((Fraction(d) * c for e in dist for d, c in zip(e[1], w)), Fraction(0))
-    assert total == 1
+    t = quotient_tables(q)
+
+    def winding(ids):
+        return sum((Fraction(d) * c for k in ids for d, c in zip(t.edges[k][1], w)),
+                   Fraction(0))
+
+    assert winding(distinguished_cycle(q)) == 1
     for square in unit_square_generators(q):
-        s = sum((Fraction(d) * c for e in square for d, c in zip(e[1], w)), Fraction(0))
-        assert s == 0
+        assert winding(square) == 0
 
 
 def test_origin_height_zero_always():
@@ -199,12 +202,13 @@ def small_lattices(draw):
 def test_increment_invariants_on_random_small_quotients(shifts):
     q = quotient_of(Z2, shifts)
     assert q.orbit_count <= 6
-    assert len(undirected_edges(q)) <= 14
+    t = quotient_tables(q)
+    assert len(t.undirected) <= 14
     basis = cycle_basis(q, unit_square_generators(q))
     inc = solve_increments(basis, q)
     assert not increment_invariant_problems(inc, basis, q)
-    for e in directed_edges(q):
-        assert inc.value(q, e) == -inc.value(q, edge_partner(q, e))
+    for k in range(len(t.edges)):
+        assert inc.value(q, k) == -inc.value(q, t.partner[k])
     lifted = lift_height(inc, Z2, q)
     hf = lifted.as_height_function()
     report = validate_height(Z2, hf, 4)
@@ -215,10 +219,12 @@ def test_edge_copy_identity_multiedges():
     # Z^2 / <(2,0),(0,1)>: two orbits joined by parallel copies plus loops
     q = quotient_of(Z2, [(2, 0), (0, 1)])
     assert q.orbit_count == 2
-    unds = undirected_edges(q)
+    t = quotient_tables(q)
+    unds = t.undirected
     assert len(unds) == 4  # two parallel horizontals, one loop per orbit
-    loops = [e for e in unds if edge_canonical(q, edge_partner(q, e)) == e and
-             q.project(tuple(a + b for a, b in zip(q.reps[e[0]], e[1]))) == e[0]]
+    loops = [k for k in unds if t.canonical[t.partner[k]] == k and
+             q.project(tuple(a + b for a, b in zip(q.reps[t.tail(k)], t.edges[k][1])))
+             == t.tail(k)]
     assert len(loops) == 2
     basis = cycle_basis(q, unit_square_generators(q))
     inc = solve_increments(basis, q)
@@ -227,9 +233,13 @@ def test_edge_copy_identity_multiedges():
 
 def test_project_walk_roundtrip():
     q = quotient_of(Z2, [(3, 0), (0, 3)])
-    edges = project_walk(q, (0, 0), [(1, 0), (0, 1), (-1, 0), (0, -1)])
-    assert len(edges) == 4
-    assert edges[0][0] == q.project((0, 0))
+    t = quotient_tables(q)
+    steps = [(1, 0), (0, 1), (-1, 0), (0, -1)]
+    ids = t.walk(q.project((0, 0)), steps)
+    assert len(ids) == 4
+    assert t.tail(ids[0]) == q.project((0, 0))
+    assert [t.edges[k][1] for k in ids] == steps
+    assert t.head[ids[-1]] == t.tail(ids[0])
 
 
 # ---------------------------------------------------------------------------
@@ -355,6 +365,7 @@ def test_lifted_evaluate_matches_bfs_lift_on_radius_6_ball(family, shifts, metho
     inc = solve_increments(basis, q, method=method)
     assert inc.method == method
     lifted = lift_height(inc, family, q)
+    t = quotient_tables(q)
     verts = ball(family, family.origin, 6).dist
     heights = {family.origin: Fraction(0)}
     queue = deque([family.origin])
@@ -363,8 +374,36 @@ def test_lifted_evaluate_matches_bfs_lift_on_radius_6_ball(family, shifts, metho
         for u in family.neighbors(v):
             if u in verts and u not in heights:
                 step = tuple(a - c for a, c in zip(u, v))
-                heights[u] = heights[v] + inc.value(q, (q.project(v), step))
+                heights[u] = heights[v] + inc.value(q, t.edge_id((q.project(v), step)))
                 queue.append(u)
     assert len(heights) == len(verts)
     for v, h in heights.items():
         assert lifted.evaluate(v) == h * lifted.scaling, v
+
+
+def test_one_edge_table_per_synthesis(monkeypatch):
+    """One synthesis resolves each directed quotient edge once, through the
+    compiled tables, and the checks that follow reuse those tables."""
+    calls = []
+    edge_head = synthesis.edge_head
+
+    def counting(q, e):
+        calls.append(e)
+        return edge_head(q, e)
+
+    monkeypatch.setattr(synthesis, "edge_head", counting)
+    total = 0
+    for family, shifts in ((Z2, [(4, 0), (0, 4)]), (Z2, [(5, 0), (0, 5)]),
+                           (Z2, [(6, 0), (0, 6)]),
+                           (Z3, [(3, 0, 0), (0, 3, 0), (0, 0, 3)])):
+        calls.clear()
+        q, basis, inc, lifted = synthesize_height(family, shifts)
+        n = len(shifts)
+        assert len(calls) == q.orbit_count * 2 * n
+        total += len(calls)
+        calls.clear()
+        assert not increment_invariant_problems(inc, basis, q)
+        assert verify_cocycle(inc, family, q, 50, seed=2)
+        assert lift_height(inc, family, q).scaling == lifted.scaling
+        assert calls == []
+    assert total == 470
