@@ -46,8 +46,9 @@ Hitting the cap makes the staged method stuck, and ``auto`` falls back to
 the direct method.  A lifted height sums integer scaled increments
 m * delta along the same tables.
 
-All arithmetic in this module is exact (fractions.Fraction, or ints over a
-common denominator); no floats.
+All arithmetic in this module is exact; no floats.  Increments are
+fractions.Fraction, path sums are ints over a common denominator, and the
+cycle-basis echelon keeps primitive integer rows.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ from bisect import insort
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .errors import InvariantViolationError, UsageError
 from .families import GraphFamily, Label, ball
@@ -230,47 +231,72 @@ def dual_form(q: QuotientGraph) -> tuple[Fraction, ...]:
 # exact linear algebra over directed-edge vectors
 
 class _Echelon:
-    """Incremental reduced row echelon form over Q for sparse vectors keyed
-    by edge id; used for rank and independence tests.  Each row is stored
-    under its smallest key, its pivot, where its coefficient is 1, and no
-    row holds another row's pivot."""
+    """Incremental reduced row echelon form, kept fraction-free, for sparse
+    integer vectors keyed by edge id; used for rank and independence tests.
+
+    Each row is stored under its smallest key, its pivot, and is primitive:
+    int entries with gcd 1 and a positive pivot coefficient.  No row holds
+    another row's pivot.  Each row is a nonzero multiple of the matching
+    row of the reduced form over Q, so every answer is the one over Q.
+    """
 
     def __init__(self):
-        self.rows: dict = {}  # pivot key -> reduced row (dict key->Fraction)
+        self.rows: dict = {}  # pivot key -> primitive row (dict key->int)
 
     @staticmethod
-    def _reduce(vec: dict, rows: dict) -> dict:
-        # a row holds no other row's pivot, so eliminating one pivot of v
-        # leaves the coefficients of its other pivots as they were
-        v = {k: c for k, c in vec.items() if c != 0}
-        for pivot in [k for k in v if k in rows]:
-            coef = v[pivot]
-            for k2, c2 in rows[pivot].items():
-                v[k2] = v.get(k2, Fraction(0)) - coef * c2
-                if v[k2] == 0:
-                    del v[k2]
+    def _primitive(v: dict) -> dict:
+        """v divided in place by the gcd of its entries, signed so that the
+        smallest key's coefficient is positive."""
+        if v:
+            g = gcd(*v.values())
+            if v[min(v)] < 0:
+                g = -g
+            if g != 1:
+                for k in v:
+                    v[k] //= g
         return v
+
+    @classmethod
+    def _eliminate(cls, v: dict, row: dict, pivot) -> None:
+        """Remove ``pivot`` from v in place: v = (a/g)·v − (c/g)·row with
+        a = row[pivot], c = v[pivot] and g = gcd(a, c), then primitive."""
+        a, c = row[pivot], v[pivot]
+        g = gcd(a, c)
+        if a != g:
+            s = a // g
+            for k in v:
+                v[k] *= s
+        f = c // g
+        for k2, c2 in row.items():
+            x = v.get(k2, 0) - f * c2
+            if x:
+                v[k2] = x
+            else:
+                del v[k2]
+        cls._primitive(v)
+
+    def _reduce(self, vec: dict) -> dict:
+        # a row holds no other row's pivot, so eliminating one pivot of v
+        # leaves its other pivots nonzero (scaled at most)
+        v = {k: c for k, c in vec.items() if c != 0}
+        for pivot in [k for k in v if k in self.rows]:
+            self._eliminate(v, self.rows[pivot], pivot)
+        return self._primitive(v)
 
     def add(self, vec: dict) -> bool:
         """Insert if independent of the current span; returns True if added."""
-        v = self._reduce(vec, self.rows)
-        if not v:
+        row = self._reduce(vec)
+        if not row:
             return False
-        pivot = min(v)
-        inv = 1 / v[pivot]
-        row = {k: c * inv for k, c in v.items()}
+        pivot = min(row)
         for r in self.rows.values():
             if pivot in r:
-                coef = r[pivot]
-                for k2, c2 in row.items():
-                    r[k2] = r.get(k2, Fraction(0)) - coef * c2
-                    if r[k2] == 0:
-                        del r[k2]
+                self._eliminate(r, row, pivot)
         self.rows[pivot] = row
         return True
 
     def contains(self, vec: dict) -> bool:
-        return not self._reduce(vec, self.rows)
+        return not self._reduce(vec)
 
     @property
     def rank(self) -> int:
@@ -278,11 +304,10 @@ class _Echelon:
 
 
 def cycle_vector(cyc) -> dict:
+    """How often each edge id occurs in a sequence, as an int vector."""
     v: dict = {}
     for e in cyc:
-        v[e] = v.get(e, Fraction(0)) + 1
-        if v[e] == 0:
-            del v[e]
+        v[e] = v.get(e, 0) + 1
     return v
 
 

@@ -138,11 +138,12 @@ def table_to_dict(t: CountTable) -> dict:
 
 
 def _label_from_json(x):
-    def conv(y):
-        if isinstance(y, list):
-            return tuple(conv(z) for z in y)
-        return y
-    return conv(x)
+    """A label: an int, or a list of labels read as a tuple."""
+    if isinstance(x, list):
+        return tuple(_label_from_json(y) for y in x)
+    if type(x) is not int:
+        raise TypeError(f"label entry {x!r} is not an integer or a list")
+    return x
 
 
 def decode_int(x) -> int:
@@ -155,8 +156,9 @@ def decode_int(x) -> int:
 def table_from_dict(d: dict) -> CountTable:
     """Decode a count-table document.
 
-    A missing key, a non-integer count or a row whose length is not
-    n_max + 1 raises UsageError.  Top-level ``sigma``, ``c`` or ``b`` series
+    A missing key, a non-integer count, a ``family`` or ``height`` that is
+    not a string, a representative that is not an int or a nested list of
+    ints, or a row whose length is not n_max + 1 raises UsageError.  Top-level ``sigma``, ``c`` or ``b`` series
     that differ from what the per-representative rows imply raise
     InvariantViolationError.
     """
@@ -164,6 +166,8 @@ def table_from_dict(d: dict) -> CountTable:
         raise UsageError("not a count-table document")
     try:
         family, height, n_max = d["family"], d["height"], decode_int(d["n_max"])
+        if not (isinstance(family, str) and isinstance(height, str)):
+            raise TypeError("family and height must be strings")
         reps = tuple(_label_from_json(r) for r in d["reps"])
         rows = {k: tuple(tuple(decode_int(x) for x in row) for row in d[k])
                 for k in ("sigma_by_rep", "c_by_rep", "b_by_rep")}

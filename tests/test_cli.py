@@ -106,6 +106,22 @@ def _corrupt_non_integer(doc):
     doc["sigma_by_rep"][0][2] = "x"
 
 
+def _corrupt_family_type(doc):
+    doc["family"] = 5
+
+
+def _corrupt_height_type(doc):
+    doc["height"] = [1]
+
+
+def _corrupt_rep_entry(doc):
+    doc["reps"] = [{"a": 1}]
+
+
+def _corrupt_rep_coordinate(doc):
+    doc["reps"][0][1] = "0"
+
+
 def _corrupt_top_level_sigma(doc):
     doc["sigma"][3] = str(int(doc["sigma"][3]) + 1)
 
@@ -114,6 +130,10 @@ def _corrupt_top_level_sigma(doc):
     (_corrupt_short_row, 2),
     (_corrupt_missing_rows, 2),
     (_corrupt_non_integer, 2),
+    (_corrupt_family_type, 2),
+    (_corrupt_height_type, 2),
+    (_corrupt_rep_entry, 2),
+    (_corrupt_rep_coordinate, 2),
     (_corrupt_top_level_sigma, 4),
 ])
 @pytest.mark.parametrize("command", ["verify", "bounds"])
