@@ -12,14 +12,14 @@ record as ``run.py`` computes them: ``pass_s`` is the sum over operations of
 each one's median scaled time, ``setup_s`` the median scaled set-up time and
 ``walks_per_s`` the pass's walk count W (``run.walks_total`` over the
 checkout's ``perfbench/refs.json``) over ``pass_s``.  The record does not
-hold ``peak_rss_mb`` nor a traced run's work counter
-(``synthesis.edge_head.calls`` on synth, ``families.neighbors.calls`` on
-the other workloads): they are read from the metrics line a run prints
-last, when its stdout was saved beside the record as
-``run-<workload>-seed<S>-trace<T>.out``.
+hold ``peak_rss_mb`` nor a traced run's per-layer metrics
+(``synthesis.edge_head.calls`` and ``synthesis.cycle_basis.s`` on synth,
+``families.neighbors.calls`` on the other workloads): they are read from the
+metrics line a run prints last, when its stdout was saved beside the record
+as ``run-<workload>-seed<S>-trace<T>.out``.
 
 The output holds, per workload, each side's median and quartiles of every
-end-to-end metric, the number of pairs the change wins, the traced counter,
+end-to-end metric, the number of pairs the change wins, the traced metrics,
 and each side's git sha, ``nproc`` and Python version.
 """
 
@@ -38,9 +38,10 @@ sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 from run import walks_total  # noqa: E402  (perfbench/ is not a package)
 
 RECORD = re.compile(r"run-(?P<workload>.+)-seed(?P<seed>\d+)-trace(?P<trace>[01])\.json$")
-CALLS = "families.neighbors.calls"
-# synthesis barely asks the neighbor oracle; its work shows in edge_head calls
-TRACED_COUNTER = {"synth": "synthesis.edge_head.calls"}
+# synthesis barely asks the neighbor oracle; its work shows in edge_head
+# calls, and the cycle basis is the stage a synth pass spent most time in
+TRACED = {"synth": ("synthesis.edge_head.calls", "synthesis.cycle_basis.s")}
+TRACED_DEFAULT = ("families.neighbors.calls",)
 
 
 def printed(stdout_path: str, name: str) -> float | None:
@@ -64,7 +65,7 @@ def end_to_end(record: dict, walks: int, stdout_path: str) -> dict:
 
 
 def load_side(out_dir: str) -> tuple[dict, dict]:
-    """``({workload: {"plain": {seed: metrics}, "calls": {seed: n}}}, host)``
+    """``({workload: {"plain": {seed: metrics}, "traced": {seed: metrics}}}, host)``
     for one side; ``host`` holds the sha, nproc and Python of its runs."""
     refs_path = os.path.join(os.path.dirname(os.path.abspath(out_dir)), "refs.json")
     with open(refs_path) as fh:
@@ -79,15 +80,16 @@ def load_side(out_dir: str) -> tuple[dict, dict]:
             record = json.load(fh)
         hosts.add((record["git_sha"], record["nproc"], record["python"]))
         workload, seed = m["workload"], int(m["seed"])
-        side = runs.setdefault(workload, {"plain": {}, "calls": {}})
+        side = runs.setdefault(workload, {"plain": {}, "traced": {}})
         stdout_path = path[:-len(".json")] + ".out"
         if m["trace"] == "0":
             side["plain"][seed] = end_to_end(record, walks_total(workload, refs[workload]),
                                              stdout_path)
         else:
-            calls = printed(stdout_path, TRACED_COUNTER.get(workload, CALLS))
-            if calls is not None:
-                side["calls"][seed] = calls
+            traced = {name: printed(stdout_path, name)
+                      for name in TRACED.get(workload, TRACED_DEFAULT)}
+            if None not in traced.values():
+                side["traced"][seed] = traced
     if len(hosts) > 1:
         raise SystemExit(f"{out_dir}: runs from more than one checkout or host: {sorted(hosts)}")
     sha, nproc, python = hosts.pop() if hosts else (None, None, None)
@@ -125,11 +127,12 @@ def fold(parent_dir: str, change_dir: str) -> dict:
                 "pairs": len(pairs),
             }
         entry = {"seeds": seeds, "end_to_end": metrics}
-        if p["calls"] and c["calls"]:
-            entry["traced"] = {TRACED_COUNTER.get(workload, CALLS): {
-                "parent": statistics.median(p["calls"].values()),
-                "change": statistics.median(c["calls"].values()),
-                "seeds": sorted(set(p["calls"]) | set(c["calls"]))}}
+        if p["traced"] and c["traced"]:
+            seeds_traced = sorted(set(p["traced"]) | set(c["traced"]))
+            entry["traced"] = {name: {
+                "parent": statistics.median(m[name] for m in p["traced"].values()),
+                "change": statistics.median(m[name] for m in c["traced"].values()),
+                "seeds": seeds_traced} for name in TRACED.get(workload, TRACED_DEFAULT)}
         workloads[workload] = entry
     return {"parent": parent_host, "change": change_host, "workloads": workloads}
 

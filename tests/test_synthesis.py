@@ -8,6 +8,7 @@ import hashlib
 import json
 from collections import deque
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -240,6 +241,99 @@ def test_project_walk_roundtrip():
     assert t.tail(ids[0]) == q.project((0, 0))
     assert [t.edges[k][1] for k in ids] == steps
     assert t.head[ids[-1]] == t.tail(ids[0])
+
+
+# ---------------------------------------------------------------------------
+# fraction-free echelon against dense Fraction elimination
+
+def fraction_rank(vectors) -> int:
+    """Rank over Q of sparse vectors, by Gauss-Jordan elimination on dense
+    Fraction rows."""
+    keys = sorted({k for v in vectors for k in v})
+    rows = [[Fraction(v.get(k, 0)) for k in keys] for v in vectors]
+    rank = 0
+    for col in range(len(keys)):
+        piv = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col] != 0:
+                f = rows[r][col] / rows[rank][col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+sparse_vectors = st.dictionaries(st.integers(0, 9), st.integers(-3, 3), max_size=5)
+nonzero_coefficients = st.integers(-3, 3).filter(bool)
+
+
+@st.composite
+def echelon_inputs(draw):
+    """Sparse integer vectors followed by scaled copies and non-unit
+    combinations such as 2u - 3v of earlier ones, in a drawn order, plus
+    probe vectors for ``contains``."""
+    vectors = draw(st.lists(sparse_vectors, min_size=1, max_size=8))
+    for _ in range(draw(st.integers(0, 6))):
+        u = draw(st.sampled_from(vectors))
+        v = draw(st.sampled_from(vectors))
+        a, b = draw(nonzero_coefficients), draw(st.integers(-3, 3))
+        vectors.append({k: a * u.get(k, 0) + b * v.get(k, 0) for k in set(u) | set(v)})
+    vectors = draw(st.permutations(vectors))
+    return vectors, draw(st.lists(sparse_vectors, max_size=4))
+
+
+def assert_primitive_reduced(ech):
+    for pivot, row in ech.rows.items():
+        assert all(type(c) is int and c != 0 for c in row.values()), row
+        assert min(row) == pivot and row[pivot] > 0, row
+        assert gcd(*row.values()) == 1, row
+        others = set(ech.rows) - {pivot}
+        assert not others & set(row), row
+
+
+@settings(max_examples=300, deadline=None)
+@given(echelon_inputs())
+def test_echelon_matches_fraction_rank(inputs):
+    vectors, probes = inputs
+    ech = _Echelon()
+    for i, v in enumerate(vectors):
+        independent = fraction_rank(vectors[:i + 1]) > fraction_rank(vectors[:i])
+        assert ech.add(v) == independent
+        assert_primitive_reduced(ech)
+    assert ech.rank == fraction_rank(vectors)
+    for v in vectors:
+        assert ech.contains(v)
+    for p in probes:
+        assert ech.contains(p) == (fraction_rank(vectors + [p]) == ech.rank)
+
+
+# cycle bases: SHA-256 of (cycles, rho, dim), recorded with the Fraction-row
+# echelon that the fraction-free rows replaced
+BASIS_DIGESTS = {
+    ('z2', ((4, 0), (0, 4))):
+        "ce94b4c36a5e156aca13e38ac1953d7c096c35241388e04994600bf32c71487a",
+    ('z2', ((5, 0), (0, 5))):
+        "8cd33f8e36680025b3c968cf3191ca2c844b1a3f29d59d0e70adff6e5ff22bb5",
+    ('z2', ((6, 0), (0, 6))):
+        "35d0bb31af392c281a3c1e86345e4ebc38e7c1863bd7f101623d4caf8bbe443e",
+    ('z3', ((3, 0, 0), (0, 3, 0), (0, 0, 3))):
+        "5ec66ed3a5dd8bf0612b88d59fba99244a682731b20d1380e57c77f157253014",
+    ('z2', ((2, 1), (0, 5))):
+        "983634eb192994f1dc647dc3e56e3f43caf706fe99e822f5cb904d57363a33d3",
+    ('z2', ((4, 1), (0, 5))):
+        "2dc13d79f3e9da9bea46b0f95b57b5635f9577968e92580efbe505ec4aa2095f",
+}
+
+
+@pytest.mark.parametrize("spec,shifts", list(BASIS_DIGESTS))
+def test_cycle_bases_are_pinned(spec, shifts):
+    q = quotient_of({"z2": Z2, "z3": Z3}[spec], shifts)
+    basis = cycle_basis(q, unit_square_generators(q))
+    doc = [[list(c) for c in basis.cycles], basis.rho, basis.dim]
+    digest = hashlib.sha256(json.dumps(doc, separators=(",", ":")).encode()).hexdigest()
+    assert digest == BASIS_DIGESTS[spec, shifts]
 
 
 # ---------------------------------------------------------------------------
