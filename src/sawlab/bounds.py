@@ -111,13 +111,14 @@ def check_fekete(table: CountTable) -> bool:
 # ---------------------------------------------------------------------------
 # rooted isomorphism and the similarity function
 
-def _ball_signature(b: Ball) -> tuple:
-    adj = {v: [] for v in b.vertices}
+def _ball_signature(b: Ball) -> tuple[dict, tuple]:
+    """The ball's adjacency sets, and a summary that isomorphic balls share."""
+    adj = {v: set() for v in b.vertices}
     for u, v in b.edges:
-        adj[u].append(v)
-        adj[v].append(u)
+        adj[u].add(v)
+        adj[v].add(u)
     profile = sorted((b.dist[v], len(adj[v])) for v in b.vertices)
-    return len(b.vertices), len(b.edges), tuple(profile)
+    return adj, (len(b.vertices), len(b.edges), tuple(profile))
 
 
 def ball_isomorphic(a: Ball, b: Ball) -> bool:
@@ -126,17 +127,9 @@ def ball_isomorphic(a: Ball, b: Ball) -> bool:
     cap = budget("ISO_VERTICES")
     if len(a.vertices) > cap or len(b.vertices) > cap:
         raise ResourceBudgetError("ball too large for isomorphism backtracking")
-    if _ball_signature(a) != _ball_signature(b):
+    (adj_a, sig_a), (adj_b, sig_b) = _ball_signature(a), _ball_signature(b)
+    if sig_a != sig_b:
         return False
-
-    def adjacency(ball_obj):
-        adj = {v: set() for v in ball_obj.vertices}
-        for u, v in ball_obj.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        return adj
-
-    adj_a, adj_b = adjacency(a), adjacency(b)
     # order A's vertices so each (after the root) touches an earlier one
     order = [a.root]
     placed = {a.root}

@@ -3,8 +3,8 @@
 A family is represented by canonical vertex labels plus a pure neighbor
 function, so arbitrarily large graphs can be explored without materializing
 them.  All built-in families are vertex-transitive; their single declared
-orbit is the origin.  Finer orbit structure (needed by height functions)
-lives in :mod:`sawlab.heights`.
+orbit is the origin.  Each built-in family carries its default height, whose
+finer orbit structure lives in :mod:`sawlab.heights`.
 
 Built-ins and their labels:
 
@@ -25,9 +25,10 @@ Neighbor lists are returned sorted, so enumeration order is reproducible.
 
 from __future__ import annotations
 
-from collections import deque
+import re
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, partial
+from itertools import islice
 from typing import Callable
 
 from .errors import MalformedLabelError, ResourceBudgetError, UsageError, budget
@@ -58,7 +59,8 @@ class GraphFamily:
     """Lazy oracle for one infinite graph.
 
     ``spec`` is the parseable name (see :func:`parse_family`); it is what
-    reports carry.
+    reports carry.  ``height`` builds the family's default height (see
+    ``heights.default_height``); it is None for a family built by hand.
     ``symmetries`` holds generators, as label maps, of graph automorphisms
     that fix the origin, and ``cone_types`` the step types of a family whose
     balls are trees (see :class:`ConeTypes`).  The counters verify both on a
@@ -73,6 +75,7 @@ class GraphFamily:
     max_degree: int
     symmetries: tuple[Callable[[Label], Label], ...] = field(default=(), repr=False)
     cone_types: ConeTypes | None = field(default=None, repr=False)
+    height: Callable[[], object] | None = field(default=None, repr=False, compare=False)
 
     @property
     def name(self) -> str:
@@ -126,6 +129,7 @@ def signed_permutations(n: int) -> tuple[Callable[[Label], Label], ...]:
 
 def hypercubic(n: int) -> GraphFamily:
     """The lattice Z^n with nearest-neighbor adjacency."""
+    from .heights import first_coordinate_height
     if n < 1:
         raise UsageError("hypercubic dimension must be >= 1")
     spec = f"z{n}"
@@ -142,7 +146,8 @@ def hypercubic(n: int) -> GraphFamily:
     origin = (0,) * n
     return GraphFamily(spec=spec, neighbors=neighbors, origin=origin,
                        declared_orbits=(origin,), orbit_of=lambda v: 0,
-                       max_degree=2 * n, symmetries=signed_permutations(n))
+                       max_degree=2 * n, symmetries=signed_permutations(n),
+                       height=partial(first_coordinate_height, n))
 
 
 def regular_tree(d: int) -> GraphFamily:
@@ -155,6 +160,7 @@ def regular_tree(d: int) -> GraphFamily:
     followed by one more step up or by d-2 steps down, a step down (+1)
     only by d-1 steps down.
     """
+    from .heights import horocyclic_height
     if d < 3:
         raise UsageError("regular tree needs degree >= 3")
     spec = f"tree:{d}"
@@ -191,7 +197,7 @@ def regular_tree(d: int) -> GraphFamily:
                            start=(1, d - 1), follow=((1, d - 2), (0, d - 1)))
     return GraphFamily(spec=spec, neighbors=neighbors, origin=origin,
                        declared_orbits=(origin,), orbit_of=lambda v: 0,
-                       max_degree=d, cone_types=cone_types)
+                       max_degree=d, cone_types=cone_types, height=horocyclic_height)
 
 
 def hexagonal() -> GraphFamily:
@@ -200,6 +206,7 @@ def hexagonal() -> GraphFamily:
     The declared symmetry is the reflection (x, y) -> (-x, y), which keeps
     the brick pattern because x+y and -x+y have the same parity.
     """
+    from .heights import hexagonal_height
     spec = "hex"
 
     @cache
@@ -216,7 +223,8 @@ def hexagonal() -> GraphFamily:
     origin = (0, 0)
     return GraphFamily(spec=spec, neighbors=neighbors, origin=origin,
                        declared_orbits=(origin,), orbit_of=lambda v: 0,
-                       max_degree=3, symmetries=(lambda v: (-v[0], v[1]),))
+                       max_degree=3, symmetries=(lambda v: (-v[0], v[1]),),
+                       height=hexagonal_height)
 
 
 # Corner codes for the square/octagon lattice: cell (i, j) is a small square
@@ -228,6 +236,7 @@ _SO_E, _SO_N, _SO_W, _SO_S = range(4)
 
 def square_octagon() -> GraphFamily:
     """Square/octagon (4.8.8) lattice: squares joined by octagon edges."""
+    from .heights import square_octagon_height
     spec = "squareoct"
 
     @cache
@@ -250,7 +259,7 @@ def square_octagon() -> GraphFamily:
     origin = (0, 0, _SO_N)
     return GraphFamily(spec=spec, neighbors=neighbors, origin=origin,
                        declared_orbits=(origin,), orbit_of=lambda v: 0,
-                       max_degree=3)
+                       max_degree=3, height=square_octagon_height)
 
 
 def heisenberg() -> GraphFamily:
@@ -262,6 +271,7 @@ def heisenberg() -> GraphFamily:
     group automorphisms that permute the generators: a -> a^-1 with
     c -> c^-1, b -> b^-1 with c -> c^-1, and a <-> b with c -> c^-1.
     """
+    from .heights import heisenberg_height
     spec = "heis"
 
     @cache
@@ -286,68 +296,86 @@ def heisenberg() -> GraphFamily:
     )
     return GraphFamily(spec=spec, neighbors=neighbors, origin=origin,
                        declared_orbits=(origin,), orbit_of=lambda v: 0,
-                       max_degree=6, symmetries=symmetries)
+                       max_degree=6, symmetries=symmetries, height=heisenberg_height)
+
+
+def ball_ids(family: GraphFamily, start: Label, radius: int,
+             cap: int) -> tuple[dict, list]:
+    """Breadth-first search of the radius ball around ``start``.
+
+    Returns ``(ids, adj)``: ``ids`` maps each vertex of the ball to its int
+    id in breadth-first order, start first, and ``adj[i]`` holds the ids of
+    vertex i's neighbors in the oracle's order.  Only the vertices closer
+    than ``radius`` are expanded, so they are the ones with an ``adj`` entry
+    and the oracle is called once for each of them.  Raises
+    ResourceBudgetError as soon as the ball has more than ``cap`` vertices.
+    """
+    ids = {start: 0}
+    adj = []
+    level = [start]
+    for _ in range(radius):
+        first = len(ids)
+        for v in level:
+            # a vertex seen for the first time takes the next id
+            adj.append(tuple([ids.setdefault(u, len(ids)) for u in family.neighbors(v)]))
+            if len(ids) > cap:
+                raise ResourceBudgetError(
+                    f"ball({family.spec}, r={radius}) around {start!r} exceeds {cap} vertices")
+        level = list(islice(ids, first, None))
+    return ids, adj
 
 
 def ball(family: GraphFamily, center: Label, radius: int,
          max_vertices: int | None = None) -> Ball:
     """Breadth-first closure of ``center`` to the given radius, with the
-    complete induced edge set."""
+    complete induced edge set (see :func:`ball_ids`)."""
     if radius < 0:
         raise UsageError("ball radius must be >= 0")
     cap = budget("BALL_VERTICES") if max_vertices is None else max_vertices
-    dist = {center: 0}
-    order = [center]
-    queue = deque([center])
-    while queue:
-        v = queue.popleft()
-        dv = dist[v]
-        if dv == radius:
-            continue
-        for u in family.neighbors(v):
-            if u not in dist:
-                dist[u] = dv + 1
-                order.append(u)
-                if len(order) > cap:
-                    raise ResourceBudgetError(
-                        f"ball({family.spec}, r={radius}) exceeds {cap} vertices")
-                queue.append(u)
-    inside = set(order)
+    ids, adj = ball_ids(family, center, radius, cap)
+    vertices = tuple(ids)
+    # the sphere was not expanded: one more oracle call per sphere vertex
+    # gives its edges inside the ball
+    adj += [[ids[u] for u in family.neighbors(v) if u in ids] for v in vertices[len(adj):]]
+    # a vertex is one step further out than its lowest-id neighbor
+    depth = [0] * len(vertices)
     edges = []
-    for v in order:
-        for u in family.neighbors(v):
-            if u in inside and v < u:
-                edges.append((v, u))
-    return Ball(root=center, radius=radius, vertices=tuple(order),
-                edges=tuple(sorted(edges)), dist=dist)
+    for i, nb in enumerate(adj):
+        v = vertices[i]
+        for j in nb:
+            if j > i and not depth[j]:
+                depth[j] = depth[i] + 1
+            if v < vertices[j]:
+                edges.append((v, vertices[j]))
+    return Ball(root=center, radius=radius, vertices=vertices,
+                edges=tuple(sorted(edges)), dist=dict(zip(vertices, depth)))
 
 
-def _spec_int(text: str, spec: str) -> int:
+def _spec_int(text: str, spec: str, signed: bool = False) -> int:
     try:
-        return int(text)
-    except ValueError:
-        raise UsageError(f"bad integer {text!r} in family spec {spec!r}") from None
-
-
-def parse_cylinder_spec(spec: str) -> tuple[int, tuple[int, ...]]:
-    """Split ``zcyl:n:v1,v2,...`` into the dimension n and the shift vector."""
-    parts = spec.split(":")
-    if len(parts) != 3:
-        raise UsageError("cylinder spec is zcyl:n:v1,v2,...")
-    return _spec_int(parts[1], spec), tuple(_spec_int(c, spec) for c in parts[2].split(","))
+        if re.fullmatch("-?[0-9]+" if signed else "[0-9]+", text):
+            return int(text)
+    except ValueError:  # more digits than int() converts
+        pass
+    raise UsageError(f"bad integer {text!r} in family spec {spec!r}")
 
 
 def parse_family(spec: str) -> GraphFamily:
     """Resolve a family spec string (``z2``, ``tree:3``, ``hex``,
-    ``squareoct``, ``heis``, ``zcyl:n:v1,v2,...``)."""
+    ``squareoct``, ``heis``, ``zcyl:n:v1,v2,...``).
+
+    This is the one reader of spec strings.  Their integers are ASCII
+    digits, with a minus sign allowed in a cylinder's shift only.
+    """
     spec = spec.strip()
-    if spec.startswith("z") and spec[1:].isdigit():
-        n = int(spec[1:])
+    kind, colon, args = spec.partition(":")
+    if re.fullmatch("z[0-9]+", spec):
+        n = _spec_int(spec[1:], spec)
         if not 1 <= n <= 4:
             raise UsageError("built-in hypercubic lattices are z1..z4")
         return hypercubic(n)
-    if spec.startswith("tree:"):
-        d = _spec_int(spec.split(":", 1)[1], spec)
+    if kind == "tree" and colon:
+        d = _spec_int(args, spec)
         if not 3 <= d <= 6:
             raise UsageError("built-in regular trees are tree:3..tree:6")
         return regular_tree(d)
@@ -357,9 +385,13 @@ def parse_family(spec: str) -> GraphFamily:
         return square_octagon()
     if spec == "heis":
         return heisenberg()
-    if spec.startswith("zcyl:"):
+    if kind == "zcyl" and colon:
+        parts = args.split(":")
+        if len(parts) != 2:
+            raise UsageError("cylinder spec is zcyl:n:v1,v2,...")
         from .quotient import cylinder
-        return cylinder(*parse_cylinder_spec(spec))
+        return cylinder(_spec_int(parts[0], spec),
+                        tuple(_spec_int(c, spec, signed=True) for c in parts[1].split(",")))
     raise UsageError(f"unknown family spec {spec!r}")
 
 

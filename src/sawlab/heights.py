@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .errors import ResourceBudgetError, UsageError, budget
-from .families import Ball, GraphFamily, Label, ball, parse_cylinder_spec, parse_family
+from .families import GraphFamily, Label, ball, parse_family
 
 
 @dataclass(frozen=True)
@@ -67,17 +67,13 @@ class HeightValidationReport:
         return not self.violations
 
 
-def first_coordinate_height(family: GraphFamily) -> HeightFunction:
-    """h(v) = v[0] on an integer-tuple lattice; translation group, one orbit."""
-    origin = family.origin
-
-    def evaluate(v):
-        return v[0] - origin[0]
-
+def first_coordinate_height(n: int) -> HeightFunction:
+    """h(v) = v[0] on the lattice Z^n; translation group, one orbit."""
+    origin = (0,) * n
     return HeightFunction(
-        spec="x1", evaluate=evaluate, declared_d=1, declared_r=0,
+        spec="x1", evaluate=lambda v: v[0], declared_d=1, declared_r=0,
         h_orbits=(origin,), h_orbit_of=lambda v: 0,
-        shift_to_rep=lambda v: (origin, v[0] - origin[0]),
+        shift_to_rep=lambda v: (origin, v[0]),
     )
 
 
@@ -157,29 +153,15 @@ def heisenberg_height() -> HeightFunction:
 
 
 def default_height(family: GraphFamily) -> HeightFunction:
-    """The built-in height paired with a built-in family."""
-    spec = family.spec
-    if spec.startswith("z") and spec[1:].isdigit():
-        return first_coordinate_height(family)
-    if spec.startswith("tree:"):
-        return horocyclic_height()
-    if spec == "hex":
-        return hexagonal_height()
-    if spec == "squareoct":
-        return square_octagon_height()
-    if spec == "heis":
-        return heisenberg_height()
-    if spec.startswith("zcyl:"):
-        from .quotient import cylinder_height
-        return cylinder_height(*parse_cylinder_spec(spec))
-    raise UsageError(f"no built-in height for family {spec!r}")
+    """The built-in height the family's constructor attached to it."""
+    if family.height is None:
+        raise UsageError(f"no built-in height for family {family.spec!r}")
+    return family.height()
 
 
 def parse_height(family: GraphFamily, spec: str) -> HeightFunction:
-    if spec in ("default", ""):
-        return default_height(family)
     hf = default_height(family)
-    if spec != hf.spec:
+    if spec not in ("default", "", hf.spec):
         raise UsageError(f"unknown height {spec!r} for family {family.spec!r}")
     return hf
 

@@ -14,12 +14,13 @@ A rank-one quotient Z^n / <v> is kept as an infinite *cylinder* family
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, partial
 from math import gcd
 from typing import Callable
 
-from .errors import InvariantViolationError, ResourceBudgetError, UsageError, budget
-from .families import GraphFamily, Label, hypercubic
+from .errors import InvariantViolationError, MalformedLabelError, ResourceBudgetError, UsageError, budget
+from .families import GraphFamily, Label, _check_int_tuple, hypercubic
+from .heights import HeightFunction
 
 
 @dataclass(frozen=True)
@@ -139,9 +140,9 @@ def build_quotient(family: GraphFamily, sub: SubgroupDescriptor) -> QuotientGrap
     """
     if sub.family != family.spec:
         raise UsageError(f"subgroup is for {sub.family!r}, family is {family.spec!r}")
-    if not (family.spec.startswith("z") and family.spec[1:].isdigit()):
+    n = len(family.origin)
+    if family.spec != f"z{n}":
         raise UsageError("only translation subgroups of z{n} lattices are supported")
-    n = int(family.spec[1:])
     if len(sub.shifts[0]) != n:
         raise UsageError(f"shifts have dimension {len(sub.shifts[0])}, {family.spec} has {n}")
     lat = lattice_structure(sub.shifts)
@@ -233,7 +234,9 @@ def cylinder(n: int, v: tuple[int, ...]) -> GraphFamily:
     Labels are reduced so the first coordinate with a nonzero entry of v
     lies in [0, |v_p|); loops and multiplicities from the collapse are
     dropped.  The symmetries are those of Z^n's generators that map v to
-    +-v, each followed by the reduction.
+    +-v, each followed by the reduction.  The default height is
+    h(z) = z . w, with w a primitive integer vector perpendicular to v;
+    d = max |w_i|.
     """
     if n < 2:
         raise UsageError("cylinders need n >= 2")
@@ -254,9 +257,8 @@ def cylinder(n: int, v: tuple[int, ...]) -> GraphFamily:
 
     @cache
     def neighbors(z: Label) -> tuple[Label, ...]:
-        z = tuple(z)
+        _check_int_tuple(z, n, spec)
         if reduce(z) != z:
-            from .errors import MalformedLabelError
             raise MalformedLabelError(f"{spec}: label {z!r} is not reduced")
         out = {reduce(u) for u in base.neighbors(z)}
         out.discard(z)
@@ -267,27 +269,23 @@ def cylinder(n: int, v: tuple[int, ...]) -> GraphFamily:
 
     minus_v = tuple(-c for c in v)
     origin = reduce((0,) * n)
-    return GraphFamily(spec=spec, neighbors=neighbors, origin=origin,
-                       declared_orbits=(origin,), orbit_of=lambda z: 0,
-                       max_degree=2 * n,
-                       symmetries=tuple(descend(g) for g in base.symmetries
-                                        if g(v) in (v, minus_v)))
-
-
-def cylinder_height(n: int, v: tuple[int, ...]):
-    """Height h(z) = z . w on the cylinder, with w a primitive integer
-    vector perpendicular to the collapsed direction; d = max |w_i|."""
-    from .heights import HeightFunction
-    fam = cylinder(n, v)
-    w = perpendicular_vector(tuple(v))
+    w = perpendicular_vector(v)
 
     def evaluate(z):
         return sum(a * b for a, b in zip(z, w))
 
-    origin = fam.origin
-    return HeightFunction(
-        spec=f"perp:{','.join(str(c) for c in w)}",
-        evaluate=evaluate, declared_d=max(abs(c) for c in w), declared_r=0,
-        h_orbits=(origin,), h_orbit_of=lambda z: 0,
-        shift_to_rep=lambda z: (origin, evaluate(z)),
-    )
+    height = partial(HeightFunction, spec=f"perp:{','.join(str(c) for c in w)}",
+                     evaluate=evaluate, declared_d=max(abs(c) for c in w), declared_r=0,
+                     h_orbits=(origin,), h_orbit_of=lambda z: 0,
+                     shift_to_rep=lambda z: (origin, evaluate(z)))
+    return GraphFamily(spec=spec, neighbors=neighbors, origin=origin,
+                       declared_orbits=(origin,), orbit_of=lambda z: 0,
+                       max_degree=2 * n,
+                       symmetries=tuple(descend(g) for g in base.symmetries
+                                        if g(v) in (v, minus_v)),
+                       height=height)
+
+
+def cylinder_height(n: int, v: tuple[int, ...]) -> HeightFunction:
+    """The default height of ``cylinder(n, v)``."""
+    return cylinder(n, v).height()

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Iterator, Literal
 
 from .errors import InvariantViolationError, ResourceBudgetError, UsageError, budget
-from .families import GraphFamily, Label
+from .families import GraphFamily, Label, ball_ids
 from .heights import HeightFunction, default_height
 
 WalkKind = Literal["saw", "halfspace", "bridge"]
@@ -207,34 +207,18 @@ def _compile_ball(family, start, n_max):
 
     Returns ``(labels, adj, perms)`` with start as id 0: ``labels[i]`` is
     vertex i's label and ``adj[i]`` the ids of its neighbors in the oracle's
-    order.  Only vertices closer than n_max get an ``adj`` entry: no walk of
-    length n_max steps out of the sphere.  When start is the origin,
-    ``perms`` holds each of the family's declared symmetries as a
-    permutation of the ids, verified on the ball; otherwise it is empty.
-    Raises ResourceBudgetError as soon as the ball has more than
-    ``budget("BALL_VERTICES")`` vertices.
+    order, as :func:`families.ball_ids` builds them under the cap
+    ``budget("BALL_VERTICES")``.  Only vertices closer than n_max get an
+    ``adj`` entry: no walk of length n_max steps out of the sphere.  When
+    start is the origin, ``perms`` holds each of the family's declared
+    symmetries as a permutation of the ids, verified on the ball; otherwise
+    it is empty.
 
     The result does not depend on the walk kind, so the one-entry cache
     serves the SAW, half-space and bridge counts from one start in turn.
     The cap is read on a miss only: clear the cache after changing it.
     """
-    cap = budget("BALL_VERTICES")
-    ids = {start: 0}
-    adj = []
-    level = [start]
-    for _ in range(n_max):
-        nxt = []
-        for v in level:
-            nb = family.neighbors(v)
-            for u in nb:
-                if u not in ids:
-                    ids[u] = len(ids)
-                    nxt.append(u)
-            if len(ids) > cap:
-                raise ResourceBudgetError(
-                    f"ball({family.spec}, r={n_max}) around {start!r} exceeds {cap} vertices")
-            adj.append(tuple(ids[u] for u in nb))
-        level = nxt
+    ids, adj = ball_ids(family, start, n_max, budget("BALL_VERTICES"))
     labels = tuple(ids)
     perms = []
     symmetries = family.symmetries if start == family.origin else ()

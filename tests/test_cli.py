@@ -66,6 +66,12 @@ def test_usage_errors_exit_2(tmp_path):
     ["decompose", "--family", "z2", "--walk", "0,0;x,0"],
     ["quotient", "--family", "z2", "--shifts", "3,0,0"],
     ["synth-height", "--family", "z2", "--shifts", "3,0,0"],
+    # digits that str.isdigit() accepts are not ASCII integers
+    ["count", "--family", "z\u00b2", "--n", "3"],
+    ["count", "--family", "z\u0661", "--n", "3"],
+    ["count", "--family", "tree:\u0663", "--n", "3"],
+    # a cylinder label of the wrong shape
+    ["decompose", "--family", "zcyl:2:0,6", "--walk", "0;1"],
 ])
 def test_bad_family_spec_exits_2(argv):
     assert main(argv) == 2

@@ -1,14 +1,16 @@
 """Graph family oracles: canonical labels, neighbor structure, balls."""
 
+import dataclasses
 import itertools
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from sawlab.bounds import ball_isomorphic
 from sawlab.errors import MalformedLabelError, ResourceBudgetError, UsageError
 from sawlab.families import (
     BUILTIN_FAMILY_SPECS,
+    GraphFamily,
     ball,
     heisenberg,
     hypercubic,
@@ -16,6 +18,7 @@ from sawlab.families import (
     regular_tree,
     square_octagon,
 )
+from sawlab.heights import default_height
 
 ALL_SPECS = BUILTIN_FAMILY_SPECS + ("zcyl:2:0,6",)
 
@@ -160,6 +163,10 @@ def test_malformed_labels_rejected():
     so = square_octagon()
     with pytest.raises(MalformedLabelError):
         so.neighbors((0, 0, 7))
+    cyl = parse_family("zcyl:2:0,6")
+    for bad in [(0,), (0, 0, 0), ("a", 0), (0.5, 1), (0, 6)]:
+        with pytest.raises(MalformedLabelError):
+            cyl.neighbors(bad)
 
 
 def test_parse_family_errors():
@@ -169,6 +176,45 @@ def test_parse_family_errors():
         parse_family("tree:2")
     with pytest.raises(UsageError):
         parse_family("nosuch")
+
+
+SPEC_FRAGMENTS = ("z", "tree:", "zcyl:", "hex", "0", "1", "2", "3", "6", "10", ",", ":", "-",
+                  "\u00b2", "\u0661", "\u0663", " ")
+
+
+@given(st.lists(st.sampled_from(SPEC_FRAGMENTS), max_size=8).map("".join))
+@example("z\u00b2")
+@example("z\u0661")
+@example("tree:\u0663")
+@example("zcyl:2:-1,2")
+def test_parse_family_gives_a_family_or_a_usage_error(text):
+    try:
+        fam = parse_family(text)
+    except UsageError:
+        return
+    assert isinstance(fam, GraphFamily)
+    # integers in a spec are ASCII, and the family's spec reads back as itself
+    assert text.strip().isascii()
+    assert parse_family(fam.spec).spec == fam.spec
+    assert default_height(fam).evaluate(fam.origin) == 0
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS)
+def test_ball_queries_the_oracle_once_per_vertex(spec):
+    fam = parse_family(spec)
+    calls = []
+    counted = dataclasses.replace(fam, neighbors=lambda v: calls.append(v) or fam.neighbors(v))
+    b = ball(counted, fam.origin, 3)
+    assert sorted(calls) == sorted(b.vertices)
+    inside = set(b.vertices)
+    assert set(b.edges) == {(v, u) for v in inside for u in fam.neighbors(v) if u in inside and v < u}
+    # dist is the breadth-first distance: one more than the nearest neighbor's
+    near = {v: [] for v in inside}
+    for u, v in b.edges:
+        near[u].append(b.dist[v])
+        near[v].append(b.dist[u])
+    assert b.dist[fam.origin] == 0
+    assert all(b.dist[v] == 1 + min(near[v]) for v in inside if v != fam.origin)
 
 
 @given(st.tuples(st.integers(-20, 20), st.integers(-20, 20)))

@@ -2,7 +2,8 @@
 
 import pytest
 
-from sawlab.families import hypercubic, parse_family
+from sawlab.errors import UsageError
+from sawlab.families import GraphFamily, hypercubic, parse_family
 from sawlab.heights import (
     HeightFunction,
     builtin_pairs,
@@ -24,6 +25,15 @@ def constant_height(fam):
         spec="zero", evaluate=lambda v: 0, declared_d=1, declared_r=0,
         h_orbits=(fam.origin,), h_orbit_of=lambda v: 0,
         shift_to_rep=lambda v: (fam.origin, 0))
+
+
+def test_hand_built_family_has_no_default_height():
+    # the height comes with the family's constructor, not from its spec
+    z2 = hypercubic(2)
+    fam = GraphFamily(spec="z2", neighbors=z2.neighbors, origin=(0, 0),
+                      declared_orbits=((0, 0),), orbit_of=lambda v: 0, max_degree=4)
+    with pytest.raises(UsageError, match="no built-in height"):
+        default_height(fam)
 
 
 @pytest.mark.parametrize("spec", list(DECLARED))
