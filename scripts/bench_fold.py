@@ -13,7 +13,8 @@ each one's median scaled time, ``setup_s`` the median scaled set-up time and
 ``walks_per_s`` the pass's walk count W (``run.walks_total`` over the
 checkout's ``perfbench/refs.json``) over ``pass_s``.  The record does not
 hold ``peak_rss_mb`` nor a traced run's per-layer metrics
-(``synthesis.edge_head.calls`` and ``synthesis.cycle_basis.s`` on synth,
+(``synthesis.edge_head.calls``, ``synthesis.cycle_basis.s`` and
+``synthesis.solve_increments.s`` on synth,
 ``families.neighbors.calls`` on the other workloads): they are read from the
 metrics line a run prints last, when its stdout was saved beside the record
 as ``run-<workload>-seed<S>-trace<T>.out``.
@@ -39,8 +40,9 @@ from run import walks_total  # noqa: E402  (perfbench/ is not a package)
 
 RECORD = re.compile(r"run-(?P<workload>.+)-seed(?P<seed>\d+)-trace(?P<trace>[01])\.json$")
 # synthesis barely asks the neighbor oracle; its work shows in edge_head
-# calls, and the cycle basis is the stage a synth pass spent most time in
-TRACED = {"synth": ("synthesis.edge_head.calls", "synthesis.cycle_basis.s")}
+# calls and in its two largest stages, the cycle basis and the staged solve
+TRACED = {"synth": ("synthesis.edge_head.calls", "synthesis.cycle_basis.s",
+                    "synthesis.solve_increments.s")}
 TRACED_DEFAULT = ("families.neighbors.calls",)
 
 

@@ -147,8 +147,7 @@ def build_quotient(family: GraphFamily, sub: SubgroupDescriptor) -> QuotientGrap
         raise UsageError(f"shifts have dimension {len(sub.shifts[0])}, {family.spec} has {n}")
     lat = lattice_structure(sub.shifts)
     if len(lat.hnf_rows) < n:
-        raise ResourceBudgetError(
-            "translation lattice has rank < dimension: infinitely many orbits")
+        raise UsageError("translation lattice has rank < dimension: infinitely many orbits")
 
     cap = budget("QUOTIENT_ORBITS")
     reps: list[Label] = []

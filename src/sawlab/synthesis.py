@@ -38,13 +38,17 @@ every cycle target and both strict signs by construction; it acts as the
 fallback and cross-check.  On Z^n / kZ^n its lift has m = k and d = 1.
 
 Which vertex pairs already have an explored SAW with a non-integer sum is
-answered by one depth-first sweep per source vertex
-(:func:`nonint_saw_pairs`), and return paths by :func:`find_saw`.  Each
-source's sweep (it serves all of that source's pairs at once) and each
-return-path search may enter at most ``SAW_NODE_CAP`` = 100,000 nodes.
-Hitting the cap makes the staged method stuck, and ``auto`` falls back to
-the direct method.  A lifted height sums integer scaled increments
-m * delta along the same tables.
+answered without enumerating SAWs (:func:`nonint_saw_pairs`): the
+explored edges form a gain graph (each value is the negative of its
+partner's), a SAW from a to b crosses exactly the blocks on the block–cut
+tree path between them, and a block either holds a cycle with a
+non-integer sum, which gives every crossing of it two sums differing by
+that cycle's sum, or fixes each crossing's sum mod 1 by a potential.
+Return paths come from a depth-first search, :func:`find_saw`, which may
+enter at most ``SAW_NODE_CAP`` = 100,000 nodes; hitting that cap makes
+the staged method stuck, and ``auto`` falls back to the direct method.  A
+lifted height sums integer scaled increments m * delta along the same
+tables.
 
 All arithmetic in this module is exact; no floats.  Increments are
 fractions.Fraction, path sums are ints over a common denominator, and the
@@ -480,7 +484,7 @@ SAW_NODE_CAP = 100_000
 # The explored graph is given by ``adj[v]``, the ascending ids of the
 # explored edges leaving vertex v, ``head[e]``, the head of edge e, and
 # ``values[e]``, its Fraction.  A SAW visits distinct vertices, so it never
-# returns to its start.
+# returns to its start (nor takes a loop).
 
 def _common_denominator(adj, values) -> tuple[list[int], int]:
     """``(nums, den)`` with values[e] == nums[e] / den on every edge of adj."""
@@ -495,15 +499,16 @@ def _common_denominator(adj, values) -> tuple[list[int], int]:
     return nums, den
 
 
-def _explored_saws(adj, head, nums, a: int, node_cap: int, avoid: int | None = None):
-    """Depth-first over the SAWs leaving a, extending in ascending edge order.
-
-    Yields ``(path, total)`` once per SAW: ``path`` lists its edge ids (the
-    same list, updated in place as the search goes on) and ``total`` is the
-    sum of their ``nums``.  A SAW ending at ``avoid`` is yielded but not
-    extended.  Entering more than ``node_cap`` nodes (the start counts as
-    one) raises ``_StagedStuck``.
-    """
+def find_saw(adj, head, values, a: int, b: int, need_nonint: bool,
+             node_cap: int = SAW_NODE_CAP) -> list[int] | None:
+    """The first directed SAW from a to b in ascending edge order, as edge
+    ids, or None; with ``need_nonint`` only a non-integer value sum is
+    accepted.  The depth-first search never passes through b, and entering
+    more than ``node_cap`` nodes (the start counts as one) raises
+    ``_StagedStuck``."""
+    if a == b:
+        return None if need_nonint else []
+    nums, den = _common_denominator(adj, values)
     on_path = [False] * len(adj)
     on_path[a] = True
     path: list[int] = []
@@ -516,15 +521,15 @@ def _explored_saws(adj, head, nums, a: int, node_cap: int, avoid: int | None = N
             if on_path[w]:
                 continue
             total = totals[-1] + nums[e]
-            path.append(e)
-            yield path, total
-            if w == avoid:
-                path.pop()
+            if w == b:
+                if not need_nonint or total % den:
+                    return path + [e]
                 continue
             nodes += 1
             if nodes > node_cap:
                 raise _StagedStuck("explored-SAW search budget exceeded")
             on_path[w] = True
+            path.append(e)
             totals.append(total)
             stack.append(iter(adj[w]))
             break
@@ -533,50 +538,96 @@ def _explored_saws(adj, head, nums, a: int, node_cap: int, avoid: int | None = N
             if path:
                 on_path[head[path.pop()]] = False
                 totals.pop()
-
-
-def find_saw(adj, head, values, a: int, b: int, need_nonint: bool,
-             node_cap: int = SAW_NODE_CAP) -> list[int] | None:
-    """The first directed SAW from a to b in ascending edge order, as edge
-    ids, or None; with ``need_nonint`` only a non-integer value sum is
-    accepted.  The search never passes through b, and more than
-    ``node_cap`` nodes raise ``_StagedStuck``."""
-    if a == b:
-        return None if need_nonint else []
-    nums, den = _common_denominator(adj, values)
-    for path, total in _explored_saws(adj, head, nums, a, node_cap, avoid=b):
-        if head[path[-1]] == b and (not need_nonint or total % den):
-            return list(path)
     return None
 
 
-def nonint_saw_pairs(adj, head, values, pairs, node_cap: int = SAW_NODE_CAP) -> set:
+def nonint_saw_pairs(adj, head, values, partner, pairs) -> set:
     """The pairs (a, b) of ``pairs`` joined by a directed SAW from a to b
     whose value sum is not an integer.
 
-    One depth-first sweep per source a walks the SAWs leaving a and marks
-    the end vertex of each one with a non-integer sum; it stops early once
-    every target of a is marked.  The sweep is a complete search, so a pair
-    is returned exactly when such a SAW exists.  A sweep that enters more
-    than ``node_cap`` nodes raises ``_StagedStuck``.
+    The explored graph must be a gain graph: the ``partner`` of every
+    explored edge runs back along it, is explored too and carries the
+    negated value (else ``InvariantViolationError``).  A SAW from a to b
+    then crosses exactly the blocks (biconnected components) on the
+    block–cut tree path from a to b, and its sum is the sum of its
+    crossings' sums.  In a *balanced* block, whose cycles all have integer
+    sums, a crossing sums to φ(exit) − φ(entry) mod 1, φ being the sum
+    along a spanning tree.  In a block with a cycle C of non-integer sum,
+    two disjoint paths from any x ≠ y to C (Menger) and the two arcs of C
+    make two x→y SAWs whose sums differ by sum(C).  So (a, b) is returned
+    exactly when a and b are connected and either a block on their path is
+    unbalanced or φ(b) − φ(a) is not an integer.
+
+    One depth-first search (Tarjan's, over edge ids, skipping loops and,
+    on the way back up, only the tree edge's own partner, so that parallel
+    edges make cycles) finds the blocks and φ; a union-find merges the
+    vertices of each balanced block, so a and b share a class exactly when
+    their path crosses balanced blocks only.
     """
-    targets: dict[int, set[int]] = {}
-    for a, b in pairs:
-        if a != b:
-            targets.setdefault(a, set()).add(b)
-    found: set[tuple[int, int]] = set()
-    if not targets:
-        return found
     nums, den = _common_denominator(adj, values)
-    for a, want in targets.items():
-        for path, total in _explored_saws(adj, head, nums, a, node_cap):
-            w = head[path[-1]]
-            if w in want and total % den:
-                found.add((a, w))
-                want.discard(w)
-                if not want:
+    for v, out in enumerate(adj):
+        for e in out:
+            p = partner[e]
+            if head[p] != v or p not in adj[head[e]] or nums[p] != -nums[e]:
+                raise InvariantViolationError(
+                    f"explored edge {e} lacks an explored partner of negated value")
+    n = len(adj)
+    disc = [-1] * n  # discovery order
+    low = [0] * n
+    root_of = [0] * n
+    phi = [0] * n  # numerator sum along the tree path from the root, mod den
+    merged = list(range(n))  # union-find over balanced blocks
+
+    def find(x: int) -> int:
+        while merged[x] != x:
+            merged[x] = merged[merged[x]]
+            x = merged[x]
+        return x
+
+    order = 0
+    for root in range(n):
+        if disc[root] >= 0:
+            continue
+        disc[root] = low[root] = order
+        order += 1
+        root_of[root] = root
+        stack = [(root, -1, iter(adj[root]))]  # (vertex, tree edge into it, edges left)
+        block_edges: list[int] = []
+        while stack:
+            v, up, out = stack[-1]
+            for e in out:
+                w = head[e]
+                if w == v or (up >= 0 and e == partner[up]):
+                    continue
+                if disc[w] < 0:
+                    disc[w] = low[w] = order
+                    order += 1
+                    root_of[w] = root
+                    phi[w] = (phi[v] + nums[e]) % den
+                    block_edges.append(e)
+                    stack.append((w, e, iter(adj[w])))
                     break
-    return found
+                if disc[w] < disc[v]:  # back edge to an ancestor
+                    block_edges.append(e)
+                    low[v] = min(low[v], disc[w])
+            else:
+                stack.pop()
+                if up < 0:
+                    continue
+                u = stack[-1][0]
+                low[u] = min(low[u], low[v])
+                if low[v] >= disc[u]:  # up and the edges stacked after it: a block
+                    block = [block_edges.pop()]
+                    while block[-1] != up:
+                        block.append(block_edges.pop())
+                    # the tail of f is head[partner[f]]
+                    if all((phi[head[partner[f]]] + nums[f] - phi[head[f]]) % den == 0
+                           for f in block):
+                        for f in block:
+                            merged[find(head[partner[f]])] = find(head[f])
+    return {(a, b) for a, b in pairs
+            if a != b and root_of[a] == root_of[b]
+            and (phi[a] != phi[b] or find(a) != find(b))}
 
 
 def _staged_solve(basis: DirectedCycleBasis, q: QuotientGraph) -> dict:
@@ -622,7 +673,7 @@ def _staged_solve(basis: DirectedCycleBasis, q: QuotientGraph) -> dict:
                 if (a, b) not in nonint_ok]
 
     def resolvable(pairs) -> set:
-        return nonint_saw_pairs(explored, head, signed, pairs)
+        return nonint_saw_pairs(explored, head, signed, partner, pairs)
 
     def record_pairs() -> None:
         nonint_ok.update(resolvable(unresolved_pairs()))
@@ -922,23 +973,21 @@ def lift_height(inc: EdgeIncrement, family: GraphFamily, q: QuotientGraph,
                           increments=inc, quotient=q)
     t, scaled = lifted._tables, lifted._scaled
     b = ball(family, family.origin, check_radius)
-    # BFS accumulation, then consistency across every ball edge
+    nbrs: dict = {v: [] for v in b.vertices}
+    for v, u in b.edges:
+        nbrs[v].append(u)
+        nbrs[u].append(v)
+    # accumulation in the ball's breadth-first order (each vertex is reached
+    # from an earlier one), then consistency across every ball edge
     cache = {family.origin: 0}
-    queue = deque([family.origin])
-    while queue:
-        v = queue.popleft()
+    for v in b.vertices:
         i = q.project(v)
-        for u in family.neighbors(v):
-            if u not in b.dist:
-                continue
+        for u in nbrs[v]:
             h = cache[v] + scaled[t.edge_id((i, tuple(a - c for a, c in zip(u, v))))]
-            if u not in cache:
-                cache[u] = h
-                queue.append(u)
-            elif cache[u] != h:
+            if cache.setdefault(u, h) != h:
                 raise InvariantViolationError(
                     f"path-dependent increments: closed walk through {u!r} has nonzero sum")
-    for v in list(cache)[:64]:
+    for v in b.vertices[:64]:
         if lifted.evaluate(v) != cache[v]:
             raise InvariantViolationError("straight-path evaluation disagrees with BFS lift")
     return lifted

@@ -193,6 +193,15 @@ def test_resource_error_exit_3(tmp_path, monkeypatch):
     assert code == 3
 
 
+@pytest.mark.parametrize("command", ["quotient", "synth-height"])
+@pytest.mark.parametrize("shifts", ["4,0;0,0", "2,1;4,2"])
+def test_rank_deficient_shifts_exit_2(command, shifts):
+    # infinitely many orbits whatever the budget: a usage error, not exit 3
+    code, out, err = run_cli([command, "--family", "z2", "--shifts", shifts])
+    assert code == 2 and not out
+    assert err == "usage error: translation lattice has rank < dimension: infinitely many orbits\n"
+
+
 def test_decompose_cli(tmp_path):
     out = tmp_path / "d.json"
     code = main(["decompose", "--family", "z2",

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from sawlab.errors import ResourceBudgetError, UsageError
+from sawlab.errors import UsageError
 from sawlab.families import ball, hypercubic, parse_family
 from sawlab.quotient import (
     QuotientGraph,
@@ -66,7 +66,8 @@ def test_check_symmetric_on_matrix():
 
 
 def test_rank_deficient_lattice_rejected():
-    with pytest.raises(ResourceBudgetError):
+    # infinitely many orbits whatever the budget: a usage error
+    with pytest.raises(UsageError, match="rank < dimension"):
         build_quotient(Z2, SubgroupDescriptor("z2", ((2, 0),)))
 
 

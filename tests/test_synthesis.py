@@ -4,6 +4,7 @@ Everything here is exact rational arithmetic; float appearances would be a
 bug in themselves.
 """
 
+import dataclasses
 import hashlib
 import json
 from collections import deque
@@ -163,7 +164,7 @@ def test_lift_detects_path_dependence():
     broken = dict(inc.values)
     broken[first] += Fraction(1, 5)
     bad = EdgeIncrement(orbit_count=inc.orbit_count, values=broken, method="broken")
-    with pytest.raises(InvariantViolationError):
+    with pytest.raises(InvariantViolationError, match="path-dependent increments"):
         lift_height(bad, Z2, q)
 
 
@@ -381,7 +382,6 @@ def test_sweep_matches_brute_force_saw_enumeration(graph):
     n = len(adj)
     pairs = [(a, b) for a in range(n) for b in range(n)]
     expected = brute_force_nonint_pairs(adj, head, values)
-    assert nonint_saw_pairs(adj, head, values, pairs) == expected
     for a, b in pairs:
         path = find_saw(adj, head, values, a, b, need_nonint=True)
         assert (path is not None) == ((a, b) in expected)
@@ -392,18 +392,65 @@ def test_sweep_matches_brute_force_saw_enumeration(graph):
             assert sum((values[e] for e in path), Fraction(0)).denominator != 1
 
 
+@st.composite
+def gain_graphs(draw):
+    """(adj, head, values, partner): a random symmetric gain graph, each
+    undirected edge (loops and parallel copies included) stored as two
+    directed ids with negated values, on up to 7 vertices, so that some
+    vertices are isolated and some graphs fall apart into several parts."""
+    n = draw(st.integers(1, 7))
+    undirected = draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                  st.integers(-6, 6), st.integers(1, 4)),
+        max_size=10))
+    arcs = []  # (tail, head, value, index of the reverse arc)
+    for k, (u, v, num, den) in enumerate(undirected):
+        arcs.append((u, v, Fraction(num, den), 2 * k + 1))
+        arcs.append((v, u, -Fraction(num, den), 2 * k))
+    order = sorted(range(len(arcs)), key=lambda i: arcs[i][0])  # ids in tail order
+    new_id = {i: k for k, i in enumerate(order)}
+    adj = [[new_id[i] for i in order if arcs[i][0] == v] for v in range(n)]
+    head = [arcs[i][1] for i in order]
+    values = [arcs[i][2] for i in order]
+    partner = [new_id[arcs[i][3]] for i in order]
+    return adj, head, values, partner
+
+
+@settings(max_examples=300, deadline=None)
+@given(gain_graphs())
+def test_pair_test_matches_brute_force_on_gain_graphs(graph):
+    adj, head, values, partner = graph
+    n = len(adj)
+    pairs = [(a, b) for a in range(n) for b in range(n)]
+    assert nonint_saw_pairs(adj, head, values, partner, pairs) == \
+        brute_force_nonint_pairs(adj, head, values)
+
+
+def test_pair_test_rejects_a_graph_that_is_not_a_gain_graph():
+    # 0 -> 1 (id 0) and 1 -> 0 (id 1) are partners
+    adj, head, partner = [[0], [1]], [1, 0], [1, 0]
+    half = Fraction(1, 2)
+    assert nonint_saw_pairs(adj, head, [half, -half], partner, [(0, 1)]) == {(0, 1)}
+    with pytest.raises(InvariantViolationError):  # values not negated
+        nonint_saw_pairs(adj, head, [half, half], partner, [(0, 1)])
+    with pytest.raises(InvariantViolationError):  # partner not explored
+        nonint_saw_pairs([[0], []], head, [half, None], partner, [(0, 1)])
+    with pytest.raises(InvariantViolationError):  # partner does not run back
+        nonint_saw_pairs([[0], [1]], [1, 1], [half, -half], partner, [(0, 1)])
+
+
 def test_sweep_over_node_cap_raises():
-    # complete digraph on 6 vertices with integer values: no target is ever
-    # marked, so the sweep from 0 enters every one of the
-    # 1 + 5 + 20 + 60 + 120 + 120 = 326 SAWs that leave it
+    # complete digraph on 6 vertices with integer values: the return-path
+    # search from 0 to 5 finds no non-integer SAW, so it enters the start
+    # and every one of the 4 + 12 + 24 + 24 = 64 SAWs from 0 that avoid 5
     n = 6
     edges = [(v, w) for v in range(n) for w in range(n) if v != w]
     adj = [[k for k, e in enumerate(edges) if e[0] == v] for v in range(n)]
     head = [w for _, w in edges]
     values = [Fraction(1)] * len(edges)
-    assert nonint_saw_pairs(adj, head, values, [(0, 5)], node_cap=326) == set()
+    assert find_saw(adj, head, values, 0, 5, need_nonint=True, node_cap=65) is None
     with pytest.raises(_StagedStuck):
-        nonint_saw_pairs(adj, head, values, [(0, 5)], node_cap=325)
+        find_saw(adj, head, values, 0, 5, need_nonint=True, node_cap=64)
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +505,10 @@ def test_lifted_evaluate_matches_bfs_lift_on_radius_6_ball(family, shifts, metho
     basis = cycle_basis(q, unit_square_generators(q))
     inc = solve_increments(basis, q, method=method)
     assert inc.method == method
-    lifted = lift_height(inc, family, q)
+    assert_lift_matches_bfs_on_radius_6_ball(family, q, inc, lift_height(inc, family, q))
+
+
+def assert_lift_matches_bfs_on_radius_6_ball(family, q, inc, lifted):
     t = quotient_tables(q)
     verts = ball(family, family.origin, 6).dist
     heights = {family.origin: Fraction(0)}
@@ -473,6 +523,26 @@ def test_lifted_evaluate_matches_bfs_lift_on_radius_6_ball(family, shifts, metho
     assert len(heights) == len(verts)
     for v, h in heights.items():
         assert lifted.evaluate(v) == h * lifted.scaling, v
+
+
+def test_staged_succeeds_where_the_pair_sweep_hit_its_cap():
+    # an exhaustive SAW sweep from one source enters more than
+    # SAW_NODE_CAP nodes on this quotient
+    q, basis, inc, lifted = synthesize_height(Z2, [(4, 1), (0, 5)], method="staged")
+    assert inc.method == "staged"
+    assert not increment_invariant_problems(inc, basis, q)
+    assert verify_cocycle(inc, Z2, q, 200, seed=1)
+    assert_lift_matches_bfs_on_radius_6_ball(Z2, q, inc, lifted)
+
+
+def test_synthesis_walks_its_check_ball_once():
+    """The lift's path-independence check reads the edges of the ball it
+    builds: after the quotient build's 56 oracle calls, the lift asks once
+    per vertex of its radius-4 check ball (41), not twice."""
+    calls = []
+    counted = dataclasses.replace(Z2, neighbors=lambda v: calls.append(v) or Z2.neighbors(v))
+    synthesize_height(counted, [(4, 0), (0, 4)])
+    assert len(calls) == 97
 
 
 def test_one_edge_table_per_synthesis(monkeypatch):
