@@ -189,9 +189,6 @@ class SimilarityResult:
     capped: bool
     mismatch_radius: int | None
 
-    def __int__(self) -> int:
-        return self.K
-
 
 def similarity_K(fam_a: GraphFamily, fam_b: GraphFamily, cap: int) -> SimilarityResult:
     """Largest k <= cap with isomorphic rooted k-balls around the origins."""

@@ -77,10 +77,6 @@ class GraphFamily:
     cone_types: ConeTypes | None = field(default=None, repr=False)
     height: Callable[[], object] | None = field(default=None, repr=False, compare=False)
 
-    @property
-    def name(self) -> str:
-        return self.spec
-
     def orbit_count(self) -> int:
         return len(self.declared_orbits)
 

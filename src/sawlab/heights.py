@@ -41,10 +41,6 @@ class HeightFunction:
     h_orbit_of: Callable[[Label], int] = field(repr=False)
     shift_to_rep: Callable[[Label], tuple[Label, int]] = field(repr=False)
 
-    @property
-    def name(self) -> str:
-        return self.spec
-
     def orbit_count(self) -> int:
         return len(self.h_orbits)
 
@@ -61,7 +57,6 @@ class HeightValidationReport:
     radius: int
     violations: tuple[Violation, ...]
     measured_d: int
-    r_verified: bool | None = None
 
     def ok(self) -> bool:
         return not self.violations
@@ -196,10 +191,10 @@ def validate_height(family: GraphFamily, hf: HeightFunction,
     rep_profiles = {}
     for v in b.vertices:
         hv = hf.evaluate(v)
-        if b.dist[v] <= radius - 1:
-            diffs = [hf.evaluate(u) - hv for u in family.neighbors(v)]
-            if not any(d > 0 for d in diffs) or not any(d < 0 for d in diffs):
-                violations.append(Violation("c", v, f"neighbor height diffs {sorted(diffs)}"))
+        diffs = [hf.evaluate(u) - hv for u in family.neighbors(v)]
+        if b.dist[v] <= radius - 1 and (not any(d > 0 for d in diffs)
+                                        or not any(d < 0 for d in diffs)):
+            violations.append(Violation("c", v, f"neighbor height diffs {sorted(diffs)}"))
         rep, offset = hf.shift_to_rep(v)
         if hv - offset != hf.evaluate(rep):
             violations.append(Violation("b", v,
@@ -207,7 +202,7 @@ def validate_height(family: GraphFamily, hf: HeightFunction,
             continue
         if rep not in rep_profiles:
             rep_profiles[rep] = _neighbor_diff_profile(family, hf, rep)
-        if _neighbor_diff_profile(family, hf, v) != rep_profiles[rep]:
+        if Counter(diffs) != rep_profiles[rep]:
             violations.append(Violation("b", v, "neighbor height-difference profile differs from representative's"))
     return HeightValidationReport(radius=radius, violations=tuple(violations),
                                   measured_d=measured_d)

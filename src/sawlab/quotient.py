@@ -29,7 +29,6 @@ class SubgroupDescriptor:
 
     family: str
     shifts: tuple[tuple[int, ...], ...]
-    finite_index: bool = True
 
     def __post_init__(self):
         if not self.shifts:
@@ -66,11 +65,6 @@ class QuotientGraph:
     multiplicities: tuple[tuple[int, ...], ...]
     project: Callable[[Label], int] = field(repr=False)
     lattice: LatticeStructure | None = field(default=None, repr=False)
-
-    def edges(self) -> list[tuple[int, int, int]]:
-        return [(i, j, m)
-                for i, row in enumerate(self.multiplicities)
-                for j, m in enumerate(row) if m > 0]
 
     def out_degree(self, i: int) -> int:
         return sum(self.multiplicities[i])

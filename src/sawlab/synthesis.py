@@ -44,11 +44,12 @@ partner's), a SAW from a to b crosses exactly the blocks on the block–cut
 tree path between them, and a block either holds a cycle with a
 non-integer sum, which gives every crossing of it two sums differing by
 that cycle's sum, or fixes each crossing's sum mod 1 by a potential.
-Return paths come from a depth-first search, :func:`find_saw`, which may
-enter at most ``SAW_NODE_CAP`` = 100,000 nodes; hitting that cap makes
-the staged method stuck, and ``auto`` falls back to the direct method.  A
-lifted height sums integer scaled increments m * delta along the same
-tables.
+Each candidate perturbation of a segment is scored by the number of
+touched vertex pairs this block test resolves.  Return paths come from a
+depth-first search, :func:`find_saw`, which may enter at most
+``SAW_NODE_CAP`` = 100,000 nodes; hitting that cap makes the staged method
+stuck, and ``auto`` falls back to the direct method.  A lifted height sums
+integer scaled increments m * delta along the same tables.
 
 All arithmetic in this module is exact; no floats.  Increments are
 fractions.Fraction, path sums are ints over a common denominator, and the
@@ -662,22 +663,6 @@ def _staged_solve(basis: DirectedCycleBasis, q: QuotientGraph) -> dict:
     def back_sum(back) -> Fraction:
         return sum((signed[k] for k in back), Fraction(0))
 
-    # path-sum bookkeeping: once a pair of vertices has a non-integer
-    # explored SAW it keeps one (the explored set only grows), so only
-    # unresolved pairs are rechecked
-    nonint_ok: set[tuple[int, int]] = set()
-
-    def unresolved_pairs():
-        verts = [i for i in range(n_orb) if touched(i)]
-        return [(a, b) for a, b in itertools.combinations(verts, 2)
-                if (a, b) not in nonint_ok]
-
-    def resolvable(pairs) -> set:
-        return nonint_saw_pairs(explored, head, signed, partner, pairs)
-
-    def record_pairs() -> None:
-        nonint_ok.update(resolvable(unresolved_pairs()))
-
     def assign_segment(seg: list[int], total: Fraction):
         """Spread total in equal shares of one sign, perturbed so that as
         many explored path sums as possible avoid the integers."""
@@ -686,7 +671,6 @@ def _staged_solve(basis: DirectedCycleBasis, q: QuotientGraph) -> dict:
             raise _StagedStuck("segment total vanished")
         if m == 1:
             set_value(seg[0], total)
-            record_pairs()
             return
         share = total / m
         candidates = []
@@ -706,19 +690,18 @@ def _staged_solve(basis: DirectedCycleBasis, q: QuotientGraph) -> dict:
         for vals in candidates:
             for k, v in zip(seg, vals):
                 set_value(k, v)
-            pairs = unresolved_pairs()
-            resolved = resolvable(pairs)
-            if len(resolved) == len(pairs):
-                nonint_ok.update(resolved)
+            verts = [i for i in range(n_orb) if touched(i)]
+            pairs = list(itertools.combinations(verts, 2))
+            count = len(nonint_saw_pairs(explored, head, signed, partner, pairs))
+            if count == len(pairs):
                 return
-            if best is None or len(resolved) > len(best[1]):
-                best = (vals, resolved)
+            if best is None or count > best[1]:
+                best = (vals, count)
             for k in seg:
                 unset_value(k)
         # no candidate resolved everything; apply the best one
         for k, v in zip(seg, best[0]):
             set_value(k, v)
-        nonint_ok.update(best[1])
 
     def explore_cycle(cyc: tuple[int, ...]):
         if all(signed[k] is not None for k in cyc):
@@ -806,14 +789,12 @@ def _staged_solve(basis: DirectedCycleBasis, q: QuotientGraph) -> dict:
     unit = Fraction(1, len(dist))
     for k in dist:
         set_value(k, unit)
-    record_pairs()
 
     # Stages 2-4: explore each component's translate cycles in order
     conn_iter = iter(connectors)
     for comp_pos, comp_id in enumerate(order):
         if comp_pos > 0:
             set_value(next(conn_iter), Fraction(0))
-            record_pairs()
         pending = [i for i in sorted(translates) if component_of[i] == comp_id]
         while pending:
             nxt = next((i for i in pending if any(touched(t.tail(k)) for k in translates[i])),

@@ -1,5 +1,7 @@
 """Height functions: defining clauses, d, and the reach radius r."""
 
+import dataclasses
+
 import pytest
 
 from sawlab.errors import UsageError
@@ -61,6 +63,36 @@ def test_clause_a_violation():
         shift_to_rep=lambda v: ((0, 0), v[0]))
     report = validate_height(z2, hf, 2)
     assert any(v.clause == "a" for v in report.violations)
+
+
+def test_clause_b_profile_violation():
+    # h(x, y) = x (1 + y mod 2): neighbor diffs are {+-1, x, x} on even
+    # rows and {+-2, -x, -x} on odd rows, so the origin's profile recurs
+    # exactly on the vertices (0, even)
+    z2 = hypercubic(2)
+
+    def h(v):
+        return v[0] * (1 + v[1] % 2)
+
+    hf = HeightFunction(
+        spec="x(1+y%2)", evaluate=h, declared_d=2, declared_r=0,
+        h_orbits=((0, 0),), h_orbit_of=lambda v: 0,
+        shift_to_rep=lambda v: ((0, 0), h(v)))
+    report = validate_height(z2, hf, 2)
+    assert {v.clause for v in report.violations} == {"b"}
+    assert sorted(v.vertex for v in report.violations) == sorted(
+        (x, y) for x in range(-2, 3) for y in range(-2, 3)
+        if abs(x) + abs(y) <= 2 and (x or y % 2))
+
+
+def test_validate_height_reads_each_neighborhood_once():
+    """Clauses (b) and (c) share one oracle call per ball vertex; only the
+    orbit representatives are asked again for their profiles."""
+    fam = parse_family("squareoct")
+    calls = []
+    counted = dataclasses.replace(fam, neighbors=lambda v: calls.append(v) or fam.neighbors(v))
+    assert validate_height(counted, default_height(fam), 6).ok()
+    assert len(calls) == 118
 
 
 def test_measured_d_examples():

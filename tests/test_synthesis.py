@@ -571,3 +571,20 @@ def test_one_edge_table_per_synthesis(monkeypatch):
         assert lift_height(inc, family, q).scaling == lifted.scaling
         assert calls == []
     assert total == 470
+
+
+def test_pair_queries_per_synthesis(monkeypatch):
+    """The staged solve asks the block test once per scored candidate
+    perturbation, and not again after the seed, a zero connector or a
+    single-edge segment."""
+    calls = {"nonint_saw_pairs": 0, "find_saw": 0}
+    for name in calls:
+        def counting(*args, _name=name, _f=getattr(synthesis, name), **kwargs):
+            calls[_name] += 1
+            return _f(*args, **kwargs)
+        monkeypatch.setattr(synthesis, name, counting)
+    for family, shifts in ((Z2, [(4, 0), (0, 4)]), (Z2, [(5, 0), (0, 5)]),
+                           (Z2, [(6, 0), (0, 6)]),
+                           (Z3, [(3, 0, 0), (0, 3, 0), (0, 0, 3)])):
+        assert synthesize_height(family, shifts)[2].method == "staged"
+    assert calls == {"nonint_saw_pairs": 180, "find_saw": 111}
