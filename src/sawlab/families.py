@@ -98,13 +98,19 @@ class Ball:
         return len(self.edges)
 
 
+def _malformed(label, family: str, why: str) -> MalformedLabelError:
+    return MalformedLabelError(f"{family}: bad label {label!r}: {why}")
+
+
 def _require(cond: bool, label, family: str, why: str) -> None:
     if not cond:
-        raise MalformedLabelError(f"{family}: bad label {label!r}: {why}")
+        raise _malformed(label, family, why)
 
 
 def _check_int_tuple(v, n: int, family: str) -> None:
-    _require(isinstance(v, tuple) and len(v) == n, v, family, f"expected {n}-tuple")
+    # a message that needs formatting is built only when the check fails
+    if not (isinstance(v, tuple) and len(v) == n):
+        raise _malformed(v, family, f"expected {n}-tuple")
     _require(all(isinstance(c, int) and not isinstance(c, bool) for c in v), v, family,
              "coordinates must be ints")
 
@@ -168,7 +174,8 @@ def regular_tree(d: int) -> GraphFamily:
         _require(isinstance(path, tuple), v, spec, "path must be a tuple")
         for k, c in enumerate(path):
             hi = (d - 1) if (j == 0 or k > 0) else (d - 2)
-            _require(isinstance(c, int) and 0 <= c < hi, v, spec, f"child index {c} out of range")
+            if not (isinstance(c, int) and 0 <= c < hi):
+                raise _malformed(v, spec, f"child index {c} out of range")
 
     # uncached: tree vertices are never revisited during enumeration, and
     # the lists below are constructed in sorted order (a path prefix sorts

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Callable
 
 from .errors import ResourceBudgetError, UsageError, budget
@@ -161,11 +162,6 @@ def parse_height(family: GraphFamily, spec: str) -> HeightFunction:
     return hf
 
 
-def _neighbor_diff_profile(family: GraphFamily, hf: HeightFunction, v: Label) -> Counter:
-    h = hf.evaluate(v)
-    return Counter(hf.evaluate(u) - h for u in family.neighbors(v))
-
-
 def validate_height(family: GraphFamily, hf: HeightFunction,
                     radius: int) -> HeightValidationReport:
     """Check the defining clauses of a height function on a ball.
@@ -174,34 +170,35 @@ def validate_height(family: GraphFamily, hf: HeightFunction,
     all neighbors are within reach, clause (b) by comparing each vertex's
     height-difference profile with its orbit representative's, plus the
     consistency of the declared d.  Violations are reported, not raised.
+    Each label's height is evaluated once per call.
     """
     if radius < 1:
         raise UsageError("validation radius must be >= 1")
+    h = cache(hf.evaluate)
     violations = []
-    if hf.evaluate(family.origin) != 0:
-        violations.append(Violation("a", family.origin,
-                                    f"h(origin) = {hf.evaluate(family.origin)} != 0"))
+    if h(family.origin) != 0:
+        violations.append(Violation("a", family.origin, f"h(origin) = {h(family.origin)} != 0"))
     b = ball(family, family.origin, radius)
     measured_d = 0
     for (u, v) in b.edges:
-        measured_d = max(measured_d, abs(hf.evaluate(u) - hf.evaluate(v)))
+        measured_d = max(measured_d, abs(h(u) - h(v)))
     if measured_d > hf.declared_d:
         violations.append(Violation("d", family.origin,
                                     f"measured d = {measured_d} exceeds declared {hf.declared_d}"))
     rep_profiles = {}
     for v in b.vertices:
-        hv = hf.evaluate(v)
-        diffs = [hf.evaluate(u) - hv for u in family.neighbors(v)]
+        hv = h(v)
+        diffs = [h(u) - hv for u in family.neighbors(v)]
         if b.dist[v] <= radius - 1 and (not any(d > 0 for d in diffs)
                                         or not any(d < 0 for d in diffs)):
             violations.append(Violation("c", v, f"neighbor height diffs {sorted(diffs)}"))
         rep, offset = hf.shift_to_rep(v)
-        if hv - offset != hf.evaluate(rep):
+        if hv - offset != h(rep):
             violations.append(Violation("b", v,
-                                        f"h(v) - offset = {hv - offset} != h(rep) = {hf.evaluate(rep)}"))
+                                        f"h(v) - offset = {hv - offset} != h(rep) = {h(rep)}"))
             continue
         if rep not in rep_profiles:
-            rep_profiles[rep] = _neighbor_diff_profile(family, hf, rep)
+            rep_profiles[rep] = Counter(h(u) - h(rep) for u in family.neighbors(rep))
         if Counter(diffs) != rep_profiles[rep]:
             violations.append(Violation("b", v, "neighbor height-difference profile differs from representative's"))
     return HeightValidationReport(radius=radius, violations=tuple(violations),

@@ -51,9 +51,14 @@ depth-first search, :func:`find_saw`, which may enter at most
 stuck, and ``auto`` falls back to the direct method.  A lifted height sums
 integer scaled increments m * delta along the same tables.
 
-All arithmetic in this module is exact; no floats.  Increments are
-fractions.Fraction, path sums are ints over a common denominator, and the
-cycle-basis echelon keeps primitive integer rows.
+All arithmetic in this module is exact; no floats.  Increment values are
+stored as fractions.Fraction, and every path sum is an int sum over one
+denominator: windings over :attr:`QuotientTables.lam_den`, an increment's
+sums over the lcm of its value denominators (:meth:`EdgeIncrement.numerators`),
+and the staged solve's explored sums over a denominator it grows as values
+are set.  A Fraction is built at most once per walk, and the checks compare
+integer sums with the denominator or 0.  The cycle-basis echelon keeps
+primitive integer rows.
 """
 
 from __future__ import annotations
@@ -112,8 +117,9 @@ class QuotientTables:
     step order) has id ``i * len(step_rank) + r``.  ``head``, ``partner`` and
     ``canonical`` map an id to its head orbit, its reverse edge and the
     smaller of the two; ``undirected`` lists the canonical ids in order.
-    ``lam`` maps an id to its winding ``step . w`` (:func:`dual_form`), so
-    a closed walk's coefficient on the distinguished cycle is its sum.
+    ``lam`` maps an id to the int numerator of its winding ``step . w``
+    (:func:`dual_form`) over ``lam_den``, so a closed walk's coefficient on
+    the distinguished cycle is its sum over ``lam_den``.
     """
 
     def __init__(self, q: QuotientGraph):
@@ -126,9 +132,9 @@ class QuotientTables:
         self.canonical = tuple(min(k, p) for k, p in enumerate(self.partner))
         self.undirected = tuple(k for k, c in enumerate(self.canonical) if c == k)
         w = dual_form(q)
-        lam_step = {s: sum((Fraction(d) * c for d, c in zip(s, w)), Fraction(0))
-                    for s in steps}
-        self.lam = tuple(lam_step[s] for _, s in self.edges)
+        self.lam_den = lcm(*(c.denominator for c in w))
+        w_num = [c.numerator * (self.lam_den // c.denominator) for c in w]
+        self.lam = tuple(sum(d * c for d, c in zip(s, w_num)) for _, s in self.edges)
 
     def edge_id(self, e: DirectedEdge) -> int:
         return e[0] * len(self.step_rank) + self.step_rank[e[1]]
@@ -152,7 +158,7 @@ class QuotientTables:
 
     def winding(self, ids) -> Fraction:
         """The coefficient of a closed walk on the distinguished cycle."""
-        return sum((self.lam[k] for k in ids), Fraction(0))
+        return Fraction(sum(map(self.lam.__getitem__, ids)), self.lam_den)
 
 
 @functools.lru_cache(maxsize=1)
@@ -345,29 +351,38 @@ class EdgeIncrement:
 
     Values are stored on canonical ``(orbit, step)`` edges only, so
     delta(-e) = -delta(e) holds by construction; the methods take edge ids
-    of :func:`quotient_tables`.
+    of :func:`quotient_tables`.  Sums are taken over :meth:`numerators`,
+    the values as ints over one denominator, built once per increment.
     """
 
     orbit_count: int
     values: dict = field(repr=False)  # canonical DirectedEdge -> Fraction
     method: str = "staged"
+    _numerators: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    def numerators(self, q: QuotientGraph) -> tuple[tuple[int, ...], int]:
+        """``(nums, den)``: the value of edge id k is nums[k] / den, and den
+        is the lcm of the values' denominators."""
+        t = quotient_tables(q)
+        if self._numerators is None or self._numerators[0] is not t:
+            den = lcm(*(v.denominator for v in self.values.values()))
+            nums = []
+            for k, c in enumerate(t.canonical):
+                v = self.values[t.edges[c]]
+                num = v.numerator * (den // v.denominator)
+                nums.append(num if c == k else -num)
+            object.__setattr__(self, "_numerators", (t, tuple(nums), den))
+        return self._numerators[1], self._numerators[2]
 
     def value(self, q: QuotientGraph, k: int) -> Fraction:
-        return self._signed(quotient_tables(q), k)
-
-    def walk_sum(self, q: QuotientGraph, ids) -> Fraction:
         t = quotient_tables(q)
-        return sum((self._signed(t, k) for k in ids), Fraction(0))
-
-    def out_values(self, q: QuotientGraph, i: int) -> list[Fraction]:
-        """delta on the edges leaving orbit i, in ascending id order."""
-        t = quotient_tables(q)
-        return [self._signed(t, k) for k in t.out_edges(i)]
-
-    def _signed(self, t: QuotientTables, k: int) -> Fraction:
         c = t.canonical[k]
         v = self.values[t.edges[c]]
         return v if c == k else -v
+
+    def walk_sum(self, q: QuotientGraph, ids) -> Fraction:
+        nums, den = self.numerators(q)
+        return Fraction(sum(map(nums.__getitem__, ids)), den)
 
 
 def cycle_basis(q: QuotientGraph, generators) -> DirectedCycleBasis:
@@ -483,24 +498,12 @@ SAW_NODE_CAP = 100_000
 # directed SAWs over explored edges
 #
 # The explored graph is given by ``adj[v]``, the ascending ids of the
-# explored edges leaving vertex v, ``head[e]``, the head of edge e, and
-# ``values[e]``, its Fraction.  A SAW visits distinct vertices, so it never
-# returns to its start (nor takes a loop).
+# explored edges leaving vertex v, ``head[e]``, the head of edge e, and its
+# value as ``nums[e] / den``: int numerators over one positive denominator.
+# A SAW visits distinct vertices, so it never returns to its start (nor
+# takes a loop).
 
-def _common_denominator(adj, values) -> tuple[list[int], int]:
-    """``(nums, den)`` with values[e] == nums[e] / den on every edge of adj."""
-    den = 1
-    for out in adj:
-        for e in out:
-            den = lcm(den, values[e].denominator)
-    nums = [0] * len(values)
-    for out in adj:
-        for e in out:
-            nums[e] = values[e].numerator * (den // values[e].denominator)
-    return nums, den
-
-
-def find_saw(adj, head, values, a: int, b: int, need_nonint: bool,
+def find_saw(adj, head, nums, den: int, a: int, b: int, need_nonint: bool,
              node_cap: int = SAW_NODE_CAP) -> list[int] | None:
     """The first directed SAW from a to b in ascending edge order, as edge
     ids, or None; with ``need_nonint`` only a non-integer value sum is
@@ -509,7 +512,6 @@ def find_saw(adj, head, values, a: int, b: int, need_nonint: bool,
     ``_StagedStuck``."""
     if a == b:
         return None if need_nonint else []
-    nums, den = _common_denominator(adj, values)
     on_path = [False] * len(adj)
     on_path[a] = True
     path: list[int] = []
@@ -542,7 +544,7 @@ def find_saw(adj, head, values, a: int, b: int, need_nonint: bool,
     return None
 
 
-def nonint_saw_pairs(adj, head, values, partner, pairs) -> set:
+def nonint_saw_pairs(adj, head, nums, den: int, partner, pairs) -> set:
     """The pairs (a, b) of ``pairs`` joined by a directed SAW from a to b
     whose value sum is not an integer.
 
@@ -565,7 +567,6 @@ def nonint_saw_pairs(adj, head, values, partner, pairs) -> set:
     vertices of each balanced block, so a and b share a class exactly when
     their path crosses balanced blocks only.
     """
-    nums, den = _common_denominator(adj, values)
     for v, out in enumerate(adj):
         for e in out:
             p = partner[e]
@@ -640,13 +641,24 @@ def _staged_solve(basis: DirectedCycleBasis, q: QuotientGraph) -> dict:
 
     signed: list[Fraction | None] = [None] * len(t.edges)  # None until explored
     explored: list[list[int]] = [[] for _ in range(n_orb)]  # ascending ids per tail
+    # signed[k] == nums[k] / den on explored edges; den only grows, which
+    # leaves every "is this sum an integer" answer unchanged
+    nums = [0] * len(t.edges)
+    den = 1
 
     def set_value(k: int, val: Fraction):
+        nonlocal den
         c = canonical[k]
         if c != k:
             val = -val
         p = partner[c]
         signed[c], signed[p] = val, -val
+        if den % val.denominator:
+            scale = val.denominator // gcd(den, val.denominator)
+            den *= scale
+            nums[:] = [x * scale for x in nums]
+        nums[c] = val.numerator * (den // val.denominator)
+        nums[p] = -nums[c]
         insort(explored[t.tail(c)], c)
         insort(explored[t.tail(p)], p)
 
@@ -654,6 +666,7 @@ def _staged_solve(basis: DirectedCycleBasis, q: QuotientGraph) -> dict:
         c = canonical[k]
         p = partner[c]
         signed[c] = signed[p] = None
+        nums[c] = nums[p] = 0
         explored[t.tail(c)].remove(c)
         explored[t.tail(p)].remove(p)
 
@@ -661,7 +674,7 @@ def _staged_solve(basis: DirectedCycleBasis, q: QuotientGraph) -> dict:
         return bool(explored[i])
 
     def back_sum(back) -> Fraction:
-        return sum((signed[k] for k in back), Fraction(0))
+        return Fraction(sum(map(nums.__getitem__, back)), den)
 
     def assign_segment(seg: list[int], total: Fraction):
         """Spread total in equal shares of one sign, perturbed so that as
@@ -692,7 +705,7 @@ def _staged_solve(basis: DirectedCycleBasis, q: QuotientGraph) -> dict:
                 set_value(k, v)
             verts = [i for i in range(n_orb) if touched(i)]
             pairs = list(itertools.combinations(verts, 2))
-            count = len(nonint_saw_pairs(explored, head, signed, partner, pairs))
+            count = len(nonint_saw_pairs(explored, head, nums, den, partner, pairs))
             if count == len(pairs):
                 return
             if best is None or count > best[1]:
@@ -729,7 +742,7 @@ def _staged_solve(basis: DirectedCycleBasis, q: QuotientGraph) -> dict:
         if a == b:
             total = t.winding(seg)
         else:
-            back = find_saw(explored, head, signed, b, a, need_nonint=True)
+            back = find_saw(explored, head, nums, den, b, a, need_nonint=True)
             if back is None:
                 raise _StagedStuck("no non-integer return SAW for a segment")
             total = t.winding(seg + back) - back_sum(back)
@@ -808,7 +821,7 @@ def _staged_solve(basis: DirectedCycleBasis, q: QuotientGraph) -> dict:
     for k in t.undirected:
         if signed[k] is not None:
             continue
-        back = find_saw(explored, head, signed, head[k], t.tail(k), need_nonint=False)
+        back = find_saw(explored, head, nums, den, head[k], t.tail(k), need_nonint=False)
         if back is None:
             raise _StagedStuck("residual edge endpoints not connected by explored SAWs")
         set_value(k, t.winding([k] + back) - back_sum(back))
@@ -823,19 +836,21 @@ def _direct_solve(q: QuotientGraph) -> dict:
     target; and w != 0 gives every vertex out-increments of both signs.
     """
     t = quotient_tables(q)
-    return {t.edges[k]: t.lam[k] for k in t.undirected}
+    return {t.edges[k]: Fraction(t.lam[k], t.lam_den) for k in t.undirected}
 
 
 def increment_invariant_problems(inc: EdgeIncrement, basis: DirectedCycleBasis,
                                  q: QuotientGraph) -> list[str]:
+    t = quotient_tables(q)
+    nums, den = inc.numerators(q)
     problems = []
     for i, cyc in enumerate(basis.cycles):
-        want = Fraction(1) if i == len(basis.cycles) - 1 else Fraction(0)
-        got = inc.walk_sum(q, cyc)
+        want = den if i == len(basis.cycles) - 1 else 0
+        got = sum(map(nums.__getitem__, cyc))
         if got != want:
-            problems.append(f"cycle {i}: sum {got} != {want}")
+            problems.append(f"cycle {i}: sum {Fraction(got, den)} != {Fraction(want, den)}")
     for i in range(q.orbit_count):
-        outs = inc.out_values(q, i)
+        outs = [nums[k] for k in t.out_edges(i)]
         if not (any(v > 0 for v in outs) and any(v < 0 for v in outs)):
             problems.append(f"orbit {i}: out-increments miss a strict sign")
     return problems
@@ -899,13 +914,12 @@ class LiftedHeight:
     def __post_init__(self):
         q = self.quotient
         t = quotient_tables(q)
-        scaled = [d * self.scaling for i in range(q.orbit_count)
-                  for d in self.increments.out_values(q, i)]
-        if any(v.denominator != 1 for v in scaled):
+        nums, den = self.increments.numerators(q)
+        if any(x * self.scaling % den for x in nums):
             raise InvariantViolationError("scaled height is not an integer")
         n = _dim(q)
         object.__setattr__(self, "_tables", t)
-        object.__setattr__(self, "_scaled", tuple(int(v) for v in scaled))
+        object.__setattr__(self, "_scaled", tuple(x * self.scaling // den for x in nums))
         object.__setattr__(self, "_axes", tuple(
             (t.step_rank[u], t.step_rank[_vec_neg(u)]) for u in _unit_steps(n)[0::2]))
         object.__setattr__(self, "_origin_orbit", q.project((0,) * n))
@@ -950,8 +964,7 @@ def lift_height(inc: EdgeIncrement, family: GraphFamily, q: QuotientGraph,
                 check_radius: int = 4) -> LiftedHeight:
     """Scale increments to integers and integrate; verifies path
     independence on a ball (any closed-walk sum must vanish)."""
-    lifted = LiftedHeight(scaling=lcm(*(v.denominator for v in inc.values.values())),
-                          increments=inc, quotient=q)
+    lifted = LiftedHeight(scaling=inc.numerators(q)[1], increments=inc, quotient=q)
     t, scaled = lifted._tables, lifted._scaled
     b = ball(family, family.origin, check_radius)
     nbrs: dict = {v: [] for v in b.vertices}
@@ -982,6 +995,7 @@ def verify_cocycle(inc: EdgeIncrement, family: GraphFamily, q: QuotientGraph,
     n = _dim(q)
     steps = _unit_steps(n)
     t = quotient_tables(q)
+    nums, _ = inc.numerators(q)
     for _ in range(trials):
         start = tuple(rng.randint(-3, 3) for _ in range(n))
         length = rng.randint(2, 10)
@@ -990,7 +1004,7 @@ def verify_cocycle(inc: EdgeIncrement, family: GraphFamily, q: QuotientGraph,
         for s in walk:
             end = _vec_add(end, s)
         closed = walk + straight_steps(tuple(a - c for a, c in zip(start, end)))
-        if inc.walk_sum(q, t.walk(q.project(start), closed)) != 0:
+        if sum(map(nums.__getitem__, t.walk(q.project(start), closed))):
             return False
     return True
 

@@ -155,6 +155,22 @@ def _cone_ball(family, start, n_max):
     return heights
 
 
+@functools.lru_cache(maxsize=1)
+def _verify_cones(family, hf, start, n_max) -> None:
+    """Verify the family's cone types around start (:func:`_cone_ball`)
+    and, when hf is given, that it is the height their increments are
+    measured in.  The one-entry cache serves the half-space and bridge
+    counts from one start in turn, so hf is checked once per ball, not once
+    per walk kind."""
+    heights = _cone_ball(family, start, n_max)
+    if hf is not None:
+        h0 = hf.evaluate(start)
+        if any(hf.evaluate(v) - h0 != h for v, h in heights.items()):
+            raise InvariantViolationError(
+                f"{family.spec}: height {hf.spec!r} differs from the one the family's "
+                f"cone-type increments are measured in")
+
+
 def _count_cones(family, hf, start, n_max, mode):
     """Counts (and bridge span tables) of the walks from start, as
     :func:`_count_from` returns them, by an exact DP over the family's
@@ -166,13 +182,7 @@ def _count_cones(family, hf, start, n_max, mode):
     above the start, and a walk is a bridge when its height is the running
     maximum, its span that height.
     """
-    heights = _cone_ball(family, start, n_max)
-    if hf is not None:
-        h0 = hf.evaluate(start)
-        if any(hf.evaluate(v) - h0 != h for v, h in heights.items()):
-            raise InvariantViolationError(
-                f"{family.spec}: height {hf.spec!r} differs from the one the family's "
-                f"cone-type increments are measured in")
+    _verify_cones(family, hf, start, n_max)
     cones = family.cone_types
     counts = [1] + [0] * n_max
     spans = [{0: 1}] + [{} for _ in range(n_max)] if mode == "bridge" else None

@@ -160,6 +160,12 @@ def test_malformed_labels_rejected():
     for bad in [(0, (5,)), (-1, ()), (1, (3,)), ((), ())]:
         with pytest.raises(MalformedLabelError):
             t3.neighbors(bad)
+    # the messages that are formatted only when a check fails
+    with pytest.raises(MalformedLabelError, match=r"^z2: bad label \(0,\): expected 2-tuple$"):
+        z2.neighbors((0,))
+    with pytest.raises(MalformedLabelError,
+                       match=r"^tree:3: bad label \(1, \(0, 2\)\): child index 2 out of range$"):
+        t3.neighbors((1, (0, 2)))
     so = square_octagon()
     with pytest.raises(MalformedLabelError):
         so.neighbors((0, 0, 7))

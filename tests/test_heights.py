@@ -95,6 +95,19 @@ def test_validate_height_reads_each_neighborhood_once():
     assert len(calls) == 118
 
 
+@pytest.mark.parametrize("spec", ["squareoct", "hex", "z3"])
+def test_validate_height_evaluates_each_label_once(spec):
+    """One call evaluates each label it meets once: the ball's edges, the
+    neighbor lists and the representatives' profiles share the heights."""
+    fam = parse_family(spec)
+    hf = default_height(fam)
+    calls = []
+    counted = dataclasses.replace(hf, evaluate=lambda v: calls.append(v) or hf.evaluate(v))
+    report = validate_height(fam, counted, 4)
+    assert report == validate_height(fam, hf, 4)
+    assert len(calls) == len(set(calls))
+
+
 def test_measured_d_examples():
     z2 = hypercubic(2)
     assert measure_d(z2, default_height(z2), 3) == 1

@@ -7,9 +7,10 @@ bug in themselves.
 import dataclasses
 import hashlib
 import json
+import random
 from collections import deque
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,6 +32,7 @@ from sawlab.synthesis import (
     nonint_saw_pairs,
     quotient_tables,
     solve_increments,
+    straight_steps,
     synthesize_height,
     unit_square_generators,
     verify_cocycle,
@@ -41,6 +43,9 @@ from sawlab.synthesis import (
 Z1 = hypercubic(1)
 Z2 = hypercubic(2)
 Z3 = hypercubic(3)
+# the quotients of the benchmark's synth workload
+SYNTH_QUOTIENTS = ((Z2, [(4, 0), (0, 4)]), (Z2, [(5, 0), (0, 5)]), (Z2, [(6, 0), (0, 6)]),
+                   (Z3, [(3, 0, 0), (0, 3, 0), (0, 0, 3)]))
 
 
 def quotient_of(family, shifts):
@@ -156,6 +161,75 @@ def test_perturbed_increment_fails_cocycle():
     bad = EdgeIncrement(orbit_count=inc.orbit_count, values=broken, method="broken")
     assert not verify_cocycle(bad, Z2, q, 200, seed=0)
     assert verify_cocycle(bad, Z2, q, 0, seed=0)  # vacuous
+
+
+# ---------------------------------------------------------------------------
+# integer path sums against plain Fraction sums
+
+def fraction_sum(values) -> Fraction:
+    return sum(values, Fraction(0))
+
+
+def reference_invariant_problems(inc, basis, q):
+    """increment_invariant_problems over Fraction values, edge by edge."""
+    t = quotient_tables(q)
+    problems = []
+    for i, cyc in enumerate(basis.cycles):
+        want = Fraction(1) if i == len(basis.cycles) - 1 else Fraction(0)
+        got = fraction_sum(inc.value(q, k) for k in cyc)
+        if got != want:
+            problems.append(f"cycle {i}: sum {got} != {want}")
+    for i in range(q.orbit_count):
+        outs = [inc.value(q, k) for k in t.out_edges(i)]
+        if not (any(v > 0 for v in outs) and any(v < 0 for v in outs)):
+            problems.append(f"orbit {i}: out-increments miss a strict sign")
+    return problems
+
+
+@pytest.mark.parametrize("family,shifts", SYNTH_QUOTIENTS)
+def test_integer_sums_match_fraction_sums(family, shifts, monkeypatch):
+    """winding, walk_sum and the staged solve's return-path sums, each an
+    int sum over one denominator, equal the sums of the Fraction values on
+    the basis cycles and on seeded random closed walks."""
+    searches = []  # (explored adj, nums, den, return path) per find_saw call
+    find = synthesis.find_saw
+
+    def recording(adj, head, nums, den, *args, **kwargs):
+        back = find(adj, head, nums, den, *args, **kwargs)
+        searches.append(([list(out) for out in adj], list(nums), den, back))
+        return back
+
+    monkeypatch.setattr(synthesis, "find_saw", recording)
+    q, basis, inc, lifted = synthesize_height(family, shifts)
+    assert inc.method == "staged" and searches
+    for adj, nums, den, back in searches:
+        # values are never changed once a return path is searched for
+        for e in (e for out in adj for e in out):
+            assert Fraction(nums[e], den) == inc.value(q, e)
+        assert Fraction(sum(nums[e] for e in back), den) == \
+            fraction_sum(inc.value(q, e) for e in back)
+
+    t = quotient_tables(q)
+    w = dual_form(q)
+    lam = [fraction_sum(Fraction(d) * c for d, c in zip(step, w)) for _, step in t.edges]
+    rng = random.Random(len(t.edges))
+    steps = [step for _, step in t.edges[:len(t.step_rank)]]
+    walks = list(basis.cycles)
+    for _ in range(100):
+        walk = [rng.choice(steps) for _ in range(rng.randint(1, 12))]
+        back = tuple(-sum(s[i] for s in walk) for i in range(len(steps[0])))
+        walks.append(t.walk(rng.randrange(q.orbit_count), walk + straight_steps(back)))
+    direct = solve_increments(basis, q, method="direct")
+    for ids in walks:
+        assert t.winding(ids) == fraction_sum(lam[k] for k in ids)
+        for i in (inc, direct):
+            assert i.walk_sum(q, ids) == fraction_sum(i.value(q, k) for k in ids)
+
+    broken = dict(inc.values)
+    broken[min(broken)] += Fraction(1, 7)
+    bad = EdgeIncrement(orbit_count=inc.orbit_count, values=broken, method="broken")
+    assert increment_invariant_problems(bad, basis, q) == \
+        reference_invariant_problems(bad, basis, q) != []
 
 
 def test_lift_detects_path_dependence():
@@ -356,6 +430,12 @@ def explored_graphs(draw):
     return adj, head, values
 
 
+def over_one_denominator(values):
+    """``(nums, den)`` with values[e] == nums[e] / den."""
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
 def brute_force_nonint_pairs(adj, head, values):
     """Every (a, b) joined by a directed SAW with a non-integer sum, by
     enumerating all vertex-distinct paths."""
@@ -382,8 +462,9 @@ def test_sweep_matches_brute_force_saw_enumeration(graph):
     n = len(adj)
     pairs = [(a, b) for a in range(n) for b in range(n)]
     expected = brute_force_nonint_pairs(adj, head, values)
+    nums, den = over_one_denominator(values)
     for a, b in pairs:
-        path = find_saw(adj, head, values, a, b, need_nonint=True)
+        path = find_saw(adj, head, nums, den, a, b, need_nonint=True)
         assert (path is not None) == ((a, b) in expected)
         if path is not None:
             tails = [a] + [head[e] for e in path[:-1]]
@@ -422,21 +503,20 @@ def test_pair_test_matches_brute_force_on_gain_graphs(graph):
     adj, head, values, partner = graph
     n = len(adj)
     pairs = [(a, b) for a in range(n) for b in range(n)]
-    assert nonint_saw_pairs(adj, head, values, partner, pairs) == \
+    assert nonint_saw_pairs(adj, head, *over_one_denominator(values), partner, pairs) == \
         brute_force_nonint_pairs(adj, head, values)
 
 
 def test_pair_test_rejects_a_graph_that_is_not_a_gain_graph():
-    # 0 -> 1 (id 0) and 1 -> 0 (id 1) are partners
+    # 0 -> 1 (id 0) and 1 -> 0 (id 1) are partners; values over den 2
     adj, head, partner = [[0], [1]], [1, 0], [1, 0]
-    half = Fraction(1, 2)
-    assert nonint_saw_pairs(adj, head, [half, -half], partner, [(0, 1)]) == {(0, 1)}
+    assert nonint_saw_pairs(adj, head, [1, -1], 2, partner, [(0, 1)]) == {(0, 1)}
     with pytest.raises(InvariantViolationError):  # values not negated
-        nonint_saw_pairs(adj, head, [half, half], partner, [(0, 1)])
+        nonint_saw_pairs(adj, head, [1, 1], 2, partner, [(0, 1)])
     with pytest.raises(InvariantViolationError):  # partner not explored
-        nonint_saw_pairs([[0], []], head, [half, None], partner, [(0, 1)])
+        nonint_saw_pairs([[0], []], head, [1, 0], 2, partner, [(0, 1)])
     with pytest.raises(InvariantViolationError):  # partner does not run back
-        nonint_saw_pairs([[0], [1]], [1, 1], [half, -half], partner, [(0, 1)])
+        nonint_saw_pairs([[0], [1]], [1, 1], [1, -1], 2, partner, [(0, 1)])
 
 
 def test_sweep_over_node_cap_raises():
@@ -447,10 +527,10 @@ def test_sweep_over_node_cap_raises():
     edges = [(v, w) for v in range(n) for w in range(n) if v != w]
     adj = [[k for k, e in enumerate(edges) if e[0] == v] for v in range(n)]
     head = [w for _, w in edges]
-    values = [Fraction(1)] * len(edges)
-    assert find_saw(adj, head, values, 0, 5, need_nonint=True, node_cap=65) is None
+    nums = [1] * len(edges)
+    assert find_saw(adj, head, nums, 1, 0, 5, need_nonint=True, node_cap=65) is None
     with pytest.raises(_StagedStuck):
-        find_saw(adj, head, values, 0, 5, need_nonint=True, node_cap=64)
+        find_saw(adj, head, nums, 1, 0, 5, need_nonint=True, node_cap=64)
 
 
 # ---------------------------------------------------------------------------
@@ -557,9 +637,7 @@ def test_one_edge_table_per_synthesis(monkeypatch):
 
     monkeypatch.setattr(synthesis, "edge_head", counting)
     total = 0
-    for family, shifts in ((Z2, [(4, 0), (0, 4)]), (Z2, [(5, 0), (0, 5)]),
-                           (Z2, [(6, 0), (0, 6)]),
-                           (Z3, [(3, 0, 0), (0, 3, 0), (0, 0, 3)])):
+    for family, shifts in SYNTH_QUOTIENTS:
         calls.clear()
         q, basis, inc, lifted = synthesize_height(family, shifts)
         n = len(shifts)
@@ -583,8 +661,6 @@ def test_pair_queries_per_synthesis(monkeypatch):
             calls[_name] += 1
             return _f(*args, **kwargs)
         monkeypatch.setattr(synthesis, name, counting)
-    for family, shifts in ((Z2, [(4, 0), (0, 4)]), (Z2, [(5, 0), (0, 5)]),
-                           (Z2, [(6, 0), (0, 6)]),
-                           (Z3, [(3, 0, 0), (0, 3, 0), (0, 0, 3)])):
+    for family, shifts in SYNTH_QUOTIENTS:
         assert synthesize_height(family, shifts)[2].method == "staged"
     assert calls == {"nonint_saw_pairs": 180, "find_saw": 111}

@@ -412,6 +412,22 @@ def test_one_cone_check_per_representative():
     assert table_calls == calls < walks.CONE_CHECK_MAX_VERTICES
 
 
+def test_one_height_check_per_cone_ball():
+    # the half-space and bridge counts share one check of the height
+    # against the cone ball: one evaluation per ball vertex, plus the start
+    t5 = parse_family("tree:5")
+    hf = default_height(t5)
+    calls = 0
+
+    def counted(v):
+        nonlocal calls
+        calls += 1
+        return hf.evaluate(v)
+
+    build_count_table(t5, dataclasses.replace(hf, evaluate=counted), 9)
+    assert calls == len(walks._cone_ball(t5, t5.origin, 9)) + 1
+
+
 @given(st.integers(0, 6))
 def test_empty_walk_conventions(n):
     sigma = count_saws(Z2, (0, 0), n)
