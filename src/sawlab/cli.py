@@ -308,6 +308,31 @@ _COMMANDS = {
 }
 
 
+# each option a subcommand can take: its flags with their add_argument
+# keywords (every default is None, so that config values fill unset flags)
+_OPTIONS = {
+    "family": [("--family", {})],
+    "family_b": [("--b", {"dest": "family_b"}), ("--a", {"dest": "family"})],
+    "height": [("--height", {})],
+    "height_b": [("--height-b", {})],
+    "kind": [("--kind", {"choices": CHOICES["kind"]})],
+    "n": [("--n", {"dest": "n_max", "type": int})],
+    "cap": [("--cap", {"type": int})],
+    "jobs": [("--jobs", {"type": int})],
+    "seed": [("--seed", {"type": int})],
+    "radius": [("--radius", {"type": int})],
+    "r": [("--r", {"type": int})],
+    "shifts": [("--shifts", {})],
+    "walk": [("--walk", {})],
+    "per_span": [("--per-span", {"action": "store_true"})],
+    "pretty": [("--pretty", {"action": "store_true"})],
+    "out": [("--out", {})],
+    "table": [("--table", {})],
+    "quotient": [("--quotient", {})],
+    "method": [("--method", {"choices": CHOICES["method"]})],
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sawlab",
@@ -315,48 +340,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", default="", help="JSON file with default options")
     sub = parser.add_subparsers(dest="command")
 
-    def add(name, *flags):
+    def add(name, *options):
         p = sub.add_parser(name)
-        for flag in flags:
-            if flag == "family":
-                p.add_argument("--family", default=None)
-            elif flag == "family_b":
-                p.add_argument("--b", dest="family_b", default=None)
-                p.add_argument("--a", dest="family", default=None)
-            elif flag == "height":
-                p.add_argument("--height", default=None)
-            elif flag == "height_b":
-                p.add_argument("--height-b", dest="height_b", default=None)
-            elif flag == "kind":
-                p.add_argument("--kind", choices=CHOICES["kind"], default=None)
-            elif flag == "n":
-                p.add_argument("--n", dest="n_max", type=int, default=None)
-            elif flag == "cap":
-                p.add_argument("--cap", type=int, default=None)
-            elif flag == "jobs":
-                p.add_argument("--jobs", type=int, default=None)
-            elif flag == "seed":
-                p.add_argument("--seed", type=int, default=None)
-            elif flag == "radius":
-                p.add_argument("--radius", type=int, default=None)
-            elif flag == "r":
-                p.add_argument("--r", type=int, default=None)
-            elif flag == "shifts":
-                p.add_argument("--shifts", default=None)
-            elif flag == "walk":
-                p.add_argument("--walk", default=None)
-            elif flag == "per_span":
-                p.add_argument("--per-span", dest="per_span", action="store_true", default=None)
-            elif flag == "pretty":
-                p.add_argument("--pretty", action="store_true", default=None)
-            elif flag == "out":
-                p.add_argument("--out", default=None)
-            elif flag == "table":
-                p.add_argument("--table", default=None)
-            elif flag == "quotient":
-                p.add_argument("--quotient", default=None)
-            elif flag == "method":
-                p.add_argument("--method", choices=CHOICES["method"], default=None)
+        for option in options:
+            for flag, kwargs in _OPTIONS[option]:
+                p.add_argument(flag, default=None, **kwargs)
         return p
 
     add("count", "family", "height", "kind", "n", "per_span", "pretty", "jobs", "out")

@@ -45,10 +45,14 @@ tree path between them, and a block either holds a cycle with a
 non-integer sum, which gives every crossing of it two sums differing by
 that cycle's sum, or fixes each crossing's sum mod 1 by a potential.
 Each candidate perturbation of a segment is scored by the number of
-touched vertex pairs this block test resolves.  Return paths come from a
-depth-first search, :func:`find_saw`, which may enter at most
-``SAW_NODE_CAP`` = 100,000 nodes; hitting that cap makes the staged method
-stuck, and ``auto`` falls back to the direct method.  A lifted height sums
+touched vertex pairs this block test resolves, and a segment joining two
+distinct explored vertices asks it whether a non-integer return SAW
+exists; when none does, the staged method is stuck and ``auto`` falls back
+to the direct method.  No return path is searched for: every explored
+cycle sums to its winding, so values minus windings sum along any explored
+path to the difference of a potential, which the solve extends as each
+vertex is first reached.  A segment's total is its winding plus that
+difference, and so is a residual edge's value.  A lifted height sums
 integer scaled increments m * delta along the same tables.
 
 All arithmetic in this module is exact; no floats.  Increment values are
@@ -66,7 +70,6 @@ from __future__ import annotations
 import functools
 import itertools
 import random
-from bisect import insort
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -491,58 +494,14 @@ class _StagedStuck(Exception):
     pass
 
 
-SAW_NODE_CAP = 100_000
-
-
 # ---------------------------------------------------------------------------
 # directed SAWs over explored edges
 #
-# The explored graph is given by ``adj[v]``, the ascending ids of the
-# explored edges leaving vertex v, ``head[e]``, the head of edge e, and its
-# value as ``nums[e] / den``: int numerators over one positive denominator.
-# A SAW visits distinct vertices, so it never returns to its start (nor
-# takes a loop).
-
-def find_saw(adj, head, nums, den: int, a: int, b: int, need_nonint: bool,
-             node_cap: int = SAW_NODE_CAP) -> list[int] | None:
-    """The first directed SAW from a to b in ascending edge order, as edge
-    ids, or None; with ``need_nonint`` only a non-integer value sum is
-    accepted.  The depth-first search never passes through b, and entering
-    more than ``node_cap`` nodes (the start counts as one) raises
-    ``_StagedStuck``."""
-    if a == b:
-        return None if need_nonint else []
-    on_path = [False] * len(adj)
-    on_path[a] = True
-    path: list[int] = []
-    totals = [0]
-    stack = [iter(adj[a])]
-    nodes = 1
-    while stack:
-        for e in stack[-1]:
-            w = head[e]
-            if on_path[w]:
-                continue
-            total = totals[-1] + nums[e]
-            if w == b:
-                if not need_nonint or total % den:
-                    return path + [e]
-                continue
-            nodes += 1
-            if nodes > node_cap:
-                raise _StagedStuck("explored-SAW search budget exceeded")
-            on_path[w] = True
-            path.append(e)
-            totals.append(total)
-            stack.append(iter(adj[w]))
-            break
-        else:
-            stack.pop()
-            if path:
-                on_path[head[path.pop()]] = False
-                totals.pop()
-    return None
-
+# The explored graph is given by ``adj[v]``, the ids of the explored edges
+# leaving vertex v, ``head[e]``, the head of edge e, and its value as
+# ``nums[e] / den``: int numerators over one positive denominator.  A SAW
+# visits distinct vertices, so it never returns to its start (nor takes a
+# loop).
 
 def nonint_saw_pairs(adj, head, nums, den: int, partner, pairs) -> set:
     """The pairs (a, b) of ``pairs`` joined by a directed SAW from a to b
@@ -640,11 +599,19 @@ def _staged_solve(basis: DirectedCycleBasis, q: QuotientGraph) -> dict:
     n_orb = q.orbit_count
 
     signed: list[Fraction | None] = [None] * len(t.edges)  # None until explored
-    explored: list[list[int]] = [[] for _ in range(n_orb)]  # ascending ids per tail
+    explored: list[list[int]] = [[] for _ in range(n_orb)]  # ids per tail
     # signed[k] == nums[k] / den on explored edges; den only grows, which
     # leaves every "is this sum an integer" answer unchanged
     nums = [0] * len(t.edges)
     den = 1
+    # Every explored cycle sums to its winding, so the potential
+    # psi(v) = pot[v] / den - wind[v] / t.lam_den, summed along the explored
+    # edges as v is first reached from the seed's start, gives every explored
+    # path from x to y a sum of values minus windings of psi(y) - psi(x).
+    # The touched vertices are exactly those with a potential.
+    dist = basis.distinguished()
+    pot = {t.tail(dist[0]): 0}
+    wind = {t.tail(dist[0]): 0}
 
     def set_value(k: int, val: Fraction):
         nonlocal den
@@ -657,24 +624,34 @@ def _staged_solve(basis: DirectedCycleBasis, q: QuotientGraph) -> dict:
             scale = val.denominator // gcd(den, val.denominator)
             den *= scale
             nums[:] = [x * scale for x in nums]
+            for v in pot:
+                pot[v] *= scale
         nums[c] = val.numerator * (den // val.denominator)
         nums[p] = -nums[c]
-        insort(explored[t.tail(c)], c)
-        insort(explored[t.tail(p)], p)
+        for e in (c, p):
+            explored[t.tail(e)].append(e)
+            if head[e] not in pot:
+                pot[head[e]] = pot[t.tail(e)] + nums[e]
+                wind[head[e]] = wind[t.tail(e)] + t.lam[e]
 
     def unset_value(k: int):
         c = canonical[k]
         p = partner[c]
         signed[c] = signed[p] = None
         nums[c] = nums[p] = 0
-        explored[t.tail(c)].remove(c)
-        explored[t.tail(p)].remove(p)
+        for e in (c, p):
+            explored[t.tail(e)].remove(e)
+            if not explored[t.tail(e)]:
+                del pot[t.tail(e)], wind[t.tail(e)]
 
-    def touched(i: int) -> bool:
-        return bool(explored[i])
+    touched = pot.__contains__
 
-    def back_sum(back) -> Fraction:
-        return Fraction(sum(map(nums.__getitem__, back)), den)
+    def closing_total(seg: list[int]) -> Fraction:
+        """The total of a path of unset edges that closes a cycle through
+        the explored edges: its winding plus psi(end) - psi(start)."""
+        a, b = t.tail(seg[0]), head[seg[-1]]
+        return (Fraction(sum(map(t.lam.__getitem__, seg)) + wind[a] - wind[b], t.lam_den)
+                + Fraction(pot[b] - pot[a], den))
 
     def assign_segment(seg: list[int], total: Fraction):
         """Spread total in equal shares of one sign, perturbed so that as
@@ -699,12 +676,14 @@ def _staged_solve(basis: DirectedCycleBasis, q: QuotientGraph) -> dict:
                 candidates.append(vals)
         if not candidates:
             raise _StagedStuck("no same-sign distribution available")
+        # every candidate sets the same edges, so touches the same vertices
+        heads = {head[k] for k in seg}
+        pairs = list(itertools.combinations(
+            [i for i in range(n_orb) if touched(i) or i in heads], 2))
         best = None
         for vals in candidates:
             for k, v in zip(seg, vals):
                 set_value(k, v)
-            verts = [i for i in range(n_orb) if touched(i)]
-            pairs = list(itertools.combinations(verts, 2))
             count = len(nonint_saw_pairs(explored, head, nums, den, partner, pairs))
             if count == len(pairs):
                 return
@@ -739,14 +718,9 @@ def _staged_solve(basis: DirectedCycleBasis, q: QuotientGraph) -> dict:
     def finish_run(seg: list[int]):
         a = t.tail(seg[0])
         b = head[seg[-1]]
-        if a == b:
-            total = t.winding(seg)
-        else:
-            back = find_saw(explored, head, nums, den, b, a, need_nonint=True)
-            if back is None:
-                raise _StagedStuck("no non-integer return SAW for a segment")
-            total = t.winding(seg + back) - back_sum(back)
-        assign_segment(seg, total)
+        if a != b and not nonint_saw_pairs(explored, head, nums, den, partner, [(b, a)]):
+            raise _StagedStuck("no non-integer return SAW for a segment")
+        assign_segment(seg, closing_total(seg))
 
     # translates of the distinguished cycle through every orbit
     translates = {}
@@ -798,7 +772,6 @@ def _staged_solve(basis: DirectedCycleBasis, q: QuotientGraph) -> dict:
         remaining.discard(found[1])
 
     # Stage 1: seed the distinguished cycle uniformly
-    dist = basis.distinguished()
     unit = Fraction(1, len(dist))
     for k in dist:
         set_value(k, unit)
@@ -819,12 +792,8 @@ def _staged_solve(basis: DirectedCycleBasis, q: QuotientGraph) -> dict:
 
     # Stage 5: residual edges fixed by the explored-walk rule
     for k in t.undirected:
-        if signed[k] is not None:
-            continue
-        back = find_saw(explored, head, nums, den, head[k], t.tail(k), need_nonint=False)
-        if back is None:
-            raise _StagedStuck("residual edge endpoints not connected by explored SAWs")
-        set_value(k, t.winding([k] + back) - back_sum(back))
+        if signed[k] is None:
+            set_value(k, closing_total([k]))
     return {t.edges[c]: signed[c] for c in t.undirected}
 
 
@@ -947,10 +916,11 @@ class LiftedHeight:
         n_orb = q.orbit_count
         r_bound = 0 if n_orb == 1 else (n_orb - 1) * (2 * d + 1) + 2
         reps = q.reps
+        rep_heights = [self.evaluate(rep) for rep in reps]
 
         def shift_to_rep(v):
-            rep = reps[q.project(v)]
-            return rep, self.evaluate(v) - self.evaluate(rep)
+            i = q.project(v)
+            return reps[i], self.evaluate(v) - rep_heights[i]
 
         return HeightFunction(
             spec=f"synth:m={self.scaling}", evaluate=self.evaluate,
