@@ -13,7 +13,8 @@ each one's median scaled time, ``setup_s`` the median scaled set-up time and
 ``walks_per_s`` the pass's walk count W (``run.walks_total`` over the
 checkout's ``perfbench/refs.json``) over ``pass_s``.  The record does not
 hold ``peak_rss_mb`` nor a traced run's per-layer metrics
-(``synthesis.edge_head.calls`` and the stage times
+(``synthesis.edge_head.calls``, the share ``synthesis.staged_ratio`` of
+cases the staged solver settled, and the stage times
 ``synthesis.cycle_basis.s``, ``synthesis.solve_increments.s``,
 ``synthesis.verify_cocycle.s`` and ``heights.validate_height.s`` on synth,
 ``families.neighbors.calls`` on the other workloads): they are read from the
@@ -41,8 +42,10 @@ from run import walks_total  # noqa: E402  (perfbench/ is not a package)
 
 RECORD = re.compile(r"run-(?P<workload>.+)-seed(?P<seed>\d+)-trace(?P<trace>[01])\.json$")
 # synthesis barely asks the neighbor oracle; its work shows in edge_head
-# calls and in the times of its stages and checks, which are of similar size
-TRACED = {"synth": ("synthesis.edge_head.calls", "synthesis.cycle_basis.s",
+# calls and in the times of its stages and checks, which are of similar size,
+# and the staged share shows whether a faster pass fell back to direct
+TRACED = {"synth": ("synthesis.edge_head.calls", "synthesis.staged_ratio",
+                    "synthesis.cycle_basis.s",
                     "synthesis.solve_increments.s", "synthesis.verify_cocycle.s",
                     "heights.validate_height.s")}
 TRACED_DEFAULT = ("families.neighbors.calls",)

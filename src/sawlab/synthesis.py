@@ -397,6 +397,22 @@ def cycle_basis(q: QuotientGraph, generators) -> DirectedCycleBasis:
     generator projections (edge id sequences) comes first and the
     distinguished cycle last.  Dimension is |E| plus the undirected
     cycle-space dimension.
+
+    Independence is decided by one :class:`_Echelon` over split coordinates.
+    A walk's edge counts n become, for each canonical id c, the symmetric
+    part n(c) + n(partner c) under key c and the antisymmetric part
+    n(c) - n(partner c) under key ``len(t.canonical) + c``.  The change of
+    coordinates is invertible over Q, so every prefix rank, and with it the
+    greedy choice, is the one over edge counts.
+
+    A generator g and its reverse are (s, a) and (s, -a), which span the
+    same space as (s, 0) and (0, a).  So each generator adds those two rows
+    instead; the span stays block diagonal, and g is chosen iff either row
+    is new, its reverse iff both are (an empty row is never new).
+
+    The digons and fundamental cycles stop once the rank reaches the
+    dimension: every vector fed in is a sum of closed walks, so it lies in
+    the directed cycle space and would be rejected from then on.
     """
     if not check_symmetric(q):
         raise UsageError("cycle basis requires a symmetric quotient")
@@ -455,34 +471,61 @@ def cycle_basis(q: QuotientGraph, generators) -> DirectedCycleBasis:
             return tuple(seq) + dist * (-c)
         return tuple(seq)
 
+    n_ids = len(t.canonical)
+
+    def split(cyc) -> tuple[dict, dict]:
+        """The symmetric and antisymmetric parts of cyc's edge counts."""
+        sym: dict = {}
+        anti: dict = {}
+        for k, x in cycle_vector(cyc).items():
+            c = t.canonical[k]
+            sym[c] = sym.get(c, 0) + x
+            anti[n_ids + c] = anti.get(n_ids + c, 0) + (x if k == c else -x)
+        return sym, anti
+
+    def joined(cyc) -> dict:
+        sym, anti = split(cyc)
+        sym.update(anti)
+        return sym
+
     ech = _Echelon()
     chosen: list[tuple[int, ...]] = []
     for g in generators:
         g = tuple(g)
+        if any(t.head[a] != t.tail(b) for a, b in zip(g, g[1:] + g[:1])):
+            raise InvariantViolationError("generator projection must be a closed walk")
         if t.winding(g) != 0:
             raise InvariantViolationError("generator projection must lift to a cycle")
-        for oriented in (g, tuple(t.partner[k] for k in reversed(g))):
-            if ech.add(cycle_vector(oriented)):
-                chosen.append(oriented)
+        sym, anti = split(g)
+        sym_new = ech.add(sym)
+        anti_new = ech.add(anti)
+        if sym_new or anti_new:
+            chosen.append(g)
+        if sym_new and anti_new:
+            chosen.append(tuple(t.partner[k] for k in reversed(g)))
 
-    if not ech.add(cycle_vector(dist)):
+    if not ech.add(joined(dist)):
         raise InvariantViolationError(
             "distinguished cycle lies in the generator span; no room for the unit total")
 
+    n_edges = len(t.undirected)
+    expected_dim = n_edges + (n_edges - (n_orb - 1))
     middle: list[tuple[int, ...]] = []
     for k in t.undirected:
+        if ech.rank == expected_dim:
+            break
         digon = (k, t.partner[k])
-        if ech.add(cycle_vector(digon)):
+        if ech.add(joined(digon)):
             middle.append(digon)
     for f in t.undirected:
+        if ech.rank == expected_dim:
+            break
         if f in tree_canon:
             continue
         cyc = cancel_winding(fundamental_cycle(f))
-        if ech.add(cycle_vector(cyc)):
+        if ech.add(joined(cyc)):
             middle.append(cyc)
 
-    n_edges = len(t.undirected)
-    expected_dim = n_edges + (n_edges - (n_orb - 1))
     if ech.rank != expected_dim:
         raise InvariantViolationError(
             f"cycle space dimension {ech.rank} != expected {expected_dim}")

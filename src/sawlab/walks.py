@@ -15,7 +15,6 @@ and breaks at its last maximizer.
 
 from __future__ import annotations
 
-import concurrent.futures
 import functools
 from dataclasses import dataclass
 from typing import Iterator, Literal
@@ -442,6 +441,9 @@ def _count(family, hf, start, n_max, mode, jobs):
     if jobs <= 1:
         add(_count_from(neighbors, height, list(p), n_max, mode) for p in reps)
         return counts, spans
+    # imported here: concurrent.futures loads logging, which a call that
+    # opens no pool need not pay for
+    import concurrent.futures
     with concurrent.futures.ProcessPoolExecutor(
             max_workers=jobs, initializer=_init_worker,
             initargs=(adj, heights, mode, n_max)) as pool:

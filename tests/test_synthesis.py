@@ -395,6 +395,69 @@ def test_cycle_bases_are_pinned(spec, shifts):
 
 
 # ---------------------------------------------------------------------------
+# the generator pair rule of the split coordinates, away from square order
+
+# Z2 lattices in Hermite normal form of index <= 6, and Z3/(2,2,2)
+PAIR_RULE_QUOTIENTS = [(Z2, ((a, b), (0, d))) for a in range(1, 7)
+                       for d in range(1, 6 // a + 1) for b in range(d)]
+PAIR_RULE_QUOTIENTS.append((Z3, ((2, 0, 0), (0, 2, 0), (0, 0, 2))))
+
+
+def reversed_walk(t, g):
+    return tuple(t.partner[k] for k in reversed(g))
+
+
+def reference_chosen(t, generators):
+    """The greedy over edge counts: each generator, then its reverse, kept
+    if independent of those kept before."""
+    ech = _Echelon()
+    chosen = []
+    for g in generators:
+        for oriented in (g, reversed_walk(t, g)):
+            if ech.add(cycle_vector(oriented)):
+                chosen.append(oriented)
+    return chosen
+
+
+@st.composite
+def generator_lists(draw):
+    """A small quotient and a permuted list of closed walks built from its
+    unit squares: squares as they are or reversed, concatenations of two
+    oriented squares from one orbit, and at least one walk g + reverse(g),
+    whose antisymmetric part is zero."""
+    family, shifts = draw(st.sampled_from(PAIR_RULE_QUOTIENTS))
+    q = quotient_of(family, shifts)
+    t = quotient_tables(q)
+    oriented = [w for g in unit_square_generators(q) for w in (g, reversed_walk(t, g))]
+    by_orbit: dict = {}
+    for w in oriented:
+        by_orbit.setdefault(t.tail(w[0]), []).append(w)
+    gens = [w for w in oriented if draw(st.integers(0, 3)) == 0]
+    for _ in range(draw(st.integers(0, 4))):
+        w = draw(st.sampled_from(oriented))
+        gens.append(w + draw(st.sampled_from(by_orbit[t.tail(w[0])])))
+    for _ in range(draw(st.integers(1, 2))):
+        w = draw(st.sampled_from(oriented))
+        gens.append(w + reversed_walk(t, w))
+    return q, draw(st.permutations(gens))
+
+
+@settings(max_examples=150, deadline=None)
+@given(generator_lists())
+def test_pair_rule_matches_greedy_over_edge_counts(inputs):
+    q, gens = inputs
+    basis = cycle_basis(q, gens)
+    assert list(basis.cycles[:basis.rho]) == reference_chosen(quotient_tables(q), gens)
+
+
+def test_cycle_basis_rejects_an_open_generator():
+    q = quotient_of(Z2, [(3, 0), (0, 3)])
+    square = unit_square_generators(q)[0]
+    with pytest.raises(InvariantViolationError, match="closed walk"):
+        cycle_basis(q, [square[:2]])
+
+
+# ---------------------------------------------------------------------------
 # non-integer pair test against brute force
 
 def over_one_denominator(values):
