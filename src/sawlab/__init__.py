@@ -37,7 +37,6 @@ from .heights import (
     HeightFunction,
     HeightValidationReport,
     default_height,
-    measure_d,
     validate_height,
     verify_r,
 )

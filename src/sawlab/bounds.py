@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ResourceBudgetError, UsageError, budget
+from .errors import InvariantViolationError, ResourceBudgetError, UsageError, budget
 from .families import Ball, GraphFamily, ball
 from .heights import HeightFunction
 from .tables import CountTable
@@ -270,14 +270,34 @@ def _first_divergence(xs, ys):
     return None
 
 
+def _rep_radius(family: GraphFamily, hf: HeightFunction) -> int:
+    """The largest breadth-first distance from the origin to a
+    representative of hf's orbits."""
+    radius = 0
+    while True:
+        dist = ball(family, family.origin, radius).dist
+        if all(v in dist for v in hf.h_orbits):
+            return max(dist[v] for v in hf.h_orbits)
+        if max(dist.values()) < radius:  # the origin's component is exhausted
+            raise InvariantViolationError(
+                f"{hf.spec}: an orbit representative is not reachable from the origin")
+        radius += 1
+
+
 def locality_report(fam_a: GraphFamily, hf_a: HeightFunction,
                     fam_b: GraphFamily, hf_b: HeightFunction,
                     n_max: int, cap: int, jobs: int = 1) -> LocalityReport:
     """Similarity radius, both brackets, agreement of the count tables up to
-    K - S, and the empirical bracket distance."""
+    K - S, and the empirical bracket distance.
+
+    Each table counts walks from every representative of its height's
+    orbits, and a walk of length n from a representative at distance s
+    from the origin stays in the origin's (n + s)-ball.  So the slack S is
+    the largest such s over both heights.
+    """
     from .tables import build_count_table
     sim = similarity_K(fam_a, fam_b, cap)
-    slack = max(fam_a.orbit_count(), fam_b.orbit_count()) - 1
+    slack = max(_rep_radius(fam_a, hf_a), _rep_radius(fam_b, hf_b))
     ta = build_count_table(fam_a, hf_a, n_max, jobs=jobs)
     tb = build_count_table(fam_b, hf_b, n_max, jobs=jobs)
     ba, bb = bracket(ta), bracket(tb)

@@ -2,9 +2,9 @@
 
 A family is represented by canonical vertex labels plus a pure neighbor
 function, so arbitrarily large graphs can be explored without materializing
-them.  All built-in families are vertex-transitive; their single declared
-orbit is the origin.  Each built-in family carries its default height, whose
-finer orbit structure lives in :mod:`sawlab.heights`.
+them.  All built-in families are vertex-transitive.  Each built-in family
+carries its default height; the height's orbits, which may be finer than
+the family's one orbit, live in :mod:`sawlab.heights`.
 
 Built-ins and their labels:
 
@@ -70,15 +70,9 @@ class GraphFamily:
     spec: str
     neighbors: Callable[[Label], tuple[Label, ...]] = field(repr=False)
     origin: Label
-    declared_orbits: tuple[Label, ...]
-    orbit_of: Callable[[Label], int] = field(repr=False)
-    max_degree: int
     symmetries: tuple[Callable[[Label], Label], ...] = field(default=(), repr=False)
     cone_types: ConeTypes | None = field(default=None, repr=False)
     height: Callable[[], object] | None = field(default=None, repr=False, compare=False)
-
-    def orbit_count(self) -> int:
-        return len(self.declared_orbits)
 
 
 @dataclass(frozen=True)
@@ -147,8 +141,7 @@ def hypercubic(n: int) -> GraphFamily:
 
     origin = (0,) * n
     return GraphFamily(spec=spec, neighbors=neighbors, origin=origin,
-                       declared_orbits=(origin,), orbit_of=lambda v: 0,
-                       max_degree=2 * n, symmetries=signed_permutations(n),
+                       symmetries=signed_permutations(n),
                        height=partial(first_coordinate_height, n))
 
 
@@ -199,8 +192,7 @@ def regular_tree(d: int) -> GraphFamily:
     cone_types = ConeTypes(names=("up", "down"), increments=(-1, 1),
                            start=(1, d - 1), follow=((1, d - 2), (0, d - 1)))
     return GraphFamily(spec=spec, neighbors=neighbors, origin=origin,
-                       declared_orbits=(origin,), orbit_of=lambda v: 0,
-                       max_degree=d, cone_types=cone_types, height=horocyclic_height)
+                       cone_types=cone_types, height=horocyclic_height)
 
 
 def hexagonal() -> GraphFamily:
@@ -225,8 +217,7 @@ def hexagonal() -> GraphFamily:
 
     origin = (0, 0)
     return GraphFamily(spec=spec, neighbors=neighbors, origin=origin,
-                       declared_orbits=(origin,), orbit_of=lambda v: 0,
-                       max_degree=3, symmetries=(lambda v: (-v[0], v[1]),),
+                       symmetries=(lambda v: (-v[0], v[1]),),
                        height=hexagonal_height)
 
 
@@ -261,8 +252,7 @@ def square_octagon() -> GraphFamily:
 
     origin = (0, 0, _SO_N)
     return GraphFamily(spec=spec, neighbors=neighbors, origin=origin,
-                       declared_orbits=(origin,), orbit_of=lambda v: 0,
-                       max_degree=3, height=square_octagon_height)
+                       height=square_octagon_height)
 
 
 def heisenberg() -> GraphFamily:
@@ -298,8 +288,7 @@ def heisenberg() -> GraphFamily:
         lambda v: (v[1], v[0], v[0] * v[1] - v[2]),
     )
     return GraphFamily(spec=spec, neighbors=neighbors, origin=origin,
-                       declared_orbits=(origin,), orbit_of=lambda v: 0,
-                       max_degree=6, symmetries=symmetries, height=heisenberg_height)
+                       symmetries=symmetries, height=heisenberg_height)
 
 
 def ball_ids(family: GraphFamily, start: Label, radius: int,

@@ -205,16 +205,6 @@ def validate_height(family: GraphFamily, hf: HeightFunction,
                                   measured_d=measured_d)
 
 
-def measure_d(family: GraphFamily, hf: HeightFunction, radius: int) -> int:
-    """Largest |h(u) - h(v)| over the edges of the radius ball around the
-    origin; equals d once the ball covers one representative of every edge
-    orbit."""
-    if radius < 1:
-        raise UsageError("radius must be >= 1")
-    b = ball(family, family.origin, radius)
-    return max(abs(hf.evaluate(u) - hf.evaluate(v)) for (u, v) in b.edges)
-
-
 def _pinched_saw_exists(family: GraphFamily, hf: HeightFunction, u: Label, w: Label,
                         max_len: int, dist_to_w: dict, counter: list) -> bool:
     """Is there a SAW from u to w of length <= max_len whose interior heights

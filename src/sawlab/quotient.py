@@ -272,8 +272,6 @@ def cylinder(n: int, v: tuple[int, ...]) -> GraphFamily:
                      h_orbits=(origin,), h_orbit_of=lambda z: 0,
                      shift_to_rep=lambda z: (origin, evaluate(z)))
     return GraphFamily(spec=spec, neighbors=neighbors, origin=origin,
-                       declared_orbits=(origin,), orbit_of=lambda z: 0,
-                       max_degree=2 * n,
                        symmetries=tuple(descend(g) for g in base.symmetries
                                         if g(v) in (v, minus_v)),
                        height=height)

@@ -10,9 +10,9 @@ graph that
 
 then lifts and scales the increments to an integer height function on the
 lattice.  A directed quotient edge is the pair ``(orbit_index, step)``
-where ``step`` is a signed unit vector, which pins down parallel edge
-copies and makes the antisymmetry delta(-e) = -delta(e) a property of the
-representation.
+where ``step`` is a unit vector or its negative, which pins down parallel
+edge copies and makes the antisymmetry delta(-e) = -delta(e) a property of
+the representation.
 
 Edge ids are the working form: each quotient is compiled once into int
 tables (:func:`quotient_tables`), with one ``q.project`` per directed edge,
@@ -55,14 +55,15 @@ vertex is first reached.  A segment's total is its winding plus that
 difference, and so is a residual edge's value.  A lifted height sums
 integer scaled increments m * delta along the same tables.
 
-All arithmetic in this module is exact; no floats.  Increment values are
-stored as fractions.Fraction, and every path sum is an int sum over one
+All arithmetic in this module is exact; no floats.  An increment is stored
+in one form, an int numerator per edge id over one denominator
+(:class:`EdgeIncrement`), and every path sum is an int sum over one
 denominator: windings over :attr:`QuotientTables.lam_den`, an increment's
-sums over the lcm of its value denominators (:meth:`EdgeIncrement.numerators`),
-and the staged solve's explored sums over a denominator it grows as values
-are set.  A Fraction is built at most once per walk, and the checks compare
-integer sums with the denominator or 0.  The cycle-basis echelon keeps
-primitive integer rows.
+sums over its ``den``, and the staged solve's explored sums over a
+denominator it grows as values are set.  Fractions appear only at the
+document boundary (:attr:`EdgeIncrement.values`) and as the staged solve's
+segment totals; the checks compare integer sums with the denominator or 0.
+The cycle-basis echelon keeps primitive integer rows.
 """
 
 from __future__ import annotations
@@ -211,34 +212,23 @@ def distinguished_cycle(q: QuotientGraph, start_orbit: int = 0) -> tuple[int, ..
     return cyc
 
 
-def _solve_square_rational(matrix, rhs):
-    """Solve an n x n rational system by elimination (matrix nonsingular)."""
-    n = len(rhs)
-    a = [[Fraction(matrix[i][j]) for j in range(n)] + [Fraction(rhs[i])] for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if a[r][col] != 0)
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return tuple(row[n] for row in a)
-
-
 def dual_form(q: QuotientGraph) -> tuple[Fraction, ...]:
     """The rational vector w with (HNF row_j) . w = [row_j is distinguished].
 
     For a closed quotient walk, the dot product of w with the walk's lift
     displacement equals the walk's coefficient on the distinguished cycle in
-    the basis built by :func:`cycle_basis`.
+    the basis built by :func:`cycle_basis`.  The HNF of a full-rank lattice
+    is upper triangular with a positive diagonal, so w comes out by back
+    substitution.
     """
     rows = q.lattice.hnf_rows
     star = distinguished_shift(q)
-    rhs = [1 if r == star else 0 for r in rows]
-    # solve rows . w = rhs with rows as the coefficient matrix
-    return _solve_square_rational([list(r) for r in rows], rhs)
+    n = len(rows)
+    w = [Fraction(0)] * n
+    for j in reversed(range(n)):
+        rest = sum(rows[j][i] * w[i] for i in range(j + 1, n))
+        w[j] = Fraction((1 if rows[j] == star else 0) - rest, rows[j][j])
+    return tuple(w)
 
 
 # ---------------------------------------------------------------------------
@@ -259,8 +249,8 @@ class _Echelon:
 
     @staticmethod
     def _primitive(v: dict) -> dict:
-        """v divided in place by the gcd of its entries, signed so that the
-        smallest key's coefficient is positive."""
+        """v divided in place by the gcd of its entries, with the sign that
+        makes the smallest key's coefficient positive."""
         if v:
             g = gcd(*v.values())
             if v[min(v)] < 0:
@@ -352,40 +342,29 @@ class DirectedCycleBasis:
 class EdgeIncrement:
     """Antisymmetric rational edge values on the doubled quotient graph.
 
-    Values are stored on canonical ``(orbit, step)`` edges only, so
-    delta(-e) = -delta(e) holds by construction; the methods take edge ids
-    of :func:`quotient_tables`.  Sums are taken over :meth:`numerators`,
-    the values as ints over one denominator, built once per increment.
+    The value of edge id k of ``tables`` is ``nums[k] / den``.  ``nums``
+    holds one int per edge id with ``nums[partner k] == -nums[k]``, so
+    delta(-e) = -delta(e), and ``den`` is the lcm of the values' reduced
+    denominators, so ``gcd(den, *nums) == 1``.  :attr:`values` gives the
+    document form.
     """
 
-    orbit_count: int
-    values: dict = field(repr=False)  # canonical DirectedEdge -> Fraction
+    tables: QuotientTables = field(repr=False)
+    nums: tuple[int, ...] = field(repr=False)
+    den: int
     method: str = "staged"
-    _numerators: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
-    def numerators(self, q: QuotientGraph) -> tuple[tuple[int, ...], int]:
-        """``(nums, den)``: the value of edge id k is nums[k] / den, and den
-        is the lcm of the values' denominators."""
-        t = quotient_tables(q)
-        if self._numerators is None or self._numerators[0] is not t:
-            den = lcm(*(v.denominator for v in self.values.values()))
-            nums = []
-            for k, c in enumerate(t.canonical):
-                v = self.values[t.edges[c]]
-                num = v.numerator * (den // v.denominator)
-                nums.append(num if c == k else -num)
-            object.__setattr__(self, "_numerators", (t, tuple(nums), den))
-        return self._numerators[1], self._numerators[2]
+    @property
+    def values(self) -> dict:
+        """The values on canonical ``(orbit, step)`` edges, as Fractions."""
+        t = self.tables
+        return {t.edges[c]: Fraction(self.nums[c], self.den) for c in t.undirected}
 
-    def value(self, q: QuotientGraph, k: int) -> Fraction:
-        t = quotient_tables(q)
-        c = t.canonical[k]
-        v = self.values[t.edges[c]]
-        return v if c == k else -v
+    def value(self, k: int) -> Fraction:
+        return Fraction(self.nums[k], self.den)
 
-    def walk_sum(self, q: QuotientGraph, ids) -> Fraction:
-        nums, den = self.numerators(q)
-        return Fraction(sum(map(nums.__getitem__, ids)), den)
+    def walk_sum(self, ids) -> Fraction:
+        return Fraction(sum(map(self.nums.__getitem__, ids)), self.den)
 
 
 def cycle_basis(q: QuotientGraph, generators) -> DirectedCycleBasis:
@@ -542,7 +521,7 @@ class _StagedStuck(Exception):
 #
 # The explored graph is given by ``adj[v]``, the ids of the explored edges
 # leaving vertex v, ``head[e]``, the head of edge e, and its value as
-# ``nums[e] / den``: int numerators over one positive denominator.  A SAW
+# ``nums[e] / den``: an int numerator over one positive denominator.  A SAW
 # visits distinct vertices, so it never returns to its start (nor takes a
 # loop).
 
@@ -634,18 +613,19 @@ def nonint_saw_pairs(adj, head, nums, den: int, partner, pairs) -> set:
             and (phi[a] != phi[b] or find(a) != find(b))}
 
 
-def _staged_solve(basis: DirectedCycleBasis, q: QuotientGraph) -> dict:
-    """The staged exploration on the compiled quotient; returns
-    canonical-edge values."""
+def _staged_solve(basis: DirectedCycleBasis, q: QuotientGraph) -> tuple[list[int], int]:
+    """The staged exploration on the compiled quotient; returns the values
+    as ``(nums, den)``, one int numerator per edge id over den."""
     t = quotient_tables(q)
     head, partner, canonical = t.head, t.partner, t.canonical
     n_orb = q.orbit_count
 
-    signed: list[Fraction | None] = [None] * len(t.edges)  # None until explored
     explored: list[list[int]] = [[] for _ in range(n_orb)]  # ids per tail
-    # signed[k] == nums[k] / den on explored edges; den only grows, which
+    # the value of a set edge k is nums[k] / den; connectors are set to 0, so
+    # is_set, not the numerator, tells a set edge.  den only grows, which
     # leaves every "is this sum an integer" answer unchanged
     nums = [0] * len(t.edges)
+    is_set = [False] * len(t.edges)
     den = 1
     # Every explored cycle sums to its winding, so the potential
     # psi(v) = pot[v] / den - wind[v] / t.lam_den, summed along the explored
@@ -662,7 +642,7 @@ def _staged_solve(basis: DirectedCycleBasis, q: QuotientGraph) -> dict:
         if c != k:
             val = -val
         p = partner[c]
-        signed[c], signed[p] = val, -val
+        is_set[c] = is_set[p] = True
         if den % val.denominator:
             scale = val.denominator // gcd(den, val.denominator)
             den *= scale
@@ -680,7 +660,7 @@ def _staged_solve(basis: DirectedCycleBasis, q: QuotientGraph) -> dict:
     def unset_value(k: int):
         c = canonical[k]
         p = partner[c]
-        signed[c] = signed[p] = None
+        is_set[c] = is_set[p] = False
         nums[c] = nums[p] = 0
         for e in (c, p):
             explored[t.tail(e)].remove(e)
@@ -739,14 +719,14 @@ def _staged_solve(basis: DirectedCycleBasis, q: QuotientGraph) -> dict:
             set_value(k, v)
 
     def explore_cycle(cyc: tuple[int, ...]):
-        if all(signed[k] is not None for k in cyc):
+        if all(is_set[k] for k in cyc):
             return
         start = next((i for i, k in enumerate(cyc) if touched(t.tail(k))), None)
         if start is None:
             raise _StagedStuck("cycle does not meet the explored region")
         run: list[int] = []
         for k in cyc[start:] + cyc[:start]:
-            if signed[k] is not None:
+            if is_set[k]:
                 if run:
                     finish_run(run)
                     run = []
@@ -835,12 +815,12 @@ def _staged_solve(basis: DirectedCycleBasis, q: QuotientGraph) -> dict:
 
     # Stage 5: residual edges fixed by the explored-walk rule
     for k in t.undirected:
-        if signed[k] is None:
+        if not is_set[k]:
             set_value(k, closing_total([k]))
-    return {t.edges[c]: signed[c] for c in t.undirected}
+    return nums, den
 
 
-def _direct_solve(q: QuotientGraph) -> dict:
+def _direct_solve(q: QuotientGraph) -> tuple[tuple[int, ...], int]:
     """The dual-form solution delta(i, step) = step . w.
 
     A closed walk then sums to w . (its lift displacement), which is its
@@ -848,13 +828,13 @@ def _direct_solve(q: QuotientGraph) -> dict:
     target; and w != 0 gives every vertex out-increments of both signs.
     """
     t = quotient_tables(q)
-    return {t.edges[k]: Fraction(t.lam[k], t.lam_den) for k in t.undirected}
+    return t.lam, t.lam_den
 
 
 def increment_invariant_problems(inc: EdgeIncrement, basis: DirectedCycleBasis,
                                  q: QuotientGraph) -> list[str]:
     t = quotient_tables(q)
-    nums, den = inc.numerators(q)
+    nums, den = inc.nums, inc.den
     problems = []
     for i, cyc in enumerate(basis.cycles):
         want = den if i == len(basis.cycles) - 1 else 0
@@ -874,7 +854,9 @@ def solve_increments(basis: DirectedCycleBasis, q: QuotientGraph,
 
     ``auto`` runs the staged exploration and falls back to the direct
     dual-form solution when the staged route gets stuck; the method actually
-    used is recorded on the result.
+    used is recorded on the result.  A solver's numerator per edge id and
+    its denominator are divided by their gcd, so the increment's ``den`` is
+    the lcm of its values' reduced denominators.
     """
     if method not in ("auto", "staged", "direct"):
         raise UsageError(f"unknown method {method!r}")
@@ -886,12 +868,11 @@ def solve_increments(basis: DirectedCycleBasis, q: QuotientGraph,
     last_error = None
     for name in attempts:
         try:
-            if name == "staged":
-                values = _staged_solve(basis, q)
-            else:
-                values = _direct_solve(q)
+            nums, den = _staged_solve(basis, q) if name == "staged" else _direct_solve(q)
+            g = gcd(den, *nums)
             label = name if name == "staged" or method == "direct" else "direct-fallback"
-            inc = EdgeIncrement(orbit_count=q.orbit_count, values=values, method=label)
+            inc = EdgeIncrement(tables=quotient_tables(q), nums=tuple(x // g for x in nums),
+                                den=den // g, method=label)
             problems = increment_invariant_problems(inc, basis, q)
             if problems:
                 raise InvariantViolationError("; ".join(problems))
@@ -910,35 +891,31 @@ class LiftedHeight:
     """Integer height on the lattice obtained by scaling and integrating an
     edge increment along paths from the origin.
 
-    The scaled increments m * delta are listed once per edge id (each must
-    be an integer), and :meth:`evaluate` sums them along the straight path
-    from the origin over the compiled head table.
+    The scale m is the increments' ``den``, so the scaled increments
+    m * delta are their ``nums``, and :meth:`evaluate` sums those along the
+    straight path from the origin over the compiled head table.
     """
 
-    scaling: int
     increments: EdgeIncrement
     quotient: QuotientGraph = field(repr=False)
-    _tables: QuotientTables = field(init=False, repr=False, compare=False)
-    _scaled: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _axes: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
     _origin_orbit: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         q = self.quotient
-        t = quotient_tables(q)
-        nums, den = self.increments.numerators(q)
-        if any(x * self.scaling % den for x in nums):
-            raise InvariantViolationError("scaled height is not an integer")
+        t = self.increments.tables
         n = _dim(q)
-        object.__setattr__(self, "_tables", t)
-        object.__setattr__(self, "_scaled", tuple(x * self.scaling // den for x in nums))
         object.__setattr__(self, "_axes", tuple(
             (t.step_rank[u], t.step_rank[_vec_neg(u)]) for u in _unit_steps(n)[0::2]))
         object.__setattr__(self, "_origin_orbit", q.project((0,) * n))
 
+    @property
+    def scaling(self) -> int:
+        return self.increments.den
+
     def evaluate(self, v: Label) -> int:
-        head, scaled = self._tables.head, self._scaled
-        width = len(self._tables.step_rank)
+        t, scaled = self.increments.tables, self.increments.nums
+        head, width = t.head, len(t.step_rank)
         orbit = self._origin_orbit
         total = 0
         for c, (up, down) in zip(v, self._axes):
@@ -950,7 +927,7 @@ class LiftedHeight:
         return total
 
     def max_edge_change(self) -> int:
-        return max(abs(x) for x in self._scaled)
+        return max(abs(x) for x in self.increments.nums)
 
     def as_height_function(self):
         from .heights import HeightFunction
@@ -975,10 +952,11 @@ class LiftedHeight:
 
 def lift_height(inc: EdgeIncrement, family: GraphFamily, q: QuotientGraph,
                 check_radius: int = 4) -> LiftedHeight:
-    """Scale increments to integers and integrate; verifies path
-    independence on a ball (any closed-walk sum must vanish)."""
-    lifted = LiftedHeight(scaling=inc.numerators(q)[1], increments=inc, quotient=q)
-    t, scaled = lifted._tables, lifted._scaled
+    """Scale increments to integers by their denominator and integrate;
+    verifies path independence on a ball (any closed-walk sum must
+    vanish)."""
+    lifted = LiftedHeight(increments=inc, quotient=q)
+    t, scaled = inc.tables, inc.nums
     b = ball(family, family.origin, check_radius)
     nbrs: dict = {v: [] for v in b.vertices}
     for v, u in b.edges:
@@ -1008,7 +986,7 @@ def verify_cocycle(inc: EdgeIncrement, family: GraphFamily, q: QuotientGraph,
     n = _dim(q)
     steps = _unit_steps(n)
     t = quotient_tables(q)
-    nums, _ = inc.numerators(q)
+    nums = inc.nums
     for _ in range(trials):
         start = tuple(rng.randint(-3, 3) for _ in range(n))
         length = rng.randint(2, 10)

@@ -1,5 +1,6 @@
 """Certified brackets, rooted-ball similarity, partitions, locality."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -171,8 +172,7 @@ def test_ball_locality_of_counts():
     inside = set(b.vertices)
     adj = {v: tuple(sorted(u for u in Z2.neighbors(v) if u in inside)) for v in inside}
     restricted = GraphFamily(
-        spec="z2-ball", neighbors=lambda v: adj[v], origin=(0, 0),
-        declared_orbits=((0, 0),), orbit_of=lambda v: 0, max_degree=4)
+        spec="z2-ball", neighbors=lambda v: adj[v], origin=(0, 0))
     hf = default_height(Z2)
     # workers get the compiled ball, so a family no spec can rebuild counts in parallel too
     for jobs in (1, 2):
@@ -194,6 +194,44 @@ def test_locality_report_agreement_regime():
     assert rep.b_divergence_n is None
     assert rep.cross_ok
     assert rep.gap == 0.0
+
+
+@pytest.mark.parametrize("radius", [3, 4, 5, 6])
+def test_locality_slack_counts_the_height_representatives(radius):
+    """hex's height has representatives (0, 0) and (1, 0), and its tables
+    count walks from both: against hex cut down to its own radius-R ball
+    (K = R), the bridge counts diverge at n = R, so agreement is promised
+    only up to K - 1."""
+    from sawlab.families import GraphFamily
+
+    hexa = parse_family("hex")
+    hf = default_height(hexa)
+    b = ball(hexa, hexa.origin, radius)
+    inside = set(b.vertices)
+    adj = {v: tuple(u for u in hexa.neighbors(v) if u in inside) for v in inside}
+    cut = GraphFamily(spec=f"hex-ball-{radius}", neighbors=lambda v: adj[v],
+                      origin=hexa.origin)
+    rep = locality_report(hexa, hf, cut, hf, n_max=radius, cap=radius + 2)
+    assert rep.similarity.K == radius
+    assert rep.slack == 1
+    assert rep.b_divergence_n == radius
+    assert not rep.tables_should_agree
+    shorter = locality_report(hexa, hf, cut, hf, n_max=radius - 1, cap=radius + 2)
+    assert shorter.tables_should_agree
+    assert shorter.b_divergence_n is None and shorter.sigma_divergence_n is None
+
+
+def test_locality_rejects_a_representative_out_of_reach():
+    from sawlab.errors import InvariantViolationError
+    from sawlab.families import GraphFamily
+
+    # a two-vertex family whose height names a vertex the origin never reaches
+    pair = GraphFamily(spec="pair", neighbors=lambda v: ((1,),) if v == (0,) else ((0,),),
+                       origin=(0,))
+    hf = default_height(Z2)
+    stray = dataclasses.replace(hf, h_orbits=((0,), (5,)))
+    with pytest.raises(InvariantViolationError, match="not reachable"):
+        locality_report(pair, stray, pair, stray, n_max=1, cap=1)
 
 
 def test_locality_report_divergence_regime():

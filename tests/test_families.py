@@ -86,11 +86,12 @@ def test_square_octagon_degree_and_faces():
 def test_neighbor_symmetry_and_degree(spec):
     fam = parse_family(spec)
     pairs = 0
+    degree = len(fam.neighbors(fam.origin))
     for v in sample_vertices(fam, 800, depth=12):
         nbrs = fam.neighbors(v)
         assert len(set(nbrs)) == len(nbrs), "duplicate neighbor"
         assert v not in nbrs, "self-loop"
-        assert len(nbrs) <= fam.max_degree
+        assert len(nbrs) == degree
         for u in nbrs:
             assert v in fam.neighbors(u)
             pairs += 1
@@ -101,12 +102,11 @@ def test_neighbor_symmetry_and_degree(spec):
 
 @pytest.mark.parametrize("spec", ALL_SPECS)
 def test_degree_constant_on_orbits(spec):
+    # every built-in is vertex-transitive: one orbit, the origin's
     fam = parse_family(spec)
-    degrees = {}
+    degree = len(fam.neighbors(fam.origin))
     for v in sample_vertices(fam, 50):
-        k = fam.orbit_of(v)
-        d = len(fam.neighbors(v))
-        assert degrees.setdefault(k, d) == d
+        assert len(fam.neighbors(v)) == degree
 
 
 def test_ball_examples():
@@ -142,13 +142,10 @@ def test_ball_budget():
 @pytest.mark.parametrize("spec", ALL_SPECS)
 def test_orbit_soundness_radius3_balls(spec):
     fam = parse_family(spec)
-    groups = {}
-    for v in sample_vertices(fam, 12):
-        groups.setdefault(fam.orbit_of(v), []).append(v)
-    for orbit, vs in groups.items():
-        base = ball(fam, vs[0], 3)
-        for v in vs[1:4]:
-            assert ball_isomorphic(base, ball(fam, v, 3)), (orbit, vs[0], v)
+    vs = sample_vertices(fam, 12)
+    base = ball(fam, vs[0], 3)
+    for v in vs[1:4]:
+        assert ball_isomorphic(base, ball(fam, v, 3)), (vs[0], v)
 
 
 def test_malformed_labels_rejected():

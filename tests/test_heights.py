@@ -10,7 +10,6 @@ from sawlab.heights import (
     HeightFunction,
     builtin_pairs,
     default_height,
-    measure_d,
     validate_height,
     verify_r,
 )
@@ -32,8 +31,7 @@ def constant_height(fam):
 def test_hand_built_family_has_no_default_height():
     # the height comes with the family's constructor, not from its spec
     z2 = hypercubic(2)
-    fam = GraphFamily(spec="z2", neighbors=z2.neighbors, origin=(0, 0),
-                      declared_orbits=((0, 0),), orbit_of=lambda v: 0, max_degree=4)
+    fam = GraphFamily(spec="z2", neighbors=z2.neighbors, origin=(0, 0))
     with pytest.raises(UsageError, match="no built-in height"):
         default_height(fam)
 
@@ -110,14 +108,14 @@ def test_validate_height_evaluates_each_label_once(spec):
 
 def test_measured_d_examples():
     z2 = hypercubic(2)
-    assert measure_d(z2, default_height(z2), 3) == 1
+    assert validate_height(z2, default_height(z2), 3).measured_d == 1
     heis = parse_family("heis")
-    assert measure_d(heis, default_height(heis), 3) == 1
+    assert validate_height(heis, default_height(heis), 3).measured_d == 1
     skew = HeightFunction(
         spec="2x+y", evaluate=lambda v: 2 * v[0] + v[1], declared_d=2, declared_r=0,
         h_orbits=((0, 0),), h_orbit_of=lambda v: 0,
         shift_to_rep=lambda v: ((0, 0), 2 * v[0] + v[1]))
-    assert measure_d(z2, skew, 3) == 2
+    assert validate_height(z2, skew, 3).measured_d == 2
 
 
 def test_clause_c_at_scale_radius8():

@@ -50,6 +50,19 @@ def quotient_of(family, shifts):
     return build_quotient(family, SubgroupDescriptor(family.spec, tuple(shifts)))
 
 
+def increment_from_values(q, values, method="broken"):
+    """An EdgeIncrement with the given canonical (orbit, step) -> Fraction
+    values, as ints over the lcm of their denominators."""
+    t = quotient_tables(q)
+    den = lcm(*(v.denominator for v in values.values()))
+    nums = [0] * len(t.edges)
+    for c in t.undirected:
+        v = values[t.edges[c]]
+        nums[c] = v.numerator * (den // v.denominator)
+        nums[t.partner[c]] = -nums[c]
+    return EdgeIncrement(tables=t, nums=tuple(nums), den=den, method=method)
+
+
 def test_z1_mod3_single_cycle_stage1_only():
     q = quotient_of(Z1, [(3,)])
     basis = cycle_basis(q, [])
@@ -58,7 +71,7 @@ def test_z1_mod3_single_cycle_stage1_only():
     inc = solve_increments(basis, q)
     assert inc.method == "staged"
     t = quotient_tables(q)
-    forward = {k: inc.value(q, k) for k, (_, step) in enumerate(t.edges) if step == (1,)}
+    forward = {k: inc.value(k) for k, (_, step) in enumerate(t.edges) if step == (1,)}
     assert set(forward.values()) == {Fraction(1, 3)}
 
 
@@ -93,7 +106,7 @@ def test_antisymmetry_is_structural():
     inc = solve_increments(basis, q)
     t = quotient_tables(q)
     for k in range(len(t.edges)):
-        assert inc.value(q, k) == -inc.value(q, t.partner[k])
+        assert inc.value(k) == -inc.value(t.partner[k])
     # no floats anywhere in the increment values
     assert all(isinstance(v, Fraction) for v in inc.values.values())
 
@@ -151,12 +164,23 @@ def test_direct_solver_cross_checks_staged():
         assert lift_height(direct, family, q).max_edge_change() == 1
 
 
+@pytest.mark.parametrize("family,shifts,method,used", [
+    *((family, shifts, m, m) for family, shifts in SYNTH_QUOTIENTS for m in ("staged", "direct")),
+    (Z2, [(2, 3), (0, 4)], "auto", "direct-fallback"),  # staged gets stuck here
+])
+def test_increment_den_is_reduced_and_is_the_scale(family, shifts, method, used):
+    q, basis, inc, lifted = synthesize_height(family, shifts, method=method)
+    assert inc.method == used
+    assert gcd(inc.den, *inc.nums) == 1
+    assert lifted.scaling == inc.den
+
+
 def test_perturbed_increment_fails_cocycle():
     q, basis, inc, lifted = synthesize_height(Z2, [(3, 0), (0, 3)])
     first = sorted(inc.values)[0]
     broken = dict(inc.values)
     broken[first] += Fraction(1, 7)
-    bad = EdgeIncrement(orbit_count=inc.orbit_count, values=broken, method="broken")
+    bad = increment_from_values(q, broken)
     assert not verify_cocycle(bad, Z2, q, 200, seed=0)
     assert verify_cocycle(bad, Z2, q, 0, seed=0)  # vacuous
 
@@ -174,11 +198,11 @@ def reference_invariant_problems(inc, basis, q):
     problems = []
     for i, cyc in enumerate(basis.cycles):
         want = Fraction(1) if i == len(basis.cycles) - 1 else Fraction(0)
-        got = fraction_sum(inc.value(q, k) for k in cyc)
+        got = fraction_sum(inc.value(k) for k in cyc)
         if got != want:
             problems.append(f"cycle {i}: sum {got} != {want}")
     for i in range(q.orbit_count):
-        outs = [inc.value(q, k) for k in t.out_edges(i)]
+        outs = [inc.value(k) for k in t.out_edges(i)]
         if not (any(v > 0 for v in outs) and any(v < 0 for v in outs)):
             problems.append(f"orbit {i}: out-increments miss a strict sign")
     return problems
@@ -206,11 +230,11 @@ def test_integer_sums_match_fraction_sums(family, shifts):
     for ids in walks:
         assert t.winding(ids) == fraction_sum(lam[k] for k in ids)
         for i in (inc, direct):
-            assert i.walk_sum(q, ids) == fraction_sum(i.value(q, k) for k in ids)
+            assert i.walk_sum(ids) == fraction_sum(i.value(k) for k in ids)
 
     broken = dict(inc.values)
     broken[min(broken)] += Fraction(1, 7)
-    bad = EdgeIncrement(orbit_count=inc.orbit_count, values=broken, method="broken")
+    bad = increment_from_values(q, broken)
     assert increment_invariant_problems(bad, basis, q) == \
         reference_invariant_problems(bad, basis, q) != []
 
@@ -220,7 +244,7 @@ def test_lift_detects_path_dependence():
     first = sorted(inc.values)[0]
     broken = dict(inc.values)
     broken[first] += Fraction(1, 5)
-    bad = EdgeIncrement(orbit_count=inc.orbit_count, values=broken, method="broken")
+    bad = increment_from_values(q, broken)
     with pytest.raises(InvariantViolationError, match="path-dependent increments"):
         lift_height(bad, Z2, q)
 
@@ -267,7 +291,7 @@ def test_increment_invariants_on_random_small_quotients(shifts):
     inc = solve_increments(basis, q)
     assert not increment_invariant_problems(inc, basis, q)
     for k in range(len(t.edges)):
-        assert inc.value(q, k) == -inc.value(q, t.partner[k])
+        assert inc.value(k) == -inc.value(t.partner[k])
     lifted = lift_height(inc, Z2, q)
     hf = lifted.as_height_function()
     report = validate_height(Z2, hf, 4)
@@ -596,7 +620,7 @@ def assert_lift_matches_bfs_on_radius_6_ball(family, q, inc, lifted):
         for u in family.neighbors(v):
             if u in verts and u not in heights:
                 step = tuple(a - c for a, c in zip(u, v))
-                heights[u] = heights[v] + inc.value(q, t.edge_id((q.project(v), step)))
+                heights[u] = heights[v] + inc.value(t.edge_id((q.project(v), step)))
                 queue.append(u)
     assert len(heights) == len(verts)
     for v, h in heights.items():
