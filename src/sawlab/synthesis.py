@@ -622,8 +622,8 @@ def _staged_solve(basis: DirectedCycleBasis, q: QuotientGraph) -> tuple[list[int
 
     explored: list[list[int]] = [[] for _ in range(n_orb)]  # ids per tail
     # the value of a set edge k is nums[k] / den; connectors are set to 0, so
-    # is_set, not the numerator, tells a set edge.  den only grows, which
-    # leaves every "is this sum an integer" answer unchanged
+    # is_set, not the numerator, tells a set edge.  Scaling den, nums and pot
+    # by one factor leaves every "is this sum an integer" answer unchanged
     nums = [0] * len(t.edges)
     is_set = [False] * len(t.edges)
     den = 1
@@ -675,6 +675,18 @@ def _staged_solve(basis: DirectedCycleBasis, q: QuotientGraph) -> tuple[list[int
         a, b = t.tail(seg[0]), head[seg[-1]]
         return (Fraction(sum(map(t.lam.__getitem__, seg)) + wind[a] - wind[b], t.lam_den)
                 + Fraction(pot[b] - pot[a], den))
+
+    def reduce():
+        """Divide den, nums and pot by gcd(den, *nums), dropping the factors
+        of rejected candidates.  Every pot is a sum of nums along explored
+        edges, so the gcd divides it too."""
+        nonlocal den
+        g = gcd(den, *nums)
+        if g > 1:
+            den //= g
+            nums[:] = [x // g for x in nums]
+            for v in pot:
+                pot[v] //= g
 
     def assign_segment(seg: list[int], total: Fraction):
         """Spread total in equal shares of one sign, perturbed so that as
@@ -744,6 +756,7 @@ def _staged_solve(basis: DirectedCycleBasis, q: QuotientGraph) -> tuple[list[int
         if a != b and not nonint_saw_pairs(explored, head, nums, den, partner, [(b, a)]):
             raise _StagedStuck("no non-integer return SAW for a segment")
         assign_segment(seg, closing_total(seg))
+        reduce()
 
     # translates of the distinguished cycle through every orbit
     translates = {}

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from itertools import repeat
+from operator import eq
 from typing import Iterator, Literal
 
 from .errors import InvariantViolationError, ResourceBudgetError, UsageError, budget
@@ -218,30 +220,42 @@ def _compile_ball(family, start, n_max):
     vertex i's label and ``adj[i]`` the ids of its neighbors in the oracle's
     order, as :func:`families.ball_ids` builds them under the cap
     ``budget("BALL_VERTICES")``.  Only vertices closer than n_max get an
-    ``adj`` entry: no walk of length n_max steps out of the sphere.  When
-    start is the origin, ``perms`` holds each of the family's declared
-    symmetries as a permutation of the ids, verified on the ball; otherwise
-    it is empty.
+    ``adj`` entry: no walk of length n_max steps out of the sphere.  A vertex
+    that lists itself or lists a neighbor twice raises
+    InvariantViolationError, since the kernel counts a walk's last steps
+    from set sizes.  When start is the origin, ``perms`` holds each of the
+    family's declared symmetries as a permutation of the ids, verified on
+    the ball; otherwise it is empty.
 
     The result does not depend on the walk kind, so the one-entry cache
     serves the SAW, half-space and bridge counts from one start in turn.
-    The cap is read on a miss only: clear the cache after changing it.
+    The cap is read on a miss only: clear this cache and
+    :func:`_height_ball`'s after changing it.
     """
     ids, adj = ball_ids(family, start, n_max, budget("BALL_VERTICES"))
     labels = tuple(ids)
+    inner = len(adj)
+    if (list(map(len, map(set, adj))) != list(map(len, adj))
+            or any(map(tuple.__contains__, adj, range(inner)))):
+        v = next(labels[i] for i, nb in enumerate(adj) if i in nb or len(set(nb)) != len(nb))
+        raise InvariantViolationError(
+            f"{family.spec}: {v!r} lists itself or lists a neighbor twice; "
+            f"the counters need a simple graph")
     perms = []
     symmetries = family.symmetries if start == family.origin else ()
-    sorted_adj = [sorted(nb) for nb in adj] if symmetries else None
+    sorted_adj = list(map(sorted, adj)) if symmetries else None
     for k, g in enumerate(symmetries):
-        perm = tuple([ids.get(g(v), -1) for v in labels])
+        perm = tuple(map(ids.get, map(g, labels), repeat(-1)))
+        head = perm[:inner]
         if perm[0] != 0:
             why = "moves the origin"
         elif -1 in perm:
             why = "maps a vertex out of the ball"
         elif len(set(perm)) != len(perm):
             why = "is not a bijection"
-        elif any(perm[i] >= len(adj) or sorted([perm[u] for u in nb]) != sorted_adj[perm[i]]
-                 for i, nb in enumerate(adj)):
+        elif (max(head, default=-1) >= inner
+              or not all(map(eq, map(sorted, map(map, repeat(perm.__getitem__), adj)),
+                             map(sorted_adj.__getitem__, head)))):
             why = "does not preserve adjacency"
         else:
             perms.append(perm)
@@ -251,23 +265,31 @@ def _compile_ball(family, start, n_max):
     return labels, tuple(adj), tuple(perms)
 
 
-def _kind_ball(family, hf, start, n_max, mode):
-    """The compiled ball as the kernel reads it for ``mode``.
-
-    Returns ``(adj, heights, perms)``: ``adj[i]`` holds the ids a walk may
-    step to from vertex i (every neighbor for SAWs, the ones higher than the
-    start for half-space walks and bridges), ``heights[i]`` is vertex i's
-    height (None for SAWs), and ``perms`` are the verified symmetries that
-    also preserve every height in the ball.  The start is id 0.
-    """
+@functools.lru_cache(maxsize=1)
+def _height_ball(family, hf, start, n_max):
+    """The compiled ball as the kernel reads it for half-space walks and
+    bridges: ``(adj, heights, perms)``, where ``adj[i]`` holds the ids
+    higher than the start among vertex i's neighbors, ``heights[i]`` is
+    vertex i's height and ``perms`` are the verified symmetries that also
+    preserve every height in the ball.  The one-entry cache serves both
+    kinds from one start, so each height is evaluated once."""
     labels, adj, perms = _compile_ball(family, start, n_max)
-    if mode == "saw":
-        return adj, None, perms
-    heights = [hf.evaluate(v) for v in labels]
+    heights = list(map(hf.evaluate, labels))
     h0 = heights[0]
     adj = tuple(tuple(u for u in nb if heights[u] > h0) for nb in adj)
-    perms = tuple(g for g in perms if [heights[j] for j in g] == heights)
+    perms = tuple(g for g in perms if list(map(heights.__getitem__, g)) == heights)
     return adj, heights, perms
+
+
+def _kind_ball(family, hf, start, n_max, mode):
+    """The compiled ball as the kernel reads it for ``mode``:
+    ``(adj, heights, perms)`` as :func:`_height_ball` gives them, or for
+    SAWs every neighbor, heights None and every verified symmetry.  The
+    start is id 0."""
+    if mode == "saw":
+        _, adj, perms = _compile_ball(family, start, n_max)
+        return adj, None, perms
+    return _height_ball(family, hf, start, n_max)
 
 
 def _count_from(neighbors, height, path, n_max, mode):
@@ -276,9 +298,15 @@ def _count_from(neighbors, height, path, n_max, mode):
     ``neighbors(v)`` lists the vertices a walk may step to from v (for
     half-space walks and bridges only those above the start), and ``height``
     is read for bridges only, whose emission test is the running maximum.
-    Each call counts the one-step extensions of the walk ending at v, so the
-    walks one step short of n_max count their last step in place instead of
-    recursing into it.  Returns ``(counts, spans)``: ``counts[d]`` for
+    The last two steps are counted in place, without recursing into them: a
+    SAW or half-space walk of length n_max - 2 that ends at v gains one
+    walk of length n_max - 1 for each free neighbor u of v and
+    ``len(N(u)) - len(used & N(u))`` walks of length n_max through u, and a
+    bridge tests u's free neighbors against the running maximum through u.
+    That count is exact only when no vertex lists itself or a neighbor twice,
+    which :func:`_compile_ball` checks.  ``neighbors`` is still called once
+    for each walk of length n_max - 1, so a budget of lookups is charged as
+    if each level recursed.  Returns ``(counts, spans)``: ``counts[d]`` for
     d >= len(path) - 1 (lower depths are 0), ``spans[d]`` the bridge span
     table at each depth, or None for the other kinds.
     """
@@ -287,12 +315,19 @@ def _count_from(neighbors, height, path, n_max, mode):
     base = len(path) - 1
 
     if mode != "bridge":
-        last = n_max - 1
+        last = n_max - 2
 
         def walks(v, depth):
             nb = neighbors(v)
             if depth == last:
-                counts[n_max] += len(nb) - len(used.intersection(nb))
+                ends = free = 0
+                for u in nb:
+                    if u not in used:
+                        free += 1
+                        nu = neighbors(u)
+                        ends += len(nu) - len(used.intersection(nu))
+                counts[n_max - 1] += free
+                counts[n_max] += ends
                 return
             for u in nb:
                 if u not in used:
@@ -302,12 +337,17 @@ def _count_from(neighbors, height, path, n_max, mode):
                     used.discard(u)
 
         counts[base] = 1
-        if base < n_max:
+        if base == n_max - 1:
+            nb = neighbors(path[-1])
+            counts[n_max] = len(nb) - len(used.intersection(nb))
+        elif base < n_max:
             walks(path[-1], base)
         return counts, None
 
     spans = [{} for _ in range(n_max + 1)]
     h0 = height(path[0])
+    last = n_max - 1
+    top = spans[n_max]
 
     def bridges(v, depth, hi):
         depth += 1
@@ -318,10 +358,20 @@ def _count_from(neighbors, height, path, n_max, mode):
                 if hu >= hi:
                     counts[depth] += 1
                     table[hu - h0] = table.get(hu - h0, 0) + 1
-                if depth < n_max:
+                    hi_u = hu
+                else:
+                    hi_u = hi
+                if depth < last:
                     used.add(u)
-                    bridges(u, depth, hu if hu > hi else hi)
+                    bridges(u, depth, hi_u)
                     used.discard(u)
+                elif depth == last:
+                    for w in neighbors(u):
+                        if w not in used:
+                            hw = height(w)
+                            if hw >= hi_u:
+                                counts[n_max] += 1
+                                top[hw - h0] = top.get(hw - h0, 0) + 1
 
     hs = [height(v) for v in path]
     hi = max(hs)
@@ -361,6 +411,13 @@ def _count_budgeted(family, hf, start, n_max, mode, node_budget):
             spans.append(level_spans[n])
     return counts, spans
 
+
+# The estimated walk count below which _count stays in process at any
+# ``jobs``.  Two workers at best halve the kernel's time t, so a pool pays
+# once t / 2 exceeds its start-up and teardown cost O: with O ~ 20 ms and
+# the kernel at R ~ 5e6 estimated SAWs/s, past 2 * O * R walks (measured on
+# a 2-core VM; CHANGES.md has the numbers).
+POOL_MIN_WALKS = 200_000
 
 # set in each pool worker by _init_worker; unused in the parent process
 _worker_inputs = None
@@ -409,10 +466,14 @@ def _count(family, hf, start, n_max, mode, jobs):
     depth.  A symmetry of the ball that fixes the start (and every height,
     for half-space walks and bridges) carries the walks through one prefix
     onto the walks through its image, so only the first prefix of each orbit
-    is counted, weighted by the orbit's size.  With jobs > 1 the orbit
-    representatives are counted in worker processes.  Totals are sums of
-    exact integers, independent of scheduling.  A family that declares cone
-    types is counted by :func:`_count_cones` instead, at every ``jobs``.
+    is counted, weighted by the orbit's size.  The representatives are
+    counted in a pool of at most ``jobs`` worker processes only when that
+    pays: when ``len(reps) * c[s]**k >= POOL_MIN_WALKS * c[s-1]**k``, an
+    estimate in exact ints of the walks of length n_max through them from
+    the counts c up to the split depth s, with k = n_max - s.  Otherwise, and
+    at jobs = 1, they are counted in process.  Totals are sums of exact
+    integers, independent of scheduling.  A family that declares cone types
+    is counted by :func:`_count_cones` instead, at every ``jobs``.
     """
     if family.cone_types is not None:
         return _count_cones(family, hf, start, n_max, mode)
@@ -438,7 +499,9 @@ def _count(family, hf, start, n_max, mode, jobs):
                     for s, c in part_spans[d].items():
                         spans[d][s] = spans[d].get(s, 0) + weight * c
 
-    if jobs <= 1:
+    k = n_max - split
+    if (jobs <= 1 or not reps
+            or len(reps) * counts[split] ** k < POOL_MIN_WALKS * counts[split - 1] ** k):
         add(_count_from(neighbors, height, list(p), n_max, mode) for p in reps)
         return counts, spans
     # imported here: concurrent.futures loads logging, which a call that
@@ -462,11 +525,15 @@ def count_saws(family: GraphFamily, start: Label, n_max: int, jobs: int = 1,
 
     The walks are counted on the radius-n_max ball compiled to int ids; a
     ball of more than ``budget("BALL_VERTICES")`` vertices raises
-    ResourceBudgetError.  With ``jobs > 1`` the walks are split by prefix
-    across worker processes, and each worker receives the compiled ball
-    once.  A family that declares cone types (the trees) is counted by an
-    exact DP over them instead, in process at every ``jobs``.  The same
-    holds for :func:`count_halfspace` and :func:`count_bridges`.
+    ResourceBudgetError, and a vertex in it that lists itself or lists a
+    neighbor twice raises InvariantViolationError.  ``jobs`` is an upper
+    bound on the worker processes: the walks are split by prefix across a
+    pool, each worker receiving the compiled ball once, only when the
+    estimated work is past the pool's break-even (see :func:`_count`);
+    otherwise they are counted in process.  A family that declares cone
+    types (the trees) is counted by an exact DP over them instead, in process
+    at every ``jobs``.  The same holds for :func:`count_halfspace` and
+    :func:`count_bridges`.
     """
     if n_max < 0:
         raise UsageError("n_max must be >= 0")

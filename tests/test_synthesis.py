@@ -175,6 +175,14 @@ def test_increment_den_is_reduced_and_is_the_scale(family, shifts, method, used)
     assert lifted.scaling == inc.den
 
 
+@pytest.mark.parametrize("family,shifts", [*SYNTH_QUOTIENTS, (Z2, [(4, 1), (0, 5)])])
+def test_staged_solve_keeps_den_reduced(family, shifts):
+    # the factors of the candidates a segment rejects leave den with them
+    q = quotient_of(family, shifts)
+    nums, den = synthesis._staged_solve(cycle_basis(q, unit_square_generators(q)), q)
+    assert gcd(den, *nums) == 1
+
+
 def test_perturbed_increment_fails_cocycle():
     q, basis, inc, lifted = synthesize_height(Z2, [(3, 0), (0, 3)])
     first = sorted(inc.values)[0]

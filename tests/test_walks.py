@@ -3,13 +3,14 @@
 import dataclasses
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from sawlab import walks
 from sawlab.errors import InvariantViolationError, ResourceBudgetError, UsageError
 from sawlab.families import (
     BUILTIN_FAMILY_SPECS,
     ConeTypes,
+    GraphFamily,
     hypercubic,
     parse_family,
     regular_tree,
@@ -234,6 +235,24 @@ def test_budgeted_counts_return_clean_prefix():
     assert count_saws(Z2, (0, 0), 8, node_budget=0) == [1]
 
 
+@pytest.mark.parametrize("spec, n, budgets, high_water", [
+    # (SAW, half-space, bridge) high-water marks per budget; 341/342 and
+    # 688/689 straddle the lookups that complete a half-space level
+    ("z2", 10, (341, 342, 5272), ((5, 6, 6), (5, 7, 7), (8, 9, 9))),
+    ("z3", 7, (688, 689, 5592), ((4, 5, 5), (4, 6, 6), (6, 7, 7))),
+])
+def test_budget_high_water_marks_are_pinned(spec, n, budgets, high_water):
+    # each level is charged one lookup per vertex a walk one step short of
+    # it ends at, however the kernel counts the last steps
+    fam = parse_family(spec)
+    hf = default_height(fam)
+    for node_budget, marks in zip(budgets, high_water):
+        assert (len(count_saws(fam, fam.origin, n, node_budget=node_budget)) - 1,
+                len(count_halfspace(fam, hf, fam.origin, n, node_budget=node_budget)) - 1,
+                len(count_bridges(fam, hf, fam.origin, n, node_budget=node_budget)[0]) - 1,
+                ) == marks
+
+
 def test_parallel_counts_match_serial():
     # without its cone types tree:3 runs on the counting kernel
     t3 = dataclasses.replace(regular_tree(3), cone_types=None)
@@ -246,6 +265,45 @@ def test_parallel_counts_match_serial():
             b1, s1 = count_bridges(fam, hf, rep, n, jobs=1)
             b4, s4 = count_bridges(fam, hf, rep, n, jobs=4)
             assert b1 == b4 and s1 == s4
+
+
+def test_forced_pool_counts_match_serial(monkeypatch):
+    # the pool opens at every size once its break-even is 0
+    import concurrent.futures
+
+    opened = 0
+
+    class Counted(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            nonlocal opened
+            opened += 1
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(walks, "POOL_MIN_WALKS", 0)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counted)
+    for spec in ("z2", "z3", "hex"):  # hex's height has two representatives
+        fam = parse_family(spec)
+        hf = default_height(fam)
+        serial = build_count_table(fam, hf, 6, jobs=1)
+        assert build_count_table(fam, hf, 6, jobs=2) == serial
+    assert opened == 3 * (1 + 1 + 2)
+
+
+def test_small_counts_open_no_pool(monkeypatch):
+    # the benchmark's CLI counts at --jobs 2 are below the pool's break-even
+    import concurrent.futures
+
+    from sawlab.bounds import locality_report
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a pool was opened")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+    for spec, n in (("z3", 9), ("tree:5", 9)):
+        fam = parse_family(spec)
+        build_count_table(fam, default_height(fam), n, jobs=2)
+    z2, cyl = parse_family("z2"), parse_family("zcyl:2:0,10")
+    locality_report(z2, default_height(z2), cyl, default_height(cyl), 12, 8, jobs=2)
 
 
 def _all_counts(fam, hf, rep, n, jobs=1):
@@ -274,6 +332,62 @@ def test_compiled_and_lazy_sources_match_oracle(spec, n):
     hf = default_height(fam)
     for rep in hf.h_orbits:
         assert _all_counts(fam, hf, rep, n) == _oracle_counts(fam, hf, rep, n)
+
+
+def _hand_built(adjacency, heights):
+    """A family on the vertices of ``adjacency`` (a dict of neighbor
+    tuples) with origin 0, and the height ``heights[v]``."""
+    fam = GraphFamily(spec="hand", neighbors=adjacency.__getitem__, origin=0)
+    return fam, HeightFunction(
+        spec="hand", evaluate=heights.__getitem__, declared_d=1, declared_r=0,
+        h_orbits=(0,), h_orbit_of=lambda v: 0,
+        shift_to_rep=lambda v: (0, heights[v] - heights[0]))
+
+
+@st.composite
+def _simple_graphs(draw):
+    """A simple graph on at most 12 vertices, the last up to two of them
+    isolated, with its neighbor lists in a drawn order, an integer height
+    per vertex and a second start vertex."""
+    linked = draw(st.integers(1, 10))
+    size = linked + draw(st.integers(0, 2))
+    vertex = st.integers(0, linked - 1)
+    edges = draw(st.lists(st.tuples(vertex, vertex).filter(lambda e: e[0] != e[1]),
+                          max_size=18, unique_by=lambda e: frozenset(e)))
+    adjacency = {v: () for v in range(size)}
+    for a, b in edges:
+        adjacency[a] += (b,)
+        adjacency[b] += (a,)
+    heights = draw(st.lists(st.integers(-3, 3), min_size=size, max_size=size))
+    return adjacency, heights, draw(st.integers(0, size - 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_simple_graphs())
+def test_kernel_matches_oracle_on_random_simple_graphs(graph):
+    adjacency, heights, other = graph
+    fam, hf = _hand_built(adjacency, heights)
+    for start in (0, other):
+        want_sigma, want_c, (want_b, want_spans) = _oracle_counts(fam, hf, start, 7)
+        for n in range(8):
+            assert count_saws(fam, start, n) == want_sigma[:n + 1]
+            assert count_halfspace(fam, hf, start, n) == want_c[:n + 1]
+            assert count_bridges(fam, hf, start, n) == (want_b[:n + 1], want_spans[:n + 1])
+
+
+@pytest.mark.parametrize("adjacency", [
+    {0: (1,), 1: (0, 0, 2), 2: (1,)},  # 1 lists 0 twice
+    {0: (0, 1), 1: (0,)},  # 0 lists itself
+])
+def test_a_vertex_listing_itself_or_a_neighbor_twice_is_rejected(adjacency):
+    # counted from set sizes, a repeated or looped neighbor would count as a
+    # free step: count_saws gave [1, 1, 2] on the first, for one walk 0-1-2
+    fam, hf = _hand_built(adjacency, {0: 0, 1: 1, 2: 2})
+    for count in (lambda: count_saws(fam, 0, 2), lambda: count_halfspace(fam, hf, 0, 2),
+                  lambda: count_bridges(fam, hf, 0, 2),
+                  lambda: count_saws(fam, 0, 2, node_budget=100)):
+        with pytest.raises(InvariantViolationError, match="lists a neighbor twice"):
+            count()
 
 
 def test_z4_radius_9_ball_compiles():
