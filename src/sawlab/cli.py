@@ -25,6 +25,7 @@ from .errors import (
     MalformedLabelError,
     ResourceBudgetError,
     UsageError,
+    budget,
 )
 from .families import parse_family
 from .heights import parse_height, validate_height, verify_r
@@ -111,7 +112,10 @@ def _parse_vectors(value, flag: str, example: str) -> tuple[tuple[int, ...], ...
     a list of integer lists (``flag`` names the option or field)."""
     if not value:
         raise UsageError(f"missing {flag} (e.g. '{example}')")
-    rows = [part.split(",") for part in value.split(";")] if isinstance(value, str) else value
+    if isinstance(value, str):
+        rows = [[c.strip(" ") for c in part.split(",")] for part in value.split(";")]
+    else:
+        rows = value
     try:
         vectors = tuple(tuple(decode_int(c) for c in row) for row in rows)
     except (TypeError, ValueError) as exc:
@@ -130,11 +134,10 @@ def _render_table(table) -> str:
 
 
 def cmd_count(cfg: RunConfig) -> int:
-    from .errors import optional_budget
     family = parse_family(cfg.family)
     hf = parse_height(family, cfg.height)
     table = build_count_table(family, hf, cfg.n_max, jobs=cfg.jobs,
-                              node_budget=optional_budget("COUNT_NODES"))
+                              node_budget=budget("COUNT_NODES"))
     doc = table_to_dict(table)
     series = {"saw": table.sigma, "halfspace": table.c, "bridge": table.b}[cfg.kind]
     doc["kind_series"] = {"kind": cfg.kind, "counts": [str(x) for x in series]}

@@ -34,11 +34,13 @@ _DEFAULT_BUDGETS = {
     "SEARCH_NODES": 2_000_000,
     "QUOTIENT_ORBITS": 20_000,
     "ENUM_WALKS": 50_000_000,
+    "COUNT_NODES": None,  # no cap unless set
 }
 
 
-def budget(name: str) -> int:
-    """Return the effective budget, honoring SAWLAB_BUDGET_<NAME> overrides."""
+def budget(name: str) -> int | None:
+    """Return the effective budget, honoring SAWLAB_BUDGET_<NAME> overrides;
+    None means no cap."""
     raw = os.environ.get(f"SAWLAB_BUDGET_{name}")
     if raw is not None:
         try:
@@ -46,14 +48,3 @@ def budget(name: str) -> int:
         except ValueError as exc:
             raise UsageError(f"bad budget override for {name}: {raw!r}") from exc
     return _DEFAULT_BUDGETS[name]
-
-
-def optional_budget(name: str) -> int | None:
-    """A budget that is unset by default (e.g. COUNT_NODES): None means no cap."""
-    raw = os.environ.get(f"SAWLAB_BUDGET_{name}")
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise UsageError(f"bad budget override for {name}: {raw!r}") from exc

@@ -10,6 +10,7 @@ is serialized as a decimal string so arbitrary precision survives JSON.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 
 from .errors import InvariantViolationError, UsageError
@@ -147,10 +148,12 @@ def _label_from_json(x):
 
 
 def decode_int(x) -> int:
-    """An integer written as a JSON number or a decimal string."""
-    if type(x) not in (int, str):
-        raise TypeError(f"{x!r} is not an integer")
-    return int(x)
+    """An integer written as a JSON number or a decimal string: ASCII digits
+    after an optional minus sign, so ``"1_000"``, ``"+5"`` and ``"٣"`` are
+    rejected although ``int`` reads them."""
+    if type(x) is int or type(x) is str and re.fullmatch("-?[0-9]+", x):
+        return int(x)
+    raise ValueError(f"{x!r} is not a decimal integer")
 
 
 def table_from_dict(d: dict) -> CountTable:

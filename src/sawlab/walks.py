@@ -73,10 +73,6 @@ def is_reversed_bridge(hf: HeightFunction, w: Walk) -> bool:
 # ---------------------------------------------------------------------------
 # counting
 
-class _BudgetHit(Exception):
-    pass
-
-
 # Largest ball a cone-type declaration is verified on.  Tree balls grow as
 # fast as the walk set, so the check covers the short walks exactly and
 # stays cheap; the counts beyond it rest on the declaration.
@@ -281,34 +277,21 @@ def _height_ball(family, hf, start, n_max):
     return adj, heights, perms
 
 
-def _kind_ball(family, hf, start, n_max, mode):
-    """The compiled ball as the kernel reads it for ``mode``:
-    ``(adj, heights, perms)`` as :func:`_height_ball` gives them, or for
-    SAWs every neighbor, heights None and every verified symmetry.  The
-    start is id 0."""
-    if mode == "saw":
-        _, adj, perms = _compile_ball(family, start, n_max)
-        return adj, None, perms
-    return _height_ball(family, hf, start, n_max)
-
-
-def _count_from(neighbors, height, path, n_max, mode):
+def _count_from(adj, heights, path, n_max, mode):
     """Count the walks of each length up to n_max that extend ``path``.
 
-    ``neighbors(v)`` lists the vertices a walk may step to from v (for
-    half-space walks and bridges only those above the start), and ``height``
-    is read for bridges only, whose emission test is the running maximum.
-    The last two steps are counted in place, without recursing into them: a
-    SAW or half-space walk of length n_max - 2 that ends at v gains one
-    walk of length n_max - 1 for each free neighbor u of v and
-    ``len(N(u)) - len(used & N(u))`` walks of length n_max through u, and a
-    bridge tests u's free neighbors against the running maximum through u.
+    ``adj[v]`` lists the ids a walk may step to from v (for half-space walks
+    and bridges only those above the start), and ``heights`` is read for
+    bridges only, whose emission test is the running maximum.  The last two
+    steps are counted in place, without recursing into them: a SAW or
+    half-space walk of length n_max - 2 that ends at v gains one walk of
+    length n_max - 1 for each free neighbor u of v and
+    ``len(adj[u]) - len(used & adj[u])`` walks of length n_max through u, and
+    a bridge tests u's free neighbors against the running maximum through u.
     That count is exact only when no vertex lists itself or a neighbor twice,
-    which :func:`_compile_ball` checks.  ``neighbors`` is still called once
-    for each walk of length n_max - 1, so a budget of lookups is charged as
-    if each level recursed.  Returns ``(counts, spans)``: ``counts[d]`` for
-    d >= len(path) - 1 (lower depths are 0), ``spans[d]`` the bridge span
-    table at each depth, or None for the other kinds.
+    which :func:`_compile_ball` checks.  Returns ``(counts, spans)``:
+    ``counts[d]`` for d >= len(path) - 1 (lower depths are 0), ``spans[d]``
+    the bridge span table at each depth, or None for the other kinds.
     """
     counts = [0] * (n_max + 1)
     used = set(path)
@@ -318,18 +301,17 @@ def _count_from(neighbors, height, path, n_max, mode):
         last = n_max - 2
 
         def walks(v, depth):
-            nb = neighbors(v)
             if depth == last:
                 ends = free = 0
-                for u in nb:
+                for u in adj[v]:
                     if u not in used:
                         free += 1
-                        nu = neighbors(u)
+                        nu = adj[u]
                         ends += len(nu) - len(used.intersection(nu))
                 counts[n_max - 1] += free
                 counts[n_max] += ends
                 return
-            for u in nb:
+            for u in adj[v]:
                 if u not in used:
                     counts[depth + 1] += 1
                     used.add(u)
@@ -338,23 +320,23 @@ def _count_from(neighbors, height, path, n_max, mode):
 
         counts[base] = 1
         if base == n_max - 1:
-            nb = neighbors(path[-1])
+            nb = adj[path[-1]]
             counts[n_max] = len(nb) - len(used.intersection(nb))
         elif base < n_max:
             walks(path[-1], base)
         return counts, None
 
     spans = [{} for _ in range(n_max + 1)]
-    h0 = height(path[0])
+    h0 = heights[path[0]]
     last = n_max - 1
     top = spans[n_max]
 
     def bridges(v, depth, hi):
         depth += 1
         table = spans[depth]
-        for u in neighbors(v):
+        for u in adj[v]:
             if u not in used:
-                hu = height(u)
+                hu = heights[u]
                 if hu >= hi:
                     counts[depth] += 1
                     table[hu - h0] = table.get(hu - h0, 0) + 1
@@ -366,14 +348,14 @@ def _count_from(neighbors, height, path, n_max, mode):
                     bridges(u, depth, hi_u)
                     used.discard(u)
                 elif depth == last:
-                    for w in neighbors(u):
+                    for w in adj[u]:
                         if w not in used:
-                            hw = height(w)
+                            hw = heights[w]
                             if hw >= hi_u:
                                 counts[n_max] += 1
                                 top[hw - h0] = top.get(hw - h0, 0) + 1
 
-    hs = [height(v) for v in path]
+    hs = [heights[v] for v in path]
     hi = max(hs)
     if hs[-1] == hi:
         counts[base] = 1
@@ -383,33 +365,38 @@ def _count_from(neighbors, height, path, n_max, mode):
     return counts, spans
 
 
-def _count_budgeted(family, hf, start, n_max, mode, node_budget):
-    """Counts (and bridge span tables) of levels 0..n_max, counted in order
-    by :func:`_count_from` under a budget of neighbor lookups, each level on
-    the ball of its own radius.  A budget hit, or a ball over
-    ``budget("BALL_VERTICES")``, keeps the completed levels, so the result's
-    length is the high-water mark plus one."""
-    left = node_budget
+def _count_budgeted(family, hf, start, n_max, mode, node_budget, jobs):
+    """Counts (and bridge span tables) of levels 0..n_max from start under a
+    budget of neighbor lookups, as :func:`_count` returns them.
 
-    def charged(v):
-        nonlocal left
-        left -= 1
-        if left < 0:
-            raise _BudgetHit
-        return adj[v]
-
-    counts, spans = [], []
+    A depth-first search of level n looks up the neighbors of each walk it
+    extends, so level n costs one unit per walk of length below n: the sum
+    of the SAW counts below n, or of the half-space counts for half-space
+    walks and bridges, whose search runs on the height-filtered ball.  Those
+    counts are known once level n - 1 is counted, so level n is counted only
+    while the running total of its costs fits the budget.  A level that does
+    not fit, or whose ball is over ``budget("BALL_VERTICES")``, is not
+    started, and the result's length is the high-water mark plus one.
+    Bridges are counted once, at that mark, after the half-space counts
+    that set it.
+    """
+    kind = "halfspace" if mode == "bridge" else mode
+    counts, spent = [], 0
     for n in range(n_max + 1):
+        if n:
+            spent += sum(counts)
+            if spent > node_budget:
+                break
         try:
-            adj, heights, _ = _kind_ball(family, hf, start, n, mode)
-            level, level_spans = _count_from(
-                charged, heights and heights.__getitem__, [0], n, mode)
-        except (_BudgetHit, ResourceBudgetError):
+            table = _count(family, hf, start, n, mode if n == n_max else kind, jobs)
+        except ResourceBudgetError:
             break
-        counts.append(level[n])
-        if level_spans is not None:
-            spans.append(level_spans[n])
-    return counts, spans
+        counts = table[0]
+    else:  # every level fit, and the last was counted as mode itself
+        return table
+    if mode == "bridge" and counts:
+        return _count(family, hf, start, len(counts) - 1, mode, jobs)
+    return counts, []
 
 
 # The estimated walk count below which _count stays in process at any
@@ -427,12 +414,12 @@ def _init_worker(adj, heights, mode, n_max):
     """Pool initializer: set up the kernel's inputs once per worker, from the
     compiled ball."""
     global _worker_inputs
-    _worker_inputs = (adj.__getitem__, heights and heights.__getitem__, n_max, mode)
+    _worker_inputs = (adj, heights, n_max, mode)
 
 
 def _worker_counts(prefix):
-    neighbors, height, n_max, mode = _worker_inputs
-    return _count_from(neighbors, height, list(prefix), n_max, mode)
+    adj, heights, n_max, mode = _worker_inputs
+    return _count_from(adj, heights, list(prefix), n_max, mode)
 
 
 def _prefix_orbits(prefixes, perms):
@@ -460,7 +447,8 @@ def _prefix_orbits(prefixes, perms):
 
 def _count(family, hf, start, n_max, mode, jobs):
     """Counts (and bridge span tables) of the walks from start; see
-    :func:`_count_from`.
+    :func:`_count_from`.  SAWs are counted on :func:`_compile_ball`'s ball,
+    half-space walks and bridges on :func:`_height_ball`'s.
 
     The walks longer than a fixed depth are split by their prefix of that
     depth.  A symmetry of the ball that fixes the start (and every height,
@@ -477,18 +465,21 @@ def _count(family, hf, start, n_max, mode, jobs):
     """
     if family.cone_types is not None:
         return _count_cones(family, hf, start, n_max, mode)
-    adj, heights, perms = _kind_ball(family, hf, start, n_max, mode)
-    neighbors, height = adj.__getitem__, heights and heights.__getitem__
+    if mode == "saw":
+        _, adj, perms = _compile_ball(family, start, n_max)
+        heights = None
+    else:
+        adj, heights, perms = _height_ball(family, hf, start, n_max)
     split = 3
     if n_max <= split:
-        return _count_from(neighbors, height, [0], n_max, mode)
-    counts, spans = _count_from(neighbors, height, [0], split, mode)
+        return _count_from(adj, heights, [0], n_max, mode)
+    counts, spans = _count_from(adj, heights, [0], split, mode)
     counts += [0] * (n_max - split)
     if spans is not None:
         spans += [{} for _ in range(n_max - split)]
     prefixes = [(0,)]
     for _ in range(split):
-        prefixes = [p + (u,) for p in prefixes for u in neighbors(p[-1]) if u not in p]
+        prefixes = [p + (u,) for p in prefixes for u in adj[p[-1]] if u not in p]
     reps, weights = _prefix_orbits(prefixes, perms)
 
     def add(parts):
@@ -502,7 +493,7 @@ def _count(family, hf, start, n_max, mode, jobs):
     k = n_max - split
     if (jobs <= 1 or not reps
             or len(reps) * counts[split] ** k < POOL_MIN_WALKS * counts[split - 1] ** k):
-        add(_count_from(neighbors, height, list(p), n_max, mode) for p in reps)
+        add(_count_from(adj, heights, list(p), n_max, mode) for p in reps)
         return counts, spans
     # imported here: concurrent.futures loads logging, which a call that
     # opens no pool need not pay for
@@ -518,10 +509,11 @@ def count_saws(family: GraphFamily, start: Label, n_max: int, jobs: int = 1,
                node_budget: int | None = None) -> list[int]:
     """Exact per-length SAW counts from a start vertex.
 
-    With a node budget the levels are counted in order, each lookup of a
-    vertex's neighbors costing one unit, and a budget hit returns the
-    completed prefix of the table (its length marks the high water) instead
-    of an error.
+    With a node budget the levels are counted in order, level n costing one
+    unit per walk of length below n (the neighbor lookups a depth-first
+    search of it makes), and a level that would not fit is not started: the
+    completed prefix of the table is returned (its length marks the high
+    water) instead of an error.  See :func:`_count_budgeted`.
 
     The walks are counted on the radius-n_max ball compiled to int ids; a
     ball of more than ``budget("BALL_VERTICES")`` vertices raises
@@ -538,7 +530,7 @@ def count_saws(family: GraphFamily, start: Label, n_max: int, jobs: int = 1,
     if n_max < 0:
         raise UsageError("n_max must be >= 0")
     if node_budget is not None:
-        return _count_budgeted(family, None, start, n_max, "saw", node_budget)[0]
+        return _count_budgeted(family, None, start, n_max, "saw", node_budget, jobs)[0]
     return _count(family, None, start, n_max, "saw", jobs)[0]
 
 
@@ -549,7 +541,7 @@ def count_halfspace(family: GraphFamily, hf: HeightFunction, start: Label,
     if n_max < 0:
         raise UsageError("n_max must be >= 0")
     if node_budget is not None:
-        return _count_budgeted(family, hf, start, n_max, "halfspace", node_budget)[0]
+        return _count_budgeted(family, hf, start, n_max, "halfspace", node_budget, jobs)[0]
     return _count(family, hf, start, n_max, "halfspace", jobs)[0]
 
 
@@ -560,7 +552,7 @@ def count_bridges(family: GraphFamily, hf: HeightFunction, start: Label,
     if n_max < 0:
         raise UsageError("n_max must be >= 0")
     if node_budget is not None:
-        return _count_budgeted(family, hf, start, n_max, "bridge", node_budget)
+        return _count_budgeted(family, hf, start, n_max, "bridge", node_budget, jobs)
     return _count(family, hf, start, n_max, "bridge", jobs)
 
 

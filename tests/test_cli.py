@@ -72,6 +72,11 @@ def test_usage_errors_exit_2(tmp_path):
     ["count", "--family", "tree:\u0663", "--n", "3"],
     # a cylinder label of the wrong shape
     ["decompose", "--family", "zcyl:2:0,6", "--walk", "0;1"],
+    # vector entries are ASCII decimals too, although int() reads these
+    ["quotient", "--family", "z2", "--shifts", "\u0663,0;0,3"],
+    ["quotient", "--family", "z2", "--shifts", "1_0,0;0,3"],
+    ["quotient", "--family", "z2", "--shifts", "+3,0;0,3"],
+    ["decompose", "--family", "z2", "--walk", "0,0;\u0661,0"],
 ])
 def test_bad_family_spec_exits_2(argv):
     assert main(argv) == 2
@@ -128,6 +133,12 @@ def _corrupt_rep_coordinate(doc):
     doc["reps"][0][1] = "0"
 
 
+def _corrupt_underscored_count(doc):
+    # int() reads "1_2" as 12, the right value
+    assert doc["sigma"][2] == doc["sigma_by_rep"][0][2] == "12"
+    doc["sigma"][2] = doc["sigma_by_rep"][0][2] = "1_2"
+
+
 def _corrupt_top_level_sigma(doc):
     doc["sigma"][3] = str(int(doc["sigma"][3]) + 1)
 
@@ -140,6 +151,7 @@ def _corrupt_top_level_sigma(doc):
     (_corrupt_height_type, 2),
     (_corrupt_rep_entry, 2),
     (_corrupt_rep_coordinate, 2),
+    (_corrupt_underscored_count, 2),
     (_corrupt_top_level_sigma, 4),
 ])
 @pytest.mark.parametrize("command", ["verify", "bounds"])
@@ -167,7 +179,9 @@ def test_count_budget_writes_partial_table(tmp_path, monkeypatch):
 
 
 def test_count_budget_on_a_tree_writes_partial_table(tmp_path):
-    # the budgeted count compiles each level's ball, not the radius-40 one
+    # a tree is counted from its cone types under a budget too; level n is
+    # charged sigma_0 + ... + sigma_{n-1}, and the charges 1, 4, 10, 22, 46,
+    # 94 of levels 1..6 sum to 177 while level 7's 190 would pass 300
     out = tmp_path / "part.json"
     code, _, err = run_cli_env(["count", "--family", "tree:3", "--n", "40", "--out", str(out)],
                                {"SAWLAB_BUDGET_COUNT_NODES": "300"})
@@ -191,6 +205,11 @@ def test_resource_error_exit_3(tmp_path, monkeypatch):
     code, _, err = run_cli_env(["quotient", "--family", "z2", "--shifts", "9,0;0,9"],
                                {"SAWLAB_BUDGET_QUOTIENT_ORBITS": "4"})
     assert code == 3
+
+
+def test_spaces_around_vector_entries_are_read():
+    assert run_cli(["quotient", "--family", "z2", "--shifts", " 3, 0;0 ,3 "]) == \
+        run_cli(["quotient", "--family", "z2", "--shifts", "3,0;0,3"])
 
 
 @pytest.mark.parametrize("command", ["quotient", "synth-height"])

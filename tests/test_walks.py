@@ -267,26 +267,43 @@ def test_parallel_counts_match_serial():
             assert b1 == b4 and s1 == s4
 
 
-def test_forced_pool_counts_match_serial(monkeypatch):
-    # the pool opens at every size once its break-even is 0
+def _force_pools(monkeypatch):
+    """Make the pool open at every size, its break-even patched to 0; the
+    returned list gains an entry for each pool opened."""
     import concurrent.futures
 
-    opened = 0
+    opened = []
 
     class Counted(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, *args, **kwargs):
-            nonlocal opened
-            opened += 1
+            opened.append(self)
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(walks, "POOL_MIN_WALKS", 0)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counted)
+    return opened
+
+
+def test_forced_pool_counts_match_serial(monkeypatch):
+    opened = _force_pools(monkeypatch)
     for spec in ("z2", "z3", "hex"):  # hex's height has two representatives
         fam = parse_family(spec)
         hf = default_height(fam)
         serial = build_count_table(fam, hf, 6, jobs=1)
         assert build_count_table(fam, hf, 6, jobs=2) == serial
-    assert opened == 3 * (1 + 1 + 2)
+    assert len(opened) == 3 * (1 + 1 + 2)
+
+
+def test_forced_pool_budgeted_counts_match_serial(monkeypatch):
+    # budgeted counts run through the same pool as unbudgeted ones
+    opened = _force_pools(monkeypatch)
+    for spec, high_water in (("z2", 6), ("hex", 8)):
+        fam = parse_family(spec)
+        hf = default_height(fam)
+        serial = build_count_table(fam, hf, 9, jobs=1, node_budget=1000)
+        assert serial.n_max == high_water
+        assert build_count_table(fam, hf, 9, jobs=2, node_budget=1000) == serial
+    assert opened
 
 
 def test_small_counts_open_no_pool(monkeypatch):
@@ -375,6 +392,46 @@ def test_kernel_matches_oracle_on_random_simple_graphs(graph):
             assert count_bridges(fam, hf, start, n) == (want_b[:n + 1], want_spans[:n + 1])
 
 
+def _dfs_high_water(fam, hf, start, n_max, kind, node_budget):
+    """The high-water mark of a budget that a plain depth-first search of
+    each level in turn charges one unit per call of ``fam.neighbors``: the
+    last level whose calls, summed with those of the levels before it, fit.
+    Half-space walks and bridges are both grown through half-space walks."""
+    h0 = hf.evaluate(start)
+
+    def calls(path, n):
+        if len(path) - 1 == n:
+            return 0
+        return 1 + sum(calls(path + [u], n) for u in fam.neighbors(path[-1])
+                       if u not in path and (kind == "saw" or hf.evaluate(u) > h0))
+
+    spent = 0
+    for n in range(n_max + 1):
+        spent += calls([start], n)
+        if spent > node_budget:
+            return n - 1
+    return n_max
+
+
+@settings(max_examples=40, deadline=None)
+@given(_simple_graphs(),
+       # budgets spread over orders of magnitude, one per walk kind
+       st.lists(st.integers(0, 12).flatmap(lambda e: st.integers(0, 2 ** e)),
+                min_size=3, max_size=3))
+def test_budget_charge_equals_the_lookups_of_a_plain_search(graph, budgets):
+    adjacency, heights, other = graph
+    fam, hf = _hand_built(adjacency, heights)
+    for start in (0, other):
+        for kind, node_budget in zip(("saw", "halfspace", "bridge"), budgets):
+            if kind == "saw":
+                got = count_saws(fam, start, 7, node_budget=node_budget)
+            elif kind == "halfspace":
+                got = count_halfspace(fam, hf, start, 7, node_budget=node_budget)
+            else:
+                got = count_bridges(fam, hf, start, 7, node_budget=node_budget)[0]
+            assert len(got) - 1 == _dfs_high_water(fam, hf, start, 7, kind, node_budget)
+
+
 @pytest.mark.parametrize("adjacency", [
     {0: (1,), 1: (0, 0, 2), 2: (1,)},  # 1 lists 0 twice
     {0: (0, 1), 1: (0,)},  # 0 lists itself
@@ -408,6 +465,18 @@ def test_ball_over_budget_is_a_resource_error(monkeypatch):
     # whose ball fits: radius 6 has 85 vertices, radius 7 has 113
     walks._compile_ball.cache_clear()
     assert count_saws(z2, z2.origin, 8, node_budget=10**9) == count_saws(Z2, (0, 0), 6)
+
+
+def test_budgeted_tree_counts_need_no_ball(monkeypatch):
+    # a tree is counted from its cone types, with or without a node budget,
+    # so the ball cap does not stop it (the radius-5 ball has 94 vertices,
+    # the radius-6 one 190)
+    t3 = parse_family("tree:3")
+    hf = default_height(t3)
+    full = build_count_table(t3, hf, 12)
+    monkeypatch.setenv("SAWLAB_BUDGET_BALL_VERTICES", "100")
+    walks._compile_ball.cache_clear()
+    assert build_count_table(t3, hf, 12, node_budget=10**9) == full
 
 
 @pytest.mark.parametrize("spec", ["z1", "z2", "z3", "z4", "heis", "hex", "zcyl:2:0,6",
