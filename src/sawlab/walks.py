@@ -168,10 +168,11 @@ def _verify_cones(family, hf, start, n_max) -> None:
                 f"cone-type increments are measured in")
 
 
-def _count_cones(family, hf, start, n_max, mode):
+def _count_cones(family, start, n_max, mode):
     """Counts (and bridge span tables) of the walks from start, as
-    :func:`_count_from` returns them, by an exact DP over the family's
-    verified cone types.
+    :func:`_count_from` returns them, by an exact DP over the family's cone
+    types, which the caller has verified (:func:`_verify_cones`) on a ball
+    of radius n_max or more.
 
     A walk's state is the type of its last step, its height above the start
     and the running maximum of its heights; the walks sharing a state
@@ -179,7 +180,6 @@ def _count_cones(family, hf, start, n_max, mode):
     above the start, and a walk is a bridge when its height is the running
     maximum, its span that height.
     """
-    _verify_cones(family, hf, start, n_max)
     cones = family.cone_types
     counts = [1] + [0] * n_max
     spans = [{0: 1}] + [{} for _ in range(n_max)] if mode == "bridge" else None
@@ -216,12 +216,14 @@ def _compile_ball(family, start, n_max):
     vertex i's label and ``adj[i]`` the ids of its neighbors in the oracle's
     order, as :func:`families.ball_ids` builds them under the cap
     ``budget("BALL_VERTICES")``.  Only vertices closer than n_max get an
-    ``adj`` entry: no walk of length n_max steps out of the sphere.  A vertex
-    that lists itself or lists a neighbor twice raises
-    InvariantViolationError, since the kernel counts a walk's last steps
-    from set sizes.  When start is the origin, ``perms`` holds each of the
-    family's declared symmetries as a permutation of the ids, verified on
-    the ball; otherwise it is empty.
+    ``adj`` entry: no walk of length n_max steps out of the sphere.  The
+    kernel counts a walk's last steps from how many of a vertex's neighbors
+    the walk holds, so it needs a simple, symmetric adjacency: a vertex that
+    lists itself or lists a neighbor twice, or that lists a vertex with an
+    ``adj`` entry which does not list it back, raises
+    InvariantViolationError.  When start is the origin, ``perms`` holds each
+    of the family's declared symmetries as a permutation of the ids,
+    verified on the ball; otherwise it is empty.
 
     The result does not depend on the walk kind, so the one-entry cache
     serves the SAW, half-space and bridge counts from one start in turn.
@@ -237,6 +239,12 @@ def _compile_ball(family, start, n_max):
         raise InvariantViolationError(
             f"{family.spec}: {v!r} lists itself or lists a neighbor twice; "
             f"the counters need a simple graph")
+    for i, nb in enumerate(adj):
+        for j in nb:
+            if j < inner and i not in adj[j]:
+                raise InvariantViolationError(
+                    f"{family.spec}: {labels[i]!r} lists {labels[j]!r}, which does not "
+                    f"list it back; the counters need symmetric adjacency")
     perms = []
     symmetries = family.symmetries if start == family.origin else ()
     sorted_adj = list(map(sorted, adj)) if symmetries else None
@@ -282,14 +290,22 @@ def _count_from(adj, heights, path, n_max, mode):
 
     ``adj[v]`` lists the ids a walk may step to from v (for half-space walks
     and bridges only those above the start), and ``heights`` is read for
-    bridges only, whose emission test is the running maximum.  The last two
-    steps are counted in place, without recursing into them: a SAW or
-    half-space walk of length n_max - 2 that ends at v gains one walk of
-    length n_max - 1 for each free neighbor u of v and
-    ``len(adj[u]) - len(used & adj[u])`` walks of length n_max through u, and
-    a bridge tests u's free neighbors against the running maximum through u.
-    That count is exact only when no vertex lists itself or a neighbor twice,
-    which :func:`_compile_ball` checks.  Returns ``(counts, spans)``:
+    bridges only, whose emission test is the running maximum.
+
+    SAWs and half-space walks count their last three steps in place.  The
+    search keeps ``near[w]``, the number of walk vertices whose row lists w,
+    up to date as it extends and retracts the walk.  A walk of length
+    n_max - 3 ending at v gains one walk of length n_max - 2 for each free
+    neighbor u of v and, for each free neighbor w of u, one walk of length
+    n_max - 1 and ``len(adj[w]) - near[w] - 1`` walks of length n_max, the 1
+    being u, which is on the walk but not yet in ``near``.  A path of length
+    n_max - 2 or n_max - 1 is counted from set sizes instead:
+    ``len(adj[u]) - len(used & adj[u])`` walks of length n_max through each
+    free u.  ``near[w]`` equals the walk vertices w lists only when the rows
+    are simple and symmetric, which :func:`_compile_ball` checks; the
+    half-space start is in no height-filtered row, so its own row is left
+    out.  A bridge tests the free neighbors of its last free step u against
+    the running maximum through u.  Returns ``(counts, spans)``:
     ``counts[d]`` for d >= len(path) - 1 (lower depths are 0), ``spans[d]``
     the bridge span table at each depth, or None for the other kinds.
     """
@@ -298,32 +314,52 @@ def _count_from(adj, heights, path, n_max, mode):
     base = len(path) - 1
 
     if mode != "bridge":
-        last = n_max - 2
+        last = n_max - 3
 
         def walks(v, depth):
             if depth == last:
-                ends = free = 0
+                free = mid = ends = 0
                 for u in adj[v]:
                     if u not in used:
                         free += 1
-                        nu = adj[u]
-                        ends += len(nu) - len(used.intersection(nu))
-                counts[n_max - 1] += free
-                counts[n_max] += ends
+                        for w in adj[u]:
+                            if w not in used:
+                                mid += 1
+                                ends += len(adj[w]) - near[w]
+                counts[n_max - 2] += free
+                counts[n_max - 1] += mid
+                # near[w] misses u, the walk's last vertex: one more each
+                counts[n_max] += ends - mid
                 return
+            depth += 1
             for u in adj[v]:
                 if u not in used:
-                    counts[depth + 1] += 1
+                    counts[depth] += 1
                     used.add(u)
-                    walks(u, depth + 1)
+                    nb = adj[u]
+                    for w in nb:
+                        near[w] += 1
+                    walks(u, depth)
+                    for w in nb:
+                        near[w] -= 1
                     used.discard(u)
 
         counts[base] = 1
-        if base == n_max - 1:
-            nb = adj[path[-1]]
-            counts[n_max] = len(nb) - len(used.intersection(nb))
-        elif base < n_max:
-            walks(path[-1], base)
+        v = path[-1]
+        if base <= last:
+            near = [0] * len(adj)
+            # the half-space start is in no row: its height is not above its own
+            for x in path[mode != "saw":]:
+                for w in adj[x]:
+                    near[w] += 1
+            walks(v, base)
+        elif base == n_max - 2:
+            for u in adj[v]:
+                if u not in used:
+                    counts[n_max - 1] += 1
+                    counts[n_max] += len(adj[u]) - len(used.intersection(adj[u]))
+        elif base == n_max - 1:
+            counts[n_max] = len(adj[v]) - len(used.intersection(adj[v]))
         return counts, None
 
     spans = [{} for _ in range(n_max + 1)]
@@ -365,22 +401,27 @@ def _count_from(adj, heights, path, n_max, mode):
     return counts, spans
 
 
-def _count_budgeted(family, hf, start, n_max, mode, node_budget, jobs):
-    """Counts (and bridge span tables) of levels 0..n_max from start under a
-    budget of neighbor lookups, as :func:`_count` returns them.
+@functools.lru_cache(maxsize=1)
+def _budget_levels(family, hf, start, n_max, kind, node_budget, jobs, ball_cap):
+    """The counts of kind (``"saw"`` or ``"halfspace"``) from start, levels
+    0..m, for the high-water mark m of ``node_budget``.
 
     A depth-first search of level n looks up the neighbors of each walk it
     extends, so level n costs one unit per walk of length below n: the sum
-    of the SAW counts below n, or of the half-space counts for half-space
-    walks and bridges, whose search runs on the height-filtered ball.  Those
-    counts are known once level n - 1 is counted, so level n is counted only
-    while the running total of its costs fits the budget.  A level that does
-    not fit, or whose ball is over ``budget("BALL_VERTICES")``, is not
-    started, and the result's length is the high-water mark plus one.
-    Bridges are counted once, at that mark, after the half-space counts
-    that set it.
+    of the counts below n.  Those counts are known once level n - 1 is
+    counted, so level n is counted only while the running total of its
+    costs fits the budget.  A level that does not fit, or whose ball is over
+    ``ball_cap`` (the ``budget("BALL_VERTICES")`` it was read under), is not
+    started.  A family with cone types is verified once, on the radius-n_max
+    ball, which covers every level.
+
+    The one-entry cache serves the half-space levels of
+    :func:`count_halfspace` to :func:`count_bridges` from the same start,
+    whose high-water mark they set.
     """
-    kind = "halfspace" if mode == "bridge" else mode
+    cones = family.cone_types is not None
+    if cones:
+        _verify_cones(family, hf, start, n_max)
     counts, spent = [], 0
     for n in range(n_max + 1):
         if n:
@@ -388,22 +429,34 @@ def _count_budgeted(family, hf, start, n_max, mode, node_budget, jobs):
             if spent > node_budget:
                 break
         try:
-            table = _count(family, hf, start, n, mode if n == n_max else kind, jobs)
+            counts = (_count_cones(family, start, n, kind) if cones
+                      else _count(family, hf, start, n, kind, jobs))[0]
         except ResourceBudgetError:
             break
-        counts = table[0]
-    else:  # every level fit, and the last was counted as mode itself
-        return table
-    if mode == "bridge" and counts:
-        return _count(family, hf, start, len(counts) - 1, mode, jobs)
-    return counts, []
+    return tuple(counts)
+
+
+def _count_budgeted(family, hf, start, n_max, mode, node_budget, jobs):
+    """Counts (and bridge span tables) of levels 0..m from start, as
+    :func:`_count` returns them, for the high-water mark m of ``node_budget``
+    that :func:`_budget_levels` finds.  Bridges are grown through half-space
+    walks, so the half-space levels set their mark, and they are counted
+    once, at it."""
+    counts = _budget_levels(family, hf, start, n_max, "saw" if mode == "saw" else "halfspace",
+                            node_budget, jobs, budget("BALL_VERTICES"))
+    if mode != "bridge" or not counts:
+        return list(counts), []
+    if family.cone_types is not None:
+        return _count_cones(family, start, len(counts) - 1, mode)
+    return _count(family, hf, start, len(counts) - 1, mode, jobs)
 
 
 # The estimated walk count below which _count stays in process at any
 # ``jobs``.  Two workers at best halve the kernel's time t, so a pool pays
-# once t / 2 exceeds its start-up and teardown cost O: with O ~ 20 ms and
-# the kernel at R ~ 5e6 estimated SAWs/s, past 2 * O * R walks (measured on
-# a 2-core VM; CHANGES.md has the numbers).
+# once t / 2 exceeds its start-up and teardown cost O ~ 20 ms: past 2 * O * R
+# walks, for the kernel's rate R.  Measured on a 2-core VM, R is 1e7 to 2e7
+# estimated walks/s for SAWs but 5e4 to 9e6 for half-space walks and
+# bridges, which this one value serves (CHANGES.md has the numbers).
 POOL_MIN_WALKS = 200_000
 
 # set in each pool worker by _init_worker; unused in the parent process
@@ -464,7 +517,8 @@ def _count(family, hf, start, n_max, mode, jobs):
     is counted by :func:`_count_cones` instead, at every ``jobs``.
     """
     if family.cone_types is not None:
-        return _count_cones(family, hf, start, n_max, mode)
+        _verify_cones(family, hf, start, n_max)
+        return _count_cones(family, start, n_max, mode)
     if mode == "saw":
         _, adj, perms = _compile_ball(family, start, n_max)
         heights = None
@@ -517,12 +571,12 @@ def count_saws(family: GraphFamily, start: Label, n_max: int, jobs: int = 1,
 
     The walks are counted on the radius-n_max ball compiled to int ids; a
     ball of more than ``budget("BALL_VERTICES")`` vertices raises
-    ResourceBudgetError, and a vertex in it that lists itself or lists a
-    neighbor twice raises InvariantViolationError.  ``jobs`` is an upper
-    bound on the worker processes: the walks are split by prefix across a
-    pool, each worker receiving the compiled ball once, only when the
-    estimated work is past the pool's break-even (see :func:`_count`);
-    otherwise they are counted in process.  A family that declares cone
+    ResourceBudgetError, and a vertex in it that lists itself, lists a
+    neighbor twice or is not listed back raises InvariantViolationError.
+    ``jobs`` is an upper bound on the worker processes: the walks are split
+    by prefix across a pool, each worker receiving the compiled ball once,
+    only when the estimated work is past the pool's break-even (see
+    :func:`_count`); otherwise they are counted in process.  A family that declares cone
     types (the trees) is counted by an exact DP over them instead, in process
     at every ``jobs``.  The same holds for :func:`count_halfspace` and
     :func:`count_bridges`.

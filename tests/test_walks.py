@@ -253,6 +253,55 @@ def test_budget_high_water_marks_are_pinned(spec, n, budgets, high_water):
                 ) == marks
 
 
+def test_budgeted_bridges_reuse_the_half_space_levels(monkeypatch):
+    # a budgeted table counts each half-space level once per representative:
+    # count_bridges takes its high-water mark from count_halfspace's levels
+    calls = []
+    count = walks._count
+
+    def recorded(family, hf, start, n_max, mode, jobs):
+        calls.append((start, n_max, mode))
+        return count(family, hf, start, n_max, mode, jobs)
+
+    monkeypatch.setattr(walks, "_count", recorded)
+    for spec, node_budget in (("z2", 5272), ("z2", 10**9), ("hex", 1000)):
+        fam = parse_family(spec)
+        hf = default_height(fam)
+        walks._budget_levels.cache_clear()
+        calls.clear()
+        table = build_count_table(fam, hf, 9, node_budget=node_budget)
+        halfspace = [c for c in calls if c[2] == "halfspace"]
+        assert len(halfspace) == len(set(halfspace))
+        for rep in hf.h_orbits:
+            assert {(rep, n, "halfspace") for n in range(table.n_max + 1)} <= set(halfspace)
+        walks._budget_levels.cache_clear()
+        assert table == build_count_table(fam, hf, 9, node_budget=node_budget, jobs=2)
+
+
+def test_budgeted_tree_counts_check_each_cone_ball_once():
+    # every level of a budgeted tree count is covered by one check of the
+    # cone ball at the largest radius, so the table asks the oracle for that
+    # ball alone, as an unbudgeted one does
+    t3 = parse_family("tree:3")
+    calls = 0
+
+    def counted(v):
+        nonlocal calls
+        calls += 1
+        return t3.neighbors(v)
+
+    fam = dataclasses.replace(t3, neighbors=counted)
+    hf = default_height(fam)
+    walks._cone_ball.cache_clear()
+    table = build_count_table(fam, hf, 30, node_budget=10**9)
+    table_calls, calls = calls, 0
+    walks._cone_ball.cache_clear()
+    walks._cone_ball(fam, fam.origin, 30)
+    assert table_calls == calls
+    assert table.n_max == 28
+    assert table == build_count_table(fam, hf, 28)
+
+
 def test_parallel_counts_match_serial():
     # without its cone types tree:3 runs on the counting kernel
     t3 = dataclasses.replace(regular_tree(3), cone_types=None)
@@ -445,6 +494,53 @@ def test_a_vertex_listing_itself_or_a_neighbor_twice_is_rejected(adjacency):
                   lambda: count_saws(fam, 0, 2, node_budget=100)):
         with pytest.raises(InvariantViolationError, match="lists a neighbor twice"):
             count()
+
+
+def test_a_vertex_not_listed_back_is_rejected():
+    # the kernel counts a vertex's walk neighbors as the walk vertices that
+    # list it, so a one-way row would miscount: 0 lists 2, 2 does not list 0
+    fam, hf = _hand_built({0: (1, 2), 1: (0, 2), 2: (1,)}, {0: 0, 1: 1, 2: 2})
+    for count in (lambda: count_saws(fam, 0, 3), lambda: count_halfspace(fam, hf, 0, 3),
+                  lambda: count_bridges(fam, hf, 0, 3),
+                  lambda: count_saws(fam, 0, 3, node_budget=100)):
+        with pytest.raises(InvariantViolationError, match="does not list it back"):
+            count()
+
+
+# the half-space start 0 has three higher neighbors: 1 and 2 begin the
+# prefixes below, and 3 is reached through 6 at the walk's last steps
+_PREFIX_GRAPH = ({0: (1, 2, 3), 1: (0, 2, 4), 2: (0, 1, 5, 6), 3: (0, 6), 4: (1, 5, 7),
+                  5: (2, 4, 7), 6: (2, 3, 7), 7: (4, 5, 6)},
+                 {0: 0, 1: 1, 2: 1, 3: 2, 4: 2, 5: 1, 6: 3, 7: 2})
+
+
+@pytest.mark.parametrize("spec, n", [("z2", 6), ("hex", 7), ("hand", 5)])
+@pytest.mark.parametrize("mode", ["saw", "halfspace"])
+def test_count_from_counts_the_extensions_of_each_prefix(spec, n, mode):
+    # the pool workers count each prefix on its own: whatever the prefix's
+    # length, _count_from(path) counts exactly the walks that extend it
+    if spec == "hand":
+        fam, hf = _hand_built(*_PREFIX_GRAPH)
+    else:
+        fam = parse_family(spec)
+        hf = default_height(fam)
+    start = fam.origin
+    labels, adj, _ = walks._compile_ball(fam, start, n)
+    heights = None
+    if mode == "halfspace":
+        adj, heights, _ = walks._height_ball(fam, hf, start, n)
+    ids = {v: i for i, v in enumerate(labels)}
+    by_length = [[w.vertices for w in enumerate_walks(fam, hf, start, d, mode)]
+                 for d in range(n + 1)]
+    checked = 0
+    for base in range(n - 3, n + 1):
+        for prefix in by_length[base]:
+            want = [0] * base + [sum(w[:base + 1] == prefix for w in by_length[d])
+                                 for d in range(base, n + 1)]
+            path = [ids[v] for v in prefix]
+            assert walks._count_from(adj, heights, path, n, mode) == (want, None)
+            checked += 1
+    assert checked > 4
 
 
 def test_z4_radius_9_ball_compiles():
