@@ -10,8 +10,6 @@ from .bounds import (
     bracket,
     check_fekete,
     distinct_partitions,
-    eta,
-    eval_f,
     locality_report,
     similarity_K,
 )
@@ -46,7 +44,6 @@ from .quotient import (
     build_quotient,
     check_symmetric,
     cylinder,
-    cylinder_height,
 )
 from .synthesis import (
     DirectedCycleBasis,

@@ -7,9 +7,8 @@ floating point (verified against the exact integer), so the printed bracket
 is certified despite floating error.
 
 Also here: the rooted-ball isomorphism test, the similarity function K
-(largest radius with isomorphic rooted balls), the finite-table surrogate
-for the growth-excess eta, the cubic-exponential comparison function f, and
-distinct-part partition counts.
+(largest radius with isomorphic rooted balls), and distinct-part partition
+counts.
 """
 
 from __future__ import annotations
@@ -205,26 +204,7 @@ def similarity_K(fam_a: GraphFamily, fam_b: GraphFamily, cap: int) -> Similarity
 
 
 # ---------------------------------------------------------------------------
-# eta surrogate, the comparison function f, partitions
-
-def eta(table: CountTable, k: int) -> float:
-    """Finite-table surrogate for the growth excess: the largest upper root
-    over n in [k, n_max] minus the certified lower bound from the same
-    table.  Dominates the true excess restricted to the table's range."""
-    if k < 1 or k > table.n_max:
-        raise UsageError("need 1 <= k <= n_max")
-    rep = bracket(table)
-    upper = max(nth_root_upper(table.sigma[n], n) for n in range(k, table.n_max + 1))
-    return upper - rep.certified_lower
-
-
-def eval_f(B: float, x: float) -> float:
-    """f(x) = [B x^3 exp(B sqrt x)]^(1/x); tends to 1 as x grows."""
-    if B <= 0 or x <= 0:
-        raise UsageError("f needs positive arguments")
-    log_f = (math.log(B) + 3.0 * math.log(x) + B * math.sqrt(x)) / x
-    return math.exp(log_f)
-
+# partitions
 
 def distinct_partitions(n: int) -> tuple[int, int]:
     """Number of partitions of n into distinct positive parts, and the

@@ -156,10 +156,22 @@ def cmd_count(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+def _table_problems(table) -> list[str]:
+    """The table's structural invariants and Fekete inequalities that fail."""
+    problems = check_table_invariants(table)
+    if not check_fekete(table):
+        problems.append("a Fekete inequality fails")
+    return problems
+
+
 def cmd_bounds(cfg: RunConfig) -> int:
     if not cfg.table:
         raise UsageError("bounds needs --table")
     table = read_table(cfg.table)
+    # a bracket is certified only for a table that verify accepts
+    problems = _table_problems(table)
+    if problems:
+        raise InvariantViolationError(f"table {cfg.table}: {'; '.join(problems)}")
     rep = bracket(table)
     if cfg.pretty:
         sys.stdout.write(
@@ -173,10 +185,7 @@ def cmd_bounds(cfg: RunConfig) -> int:
 def cmd_verify(cfg: RunConfig) -> int:
     if not cfg.table:
         raise UsageError("verify needs --table")
-    table = read_table(cfg.table)
-    problems = check_table_invariants(table)
-    if not check_fekete(table):
-        problems.append("a Fekete inequality fails")
+    problems = _table_problems(read_table(cfg.table))
     _emit({"kind": "verify-report", "table": cfg.table, "problems": problems}, cfg.out)
     return EXIT_OK if not problems else EXIT_INVARIANT
 

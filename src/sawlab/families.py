@@ -37,24 +37,6 @@ Label = tuple
 
 
 @dataclass(frozen=True)
-class ConeTypes:
-    """Step types of a graph whose walks never close a cycle.
-
-    In such a graph every SAW is a non-backtracking walk, so how a walk may
-    continue depends only on the type of its last step.  A step of type k
-    changes the family's default height (``heights.default_height``) by
-    ``increments[k]``; ``start[k]`` steps of type k leave the start vertex,
-    and ``follow[j][k]`` steps of type k may follow a step of type j.  A
-    step's type is read off its increment, so the increments are distinct.
-    """
-
-    names: tuple[str, ...]
-    increments: tuple[int, ...]
-    start: tuple[int, ...]
-    follow: tuple[tuple[int, ...], ...]
-
-
-@dataclass(frozen=True)
 class GraphFamily:
     """Lazy oracle for one infinite graph.
 
@@ -62,16 +44,17 @@ class GraphFamily:
     reports carry.  ``height`` builds the family's default height (see
     ``heights.default_height``); it is None for a family built by hand.
     ``symmetries`` holds generators, as label maps, of graph automorphisms
-    that fix the origin, and ``cone_types`` the step types of a family whose
-    balls are trees (see :class:`ConeTypes`).  The counters verify both on a
-    ball before they use them and never trust the declaration.
+    that fix the origin, and ``tree`` says the graph is a tree, to be
+    counted by the cone types the counters measure on a ball around each
+    start.  The counters verify both on a ball before they use them and
+    never trust the declaration.
     """
 
     spec: str
     neighbors: Callable[[Label], tuple[Label, ...]] = field(repr=False)
     origin: Label
     symmetries: tuple[Callable[[Label], Label], ...] = field(default=(), repr=False)
-    cone_types: ConeTypes | None = field(default=None, repr=False)
+    tree: bool = field(default=False, repr=False)
     height: Callable[[], object] | None = field(default=None, repr=False, compare=False)
 
 
@@ -84,12 +67,6 @@ class Ball:
     vertices: tuple[Label, ...]
     edges: tuple[tuple[Label, Label], ...]
     dist: dict = field(repr=False)
-
-    def vertex_count(self) -> int:
-        return len(self.vertices)
-
-    def edge_count(self) -> int:
-        return len(self.edges)
 
 
 def _malformed(label, family: str, why: str) -> MalformedLabelError:
@@ -151,9 +128,6 @@ def regular_tree(d: int) -> GraphFamily:
     Labels are ``(j, path)``: follow the ray to its j-th vertex, then descend
     along ``path`` (tuples of child indices).  Each vertex has one neighbor
     one level closer to the ray's end and d-1 neighbors one level further.
-    Its cone types: a step up (toward the ray's end, height -1) may be
-    followed by one more step up or by d-2 steps down, a step down (+1)
-    only by d-1 steps down.
     """
     from .heights import horocyclic_height
     if d < 3:
@@ -189,10 +163,8 @@ def regular_tree(d: int) -> GraphFamily:
         return tuple(out)
 
     origin = (0, ())
-    cone_types = ConeTypes(names=("up", "down"), increments=(-1, 1),
-                           start=(1, d - 1), follow=((1, d - 2), (0, d - 1)))
-    return GraphFamily(spec=spec, neighbors=neighbors, origin=origin,
-                       cone_types=cone_types, height=horocyclic_height)
+    return GraphFamily(spec=spec, neighbors=neighbors, origin=origin, tree=True,
+                       height=horocyclic_height)
 
 
 def hexagonal() -> GraphFamily:

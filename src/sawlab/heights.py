@@ -21,7 +21,7 @@ from functools import cache
 from typing import Callable
 
 from .errors import ResourceBudgetError, UsageError, budget
-from .families import GraphFamily, Label, ball, parse_family
+from .families import GraphFamily, Label, ball
 
 
 @dataclass(frozen=True)
@@ -275,12 +275,3 @@ def verify_r(family: GraphFamily, hf: HeightFunction, r: int) -> bool:
                 return False
     return True
 
-
-def builtin_pairs(specs=None) -> list[tuple[GraphFamily, HeightFunction]]:
-    """(family, height) pairs for the named built-ins."""
-    from .families import BUILTIN_FAMILY_SPECS
-    out = []
-    for spec in (specs or BUILTIN_FAMILY_SPECS):
-        fam = parse_family(spec)
-        out.append((fam, default_height(fam)))
-    return out

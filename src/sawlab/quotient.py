@@ -66,9 +66,6 @@ class QuotientGraph:
     project: Callable[[Label], int] = field(repr=False)
     lattice: LatticeStructure | None = field(default=None, repr=False)
 
-    def out_degree(self, i: int) -> int:
-        return sum(self.multiplicities[i])
-
 
 def hermite_normal_form(rows: list[tuple[int, ...]]) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
     """Row-style HNF of an integer matrix: returns the nonzero rows (upper
@@ -275,8 +272,3 @@ def cylinder(n: int, v: tuple[int, ...]) -> GraphFamily:
                        symmetries=tuple(descend(g) for g in base.symmetries
                                         if g(v) in (v, minus_v)),
                        height=height)
-
-
-def cylinder_height(n: int, v: tuple[int, ...]) -> HeightFunction:
-    """The default height of ``cylinder(n, v)``."""
-    return cylinder(n, v).height()

@@ -73,130 +73,132 @@ def is_reversed_bridge(hf: HeightFunction, w: Walk) -> bool:
 # ---------------------------------------------------------------------------
 # counting
 
-# Largest ball a cone-type declaration is verified on.  Tree balls grow as
-# fast as the walk set, so the check covers the short walks exactly and
-# stays cheap; the counts beyond it rest on the declaration.
+# Largest ball the cone types are measured on.  Tree balls grow as fast as
+# the walk set, so the check covers the short walks exactly and stays cheap;
+# the counts beyond it rest on how the family is built.
 CONE_CHECK_MAX_VERTICES = 4096
+
+
+class _ConeBall(dict):
+    """The labels a cone check reached, each mapped to its default height
+    relative to the start's, with ``rows``, the measured cone types (see
+    :func:`_cone_ball`)."""
 
 
 @functools.lru_cache(maxsize=1)
 def _cone_ball(family, start, n_max):
-    """Verify the family's cone types on a ball around ``start``.
+    """Measure a tree's cone types on a ball around ``start``.
 
-    A breadth-first search expands every vertex closer than n_max to the
-    start, or stops once the ball has more than CONE_CHECK_MAX_VERTICES
-    vertices.  Each expanded vertex must list its parent once and only new
-    vertices besides (so the ball is a tree), and its onward steps must
-    match its type in number and in measured default-height increments; a
-    child's type is the one with its increment.  A mismatch raises
-    InvariantViolationError.  When the whole radius-n_max ball was expanded
-    it holds every walk counted, so the cone-type counts are verified
-    exactly; beyond the ball they rest on the declaration.
+    In a tree every SAW is a non-backtracking walk, so how a walk may
+    continue depends only on the type of its last vertex.  A vertex's type
+    is the default-height (``heights.default_height``) increment of the
+    step into it, None for the start, and its row maps each increment of
+    its onward steps to their number.  A breadth-first search expands every
+    vertex closer than n_max to the start, or stops once the ball has more
+    than CONE_CHECK_MAX_VERTICES vertices.  Each expanded vertex must list
+    its parent once and only new vertices besides (so the ball is a tree),
+    and must have the row of the first expanded vertex of its type; when
+    the search stops at the cap, every type must have a row.  A failure
+    raises InvariantViolationError.  When the whole radius-n_max ball was
+    expanded it holds every walk counted, so the counts are verified
+    exactly; beyond the ball they rest on how the family is built.
 
-    Returns the labels reached, each mapped to its default height relative
-    to the start's.  The result does not depend on the walk kind, so the
-    one-entry cache serves the SAW, half-space and bridge counts from one
-    start in turn.
+    Returns a :class:`_ConeBall`.  It does not depend on the walk kind, so
+    the one-entry cache serves the SAW, half-space and bridge counts from
+    one start in turn.
     """
-    cones = family.cone_types
-    k = len(cones.names)
-    if (len(set(cones.increments)) != k or len(cones.start) != k or len(cones.follow) != k
-            or any(len(row) != k or min(row) < 0 for row in (cones.start, *cones.follow))):
-        raise InvariantViolationError(
-            f"{family.spec}: cone types need one distinct increment per type and "
-            f"a non-negative count of each type after the start and after each type")
     # a miss: drop the previous start's ball before this one is built, so
     # that two balls are never held at once
     _cone_ball.cache_clear()
-    type_of = {inc: t for t, inc in enumerate(cones.increments)}
     ev = default_height(family).evaluate
     h0 = ev(start)
-    heights = {start: 0}
+    ball = _ConeBall({start: 0})
+    ball.rows = rows = {}
     level = [(start, None, None)]
     for radius in range(n_max):
         nxt = []
         for v, parent, t in level:
-            allowed = cones.start if t is None else cones.follow[t]
-            hv = heights[v]
-            onward = [0] * k
+            hv = ball[v]
+            row = {}
             parents = 0
             for u in family.neighbors(v):
                 if u == parent:
                     parents += 1
                     continue
-                if u in heights:
+                if u in ball:
                     raise InvariantViolationError(
-                        f"{family.spec}: declares cone types, but {u!r} closes a cycle "
+                        f"{family.spec} is marked a tree, but {u!r} closes a cycle "
                         f"at distance {radius + 1} from {start!r}")
-                hu = ev(u) - h0
-                tu = type_of.get(hu - hv)
-                if tu is None:
-                    raise InvariantViolationError(
-                        f"{family.spec}: the step {v!r} -> {u!r} changes the height by "
-                        f"{hu - hv}, an increment no declared cone type has")
-                onward[tu] += 1
-                heights[u] = hu
-                nxt.append((u, v, tu))
+                ball[u] = ev(u) - h0
+                inc = ball[u] - hv
+                row[inc] = row.get(inc, 0) + 1
+                nxt.append((u, v, inc))
             if parents != (parent is not None):
                 raise InvariantViolationError(
                     f"{family.spec}: {v!r} lists the vertex it was reached from "
                     f"{parents} times")
-            if tuple(onward) != allowed:
-                name = "start" if t is None else cones.names[t]
+            if rows.setdefault(t, row) != row:
                 raise InvariantViolationError(
-                    f"{family.spec}: {v!r} has onward steps {tuple(onward)} by type "
-                    f"{cones.names} where its cone type {name!r} declares {allowed}")
-            if len(heights) > CONE_CHECK_MAX_VERTICES:
-                return heights
+                    f"{family.spec}: {v!r} has onward steps {row} by height increment, "
+                    f"where the first vertex entered by a step of increment {t} had "
+                    f"{rows[t]}")
+            if len(ball) > CONE_CHECK_MAX_VERTICES:
+                unmeasured = {inc for r in rows.values() for inc in r}.difference(rows)
+                if unmeasured:
+                    raise InvariantViolationError(
+                        f"{family.spec}: the cone check passed {CONE_CHECK_MAX_VERTICES} "
+                        f"vertices before it expanded a vertex entered by a step of each "
+                        f"increment in {sorted(unmeasured)}")
+                return ball
         level = nxt
-    return heights
+    return ball
 
 
 @functools.lru_cache(maxsize=1)
-def _verify_cones(family, hf, start, n_max) -> None:
-    """Verify the family's cone types around start (:func:`_cone_ball`)
-    and, when hf is given, that it is the height their increments are
-    measured in.  The one-entry cache serves the half-space and bridge
-    counts from one start in turn, so hf is checked once per ball, not once
-    per walk kind."""
-    heights = _cone_ball(family, start, n_max)
+def _verify_cones(family, hf, start, n_max):
+    """The cone types measured around start (:func:`_cone_ball`), after
+    checking, when hf is given, that it is the height they are measured in.
+    The one-entry cache serves the half-space and bridge counts from one
+    start in turn, so hf is checked once per ball, not once per walk
+    kind."""
+    ball = _cone_ball(family, start, n_max)
     if hf is not None:
         h0 = hf.evaluate(start)
-        if any(hf.evaluate(v) - h0 != h for v, h in heights.items()):
+        if any(hf.evaluate(v) - h0 != h for v, h in ball.items()):
             raise InvariantViolationError(
                 f"{family.spec}: height {hf.spec!r} differs from the one the family's "
-                f"cone-type increments are measured in")
+                f"cone types are measured in")
+    return ball.rows
 
 
-def _count_cones(family, start, n_max, mode):
-    """Counts (and bridge span tables) of the walks from start, as
-    :func:`_count_from` returns them, by an exact DP over the family's cone
-    types, which the caller has verified (:func:`_verify_cones`) on a ball
-    of radius n_max or more.
+def _count_cones(rows, n_max, mode):
+    """Counts (and bridge span tables) of the walks from a start, as
+    :func:`_count_from` returns them, by an exact DP over the cone types
+    ``rows`` that :func:`_verify_cones` measured on a ball of radius n_max
+    or more around it.
 
-    A walk's state is the type of its last step, its height above the start
-    and the running maximum of its heights; the walks sharing a state
+    A walk's state is the type of its last vertex, its height above the
+    start and the running maximum of its heights; the walks sharing a state
     continue alike.  Half-space walks and bridges keep only the states
     above the start, and a walk is a bridge when its height is the running
     maximum, its span that height.
     """
-    cones = family.cone_types
     counts = [1] + [0] * n_max
     spans = [{0: 1}] + [{} for _ in range(n_max)] if mode == "bridge" else None
     states = {(None, 0, 0): 1}
     for depth in range(1, n_max + 1):
         nxt = {}
         for (t, h, hi), num in states.items():
-            for u, mult in enumerate(cones.start if t is None else cones.follow[t]):
-                hu = h + cones.increments[u]
-                if not mult or (mode != "saw" and hu <= 0):
-                    continue
+            for inc, mult in rows[t].items():
+                hu = h + inc
                 if mode == "saw":
-                    key = (u, 0, 0)
+                    key = (inc, 0, 0)
+                elif hu <= 0:
+                    continue
                 elif mode == "halfspace":
-                    key = (u, hu, 0)
+                    key = (inc, hu, 0)
                 else:
-                    key = (u, hu, max(hi, hu))
+                    key = (inc, hu, max(hi, hu))
                 nxt[key] = nxt.get(key, 0) + num * mult
         states = nxt
         for (t, h, hi), num in states.items():
@@ -412,16 +414,14 @@ def _budget_levels(family, hf, start, n_max, kind, node_budget, jobs, ball_cap):
     counted, so level n is counted only while the running total of its
     costs fits the budget.  A level that does not fit, or whose ball is over
     ``ball_cap`` (the ``budget("BALL_VERTICES")`` it was read under), is not
-    started.  A family with cone types is verified once, on the radius-n_max
+    started.  A tree's cone types are measured once, on the radius-n_max
     ball, which covers every level.
 
     The one-entry cache serves the half-space levels of
     :func:`count_halfspace` to :func:`count_bridges` from the same start,
     whose high-water mark they set.
     """
-    cones = family.cone_types is not None
-    if cones:
-        _verify_cones(family, hf, start, n_max)
+    rows = _verify_cones(family, hf, start, n_max) if family.tree else None
     counts, spent = [], 0
     for n in range(n_max + 1):
         if n:
@@ -429,7 +429,7 @@ def _budget_levels(family, hf, start, n_max, kind, node_budget, jobs, ball_cap):
             if spent > node_budget:
                 break
         try:
-            counts = (_count_cones(family, start, n, kind) if cones
+            counts = (_count_cones(rows, n, kind) if family.tree
                       else _count(family, hf, start, n, kind, jobs))[0]
         except ResourceBudgetError:
             break
@@ -446,8 +446,8 @@ def _count_budgeted(family, hf, start, n_max, mode, node_budget, jobs):
                             node_budget, jobs, budget("BALL_VERTICES"))
     if mode != "bridge" or not counts:
         return list(counts), []
-    if family.cone_types is not None:
-        return _count_cones(family, start, len(counts) - 1, mode)
+    if family.tree:
+        return _count_cones(_verify_cones(family, hf, start, n_max), len(counts) - 1, mode)
     return _count(family, hf, start, len(counts) - 1, mode, jobs)
 
 
@@ -513,12 +513,11 @@ def _count(family, hf, start, n_max, mode, jobs):
     estimate in exact ints of the walks of length n_max through them from
     the counts c up to the split depth s, with k = n_max - s.  Otherwise, and
     at jobs = 1, they are counted in process.  Totals are sums of exact
-    integers, independent of scheduling.  A family that declares cone types
-    is counted by :func:`_count_cones` instead, at every ``jobs``.
+    integers, independent of scheduling.  A tree is counted by
+    :func:`_count_cones` instead, at every ``jobs``.
     """
-    if family.cone_types is not None:
-        _verify_cones(family, hf, start, n_max)
-        return _count_cones(family, start, n_max, mode)
+    if family.tree:
+        return _count_cones(_verify_cones(family, hf, start, n_max), n_max, mode)
     if mode == "saw":
         _, adj, perms = _compile_ball(family, start, n_max)
         heights = None
@@ -576,10 +575,10 @@ def count_saws(family: GraphFamily, start: Label, n_max: int, jobs: int = 1,
     ``jobs`` is an upper bound on the worker processes: the walks are split
     by prefix across a pool, each worker receiving the compiled ball once,
     only when the estimated work is past the pool's break-even (see
-    :func:`_count`); otherwise they are counted in process.  A family that declares cone
-    types (the trees) is counted by an exact DP over them instead, in process
-    at every ``jobs``.  The same holds for :func:`count_halfspace` and
-    :func:`count_bridges`.
+    :func:`_count`); otherwise they are counted in process.  A tree is
+    counted by an exact DP over the cone types measured on its ball instead,
+    in process at every ``jobs``.  The same holds for
+    :func:`count_halfspace` and :func:`count_bridges`.
     """
     if n_max < 0:
         raise UsageError("n_max must be >= 0")

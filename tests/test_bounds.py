@@ -12,14 +12,11 @@ from sawlab.bounds import (
     bracket,
     check_fekete,
     distinct_partitions,
-    eta,
-    eval_f,
     locality_report,
     nth_root_lower,
     nth_root_upper,
     similarity_K,
 )
-from sawlab.errors import UsageError
 from sawlab.families import ball, hypercubic, parse_family, regular_tree
 from sawlab.heights import default_height
 from sawlab.quotient import cylinder
@@ -123,26 +120,6 @@ def test_similarity_capped_and_symmetric():
     ]
     for a, b, cap in pairs:
         assert similarity_K(a, b, cap).K == similarity_K(b, a, cap).K
-
-
-def test_eta_surrogate_tree_closed_form():
-    t = table_for("tree:3", 8)
-    val = eta(t, 6)
-    assert abs(val - ((3 * 2 ** 5) ** (1 / 6) - 2.0)) < 1e-12
-    assert eta(t, 8) <= eta(t, 6) + 1e-15  # non-increasing in k
-    with pytest.raises(UsageError):
-        eta(t, 9)
-
-
-def test_eval_f():
-    assert abs(eval_f(1.0, 1.0) - math.e) < 1e-12
-    assert abs(eval_f(2.0, 4.0) - (2 * 64 * math.exp(4)) ** 0.25) < 1e-12
-    # log f = (log B + 3 log x + B sqrt x)/x, so f -> 1 like exp(B/sqrt(x))
-    assert abs(eval_f(1.0, 1e6) - 1.0) < 2e-3
-    assert abs(eval_f(1.0, 1e9) - 1.0) < 1e-4
-    assert eval_f(1.0, 1e6) > eval_f(1.0, 1e9) > 1.0
-    with pytest.raises(UsageError):
-        eval_f(-1.0, 2.0)
 
 
 def test_distinct_partitions_examples():

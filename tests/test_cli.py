@@ -52,6 +52,20 @@ def test_verify_flags_corrupted_table(tmp_path):
     assert main(["verify", "--table", str(out), "--out", str(out) + ".v"]) == 4
 
 
+def test_bounds_refuses_a_table_that_verify_rejects(tmp_path):
+    # b_2 = 100 keeps the span sums but breaks b <= c <= sigma, and would
+    # put the certified lower end above the upper one
+    out = tmp_path / "t.json"
+    main(["count", "--family", "z2", "--n", "4", "--out", str(out)])
+    doc = json.loads(out.read_text())
+    doc["b"][2] = doc["b_by_rep"][0][2] = "100"
+    doc["b_spans_by_rep"][0][2] = {"2": "100"}
+    out.write_text(json.dumps(doc))
+    code, stdout, err = run_cli(["bounds", "--table", str(out)])
+    assert code == 4 and not stdout
+    assert err.startswith("invariant violation:") and "chain b <= c <= sigma fails" in err
+
+
 def test_usage_errors_exit_2(tmp_path):
     assert main(["count", "--family", "nosuch", "--n", "3"]) == 2
     assert main(["bounds"]) == 2

@@ -112,11 +112,11 @@ def test_degree_constant_on_orbits(spec):
 def test_ball_examples():
     z2 = hypercubic(2)
     b1 = ball(z2, (0, 0), 1)
-    assert b1.vertex_count() == 5 and b1.edge_count() == 4
+    assert len(b1.vertices) == 5 and len(b1.edges) == 4
     b2 = ball(z2, (0, 0), 2)
-    assert b2.vertex_count() == 13 and b2.edge_count() == 16
+    assert len(b2.vertices) == 13 and len(b2.edges) == 16
     b0 = ball(z2, (5, 7), 0)
-    assert b0.vertex_count() == 1 and b0.edge_count() == 0
+    assert len(b0.vertices) == 1 and len(b0.edges) == 0
 
 
 @pytest.mark.parametrize("spec", ["z2", "tree:3", "hex", "squareoct", "heis"])

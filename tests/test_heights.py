@@ -8,7 +8,6 @@ from sawlab.errors import UsageError
 from sawlab.families import GraphFamily, hypercubic, parse_family
 from sawlab.heights import (
     HeightFunction,
-    builtin_pairs,
     default_height,
     validate_height,
     verify_r,
@@ -168,7 +167,8 @@ def test_verify_r_failures():
 
 def test_prop_bound_holds_when_declared_does():
     """(N-1)(2d+1)+2 always certifies whenever the declared r does."""
-    for fam, hf in builtin_pairs(("hex", "squareoct")):
+    for fam in map(parse_family, ("hex", "squareoct")):
+        hf = default_height(fam)
         n, d = hf.orbit_count(), hf.declared_d
         bound = (n - 1) * (2 * d + 1) + 2
         assert verify_r(fam, hf, hf.declared_r)

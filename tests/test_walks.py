@@ -9,7 +9,6 @@ from sawlab import walks
 from sawlab.errors import InvariantViolationError, ResourceBudgetError, UsageError
 from sawlab.families import (
     BUILTIN_FAMILY_SPECS,
-    ConeTypes,
     GraphFamily,
     hypercubic,
     parse_family,
@@ -303,8 +302,8 @@ def test_budgeted_tree_counts_check_each_cone_ball_once():
 
 
 def test_parallel_counts_match_serial():
-    # without its cone types tree:3 runs on the counting kernel
-    t3 = dataclasses.replace(regular_tree(3), cone_types=None)
+    # unmarked as a tree, tree:3 runs on the counting kernel
+    t3 = dataclasses.replace(regular_tree(3), tree=False)
     for fam, n in ((Z2, 7), (t3, 11), (parse_family("hex"), 8)):
         hf = default_height(fam)
         for rep in hf.h_orbits:
@@ -393,8 +392,8 @@ def _oracle_counts(fam, hf, rep, n):
 @pytest.mark.parametrize("n", [0, 1, 4])
 @pytest.mark.parametrize("spec", BUILTIN_FAMILY_SPECS + ("zcyl:2:0,6",))
 def test_compiled_and_lazy_sources_match_oracle(spec, n):
-    # trees are counted from their cone types unless those are removed
-    fam = dataclasses.replace(parse_family(spec), cone_types=None)
+    # unmarked as trees, the trees run on the counting kernel too
+    fam = dataclasses.replace(parse_family(spec), tree=False)
     hf = default_height(fam)
     for rep in hf.h_orbits:
         assert _all_counts(fam, hf, rep, n) == _oracle_counts(fam, hf, rep, n)
@@ -624,7 +623,7 @@ def test_one_ball_compile_per_representative():
 def test_cone_type_counts_match_kernel_and_oracle(spec):
     fam = parse_family(spec)
     hf = default_height(fam)
-    kernel = dataclasses.replace(fam, cone_types=None)
+    kernel = dataclasses.replace(fam, tree=False)
     expected = _all_counts(kernel, hf, fam.origin, 7)
     assert expected == _oracle_counts(fam, hf, fam.origin, 7)
     for jobs in (1, 2):
@@ -634,27 +633,29 @@ def test_cone_type_counts_match_kernel_and_oracle(spec):
     assert _all_counts(fam, hf, start, 6) == _all_counts(kernel, hf, start, 6)
 
 
-def _x_tree_types(degree):
-    """Cone types of the degree-regular tree covering a lattice whose steps
-    change x by -1 or +1 (one step each) or by 0 (degree - 2 steps): every
-    step but the one back may follow."""
-    flat = degree - 2
-    return ConeTypes(
-        names=("west", "east", "flat"), increments=(-1, 1, 0), start=(1, 1, flat),
-        follow=((1, 0, flat), (0, 1, flat), (1, 1, flat - 1)))
+def _hand_tree(adjacency, heights):
+    """``_hand_built``'s family, marked as a tree, with the height as its
+    default."""
+    fam, hf = _hand_built(adjacency, heights)
+    return dataclasses.replace(fam, tree=True, height=lambda: hf)
 
 
-@pytest.mark.parametrize("spec, cones, why", [
-    ("tree:4", regular_tree(3).cone_types, "onward steps"),
-    ("tree:3", dataclasses.replace(regular_tree(3).cone_types, increments=(-1, 2)),
-     "no declared cone type"),
-    ("tree:3", dataclasses.replace(regular_tree(3).cone_types, increments=(1, 1)),
-     "one distinct increment"),
-    ("z2", _x_tree_types(4), "closes a cycle"),
-    ("hex", _x_tree_types(3), "closes a cycle"),
-])
-def test_bad_cone_type_declarations_are_rejected(spec, cones, why):
-    fam = dataclasses.replace(parse_family(spec), cone_types=cones)
+# a star with more leaves than the cone check's cap: the check stops before
+# it expands a vertex entered by a step up, so that type has no row
+_STAR = range(1, walks.CONE_CHECK_MAX_VERTICES + 1)
+
+
+@pytest.mark.parametrize("fam, why", [
+    (dataclasses.replace(parse_family("z2"), tree=True), "closes a cycle"),
+    (dataclasses.replace(parse_family("hex"), tree=True), "closes a cycle"),
+    # 1 and 2 are both entered by a step up, but only 1 goes on
+    (_hand_tree({0: (1, 2), 1: (0, 3), 2: (0,), 3: (1,)}, {0: 0, 1: 1, 2: 1, 3: 2}),
+     "onward steps"),
+    (_hand_tree({0: tuple(_STAR), **dict.fromkeys(_STAR, (0,))},
+                {0: 0, **dict.fromkeys(_STAR, 1)}),
+     "before it expanded"),
+], ids=["z2", "hex", "uneven", "star"])
+def test_bad_cone_type_declarations_are_rejected(fam, why):
     hf = default_height(fam)
     for count in (lambda: count_saws(fam, fam.origin, 8),
                   lambda: count_halfspace(fam, hf, fam.origin, 8),
