@@ -196,7 +196,6 @@ def hexagonal() -> GraphFamily:
 # Corner codes for the square/octagon lattice: cell (i, j) is a small square
 # (drawn as a diamond) whose corners E, N, W, S carry horizontal offsets
 # +1, 0, -1, 0 inside the cell.
-SQUAREOCT_CORNERS = ("E", "N", "W", "S")
 _SO_E, _SO_N, _SO_W, _SO_S = range(4)
 
 

@@ -29,9 +29,9 @@ class HeightFunction:
     """A height function together with its declared constants and the orbit
     data of the group it is invariant under.
 
-    ``shift_to_rep`` maps a vertex v to ``(rep, offset)`` where ``rep`` is the
-    representative of v's orbit and ``offset = h(v) - h(rep)`` is the height
-    change of the group element carrying v to ``rep``.
+    ``h_orbit_of`` maps a vertex v to the index of its orbit's representative
+    in ``h_orbits``; by difference invariance the group element carrying v to
+    that representative rep changes heights by h(v) - h(rep).
     """
 
     spec: str
@@ -40,7 +40,6 @@ class HeightFunction:
     declared_r: int
     h_orbits: tuple[Label, ...]
     h_orbit_of: Callable[[Label], int] = field(repr=False)
-    shift_to_rep: Callable[[Label], tuple[Label, int]] = field(repr=False)
 
     def orbit_count(self) -> int:
         return len(self.h_orbits)
@@ -65,27 +64,22 @@ class HeightValidationReport:
 
 def first_coordinate_height(n: int) -> HeightFunction:
     """h(v) = v[0] on the lattice Z^n; translation group, one orbit."""
-    origin = (0,) * n
     return HeightFunction(
         spec="x1", evaluate=lambda v: v[0], declared_d=1, declared_r=0,
-        h_orbits=(origin,), h_orbit_of=lambda v: 0,
-        shift_to_rep=lambda v: (origin, v[0]),
+        h_orbits=((0,) * n,), h_orbit_of=lambda v: 0,
     )
 
 
 def horocyclic_height() -> HeightFunction:
     """Horocyclic height on the suspended tree: depth below the ray minus
     position along it."""
-    origin = (0, ())
-
     def evaluate(v):
         j, path = v
         return len(path) - j
 
     return HeightFunction(
         spec="horocyclic", evaluate=evaluate, declared_d=1, declared_r=0,
-        h_orbits=(origin,), h_orbit_of=lambda v: 0,
-        shift_to_rep=lambda v: (origin, evaluate(v)),
+        h_orbits=((0, ()),), h_orbit_of=lambda v: 0,
     )
 
 
@@ -96,18 +90,9 @@ def hexagonal_height() -> HeightFunction:
     sum, so there are two orbits (the parity classes of x+y) and r = 1; the
     transitive variant that adds a reflection is not represented here.
     """
-    reps = ((0, 0), (1, 0))
-
-    def orbit_of(v):
-        return (v[0] + v[1]) % 2
-
-    def shift_to_rep(v):
-        k = orbit_of(v)
-        return reps[k], v[0] - k
-
     return HeightFunction(
         spec="hex-x", evaluate=lambda v: v[0], declared_d=1, declared_r=1,
-        h_orbits=reps, h_orbit_of=orbit_of, shift_to_rep=shift_to_rep,
+        h_orbits=((0, 0), (1, 0)), h_orbit_of=lambda v: (v[0] + v[1]) % 2,
     )
 
 
@@ -122,29 +107,21 @@ def square_octagon_height() -> HeightFunction:
     every vertex a strictly higher and lower neighbor.  The group is the
     cell-translation subgroup, with one orbit per corner type.
     """
-    reps = tuple((0, 0, k) for k in range(4))
-
     def evaluate(v):
         i, _, k = v
         return 3 * i + _SO_OFFSET[k]
 
-    def shift_to_rep(v):
-        i, _, k = v
-        return reps[k], 3 * i
-
     return HeightFunction(
         spec="so-x", evaluate=evaluate, declared_d=1, declared_r=5,
-        h_orbits=reps, h_orbit_of=lambda v: v[2], shift_to_rep=shift_to_rep,
+        h_orbits=tuple((0, 0, k) for k in range(4)), h_orbit_of=lambda v: v[2],
     )
 
 
 def heisenberg_height() -> HeightFunction:
     """h(x, y, z) = x: +-1 across the first generator pair, 0 elsewhere."""
-    origin = (0, 0, 0)
     return HeightFunction(
         spec="heis-x", evaluate=lambda v: v[0], declared_d=1, declared_r=0,
-        h_orbits=(origin,), h_orbit_of=lambda v: 0,
-        shift_to_rep=lambda v: (origin, v[0]),
+        h_orbits=((0, 0, 0),), h_orbit_of=lambda v: 0,
     )
 
 
@@ -168,8 +145,8 @@ def validate_height(family: GraphFamily, hf: HeightFunction,
 
     Clause (a) at the origin, clause (c) on the radius-(radius-1) ball so
     all neighbors are within reach, clause (b) by comparing each vertex's
-    height-difference profile with its orbit representative's, plus the
-    consistency of the declared d.  Violations are reported, not raised.
+    height-difference profile with that of ``h_orbits[h_orbit_of(v)]``, plus
+    the consistency of the declared d.  Violations are reported, not raised.
     Each label's height is evaluated once per call.
     """
     if radius < 1:
@@ -185,21 +162,14 @@ def validate_height(family: GraphFamily, hf: HeightFunction,
     if measured_d > hf.declared_d:
         violations.append(Violation("d", family.origin,
                                     f"measured d = {measured_d} exceeds declared {hf.declared_d}"))
-    rep_profiles = {}
+    rep_profiles = [Counter(h(u) - h(rep) for u in family.neighbors(rep)) for rep in hf.h_orbits]
     for v in b.vertices:
         hv = h(v)
         diffs = [h(u) - hv for u in family.neighbors(v)]
         if b.dist[v] <= radius - 1 and (not any(d > 0 for d in diffs)
                                         or not any(d < 0 for d in diffs)):
             violations.append(Violation("c", v, f"neighbor height diffs {sorted(diffs)}"))
-        rep, offset = hf.shift_to_rep(v)
-        if hv - offset != h(rep):
-            violations.append(Violation("b", v,
-                                        f"h(v) - offset = {hv - offset} != h(rep) = {h(rep)}"))
-            continue
-        if rep not in rep_profiles:
-            rep_profiles[rep] = Counter(h(u) - h(rep) for u in family.neighbors(rep))
-        if Counter(diffs) != rep_profiles[rep]:
+        if Counter(diffs) != rep_profiles[hf.h_orbit_of(v)]:
             violations.append(Violation("b", v, "neighbor height-difference profile differs from representative's"))
     return HeightValidationReport(radius=radius, violations=tuple(violations),
                                   measured_d=measured_d)

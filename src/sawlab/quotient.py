@@ -266,8 +266,7 @@ def cylinder(n: int, v: tuple[int, ...]) -> GraphFamily:
 
     height = partial(HeightFunction, spec=f"perp:{','.join(str(c) for c in w)}",
                      evaluate=evaluate, declared_d=max(abs(c) for c in w), declared_r=0,
-                     h_orbits=(origin,), h_orbit_of=lambda z: 0,
-                     shift_to_rep=lambda z: (origin, evaluate(z)))
+                     h_orbits=(origin,), h_orbit_of=lambda z: 0)
     return GraphFamily(spec=spec, neighbors=neighbors, origin=origin,
                        symmetries=tuple(descend(g) for g in base.symmetries
                                         if g(v) in (v, minus_v)),

@@ -516,6 +516,14 @@ class _StagedStuck(Exception):
     pass
 
 
+def _find(parent: list[int], x: int) -> int:
+    """The root of x in the union-find forest ``parent``, halving its path."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
 # ---------------------------------------------------------------------------
 # directed SAWs over explored edges
 #
@@ -561,12 +569,6 @@ def nonint_saw_pairs(adj, head, nums, den: int, partner, pairs) -> set:
     phi = [0] * n  # numerator sum along the tree path from the root, mod den
     merged = list(range(n))  # union-find over balanced blocks
 
-    def find(x: int) -> int:
-        while merged[x] != x:
-            merged[x] = merged[merged[x]]
-            x = merged[x]
-        return x
-
     order = 0
     for root in range(n):
         if disc[root] >= 0:
@@ -607,10 +609,10 @@ def nonint_saw_pairs(adj, head, nums, den: int, partner, pairs) -> set:
                     if all((phi[head[partner[f]]] + nums[f] - phi[head[f]]) % den == 0
                            for f in block):
                         for f in block:
-                            merged[find(head[partner[f]])] = find(head[f])
+                            merged[_find(merged, head[partner[f]])] = _find(merged, head[f])
     return {(a, b) for a, b in pairs
             if a != b and root_of[a] == root_of[b]
-            and (phi[a] != phi[b] or find(a) != find(b))}
+            and (phi[a] != phi[b] or _find(merged, a) != _find(merged, b))}
 
 
 def _staged_solve(basis: DirectedCycleBasis, q: QuotientGraph) -> tuple[list[int], int]:
@@ -769,22 +771,15 @@ def _staged_solve(basis: DirectedCycleBasis, q: QuotientGraph) -> tuple[list[int
 
     # connected components of the union of the translates
     comp = list(range(n_orb))
-
-    def find_root(x):
-        while comp[x] != x:
-            comp[x] = comp[comp[x]]
-            x = comp[x]
-        return x
-
     for cyc in translates.values():
-        r0 = find_root(t.tail(cyc[0]))
+        r0 = _find(comp, t.tail(cyc[0]))
         for k in cyc:
-            r = find_root(head[k])
+            r = _find(comp, head[k])
             if r != r0:
                 comp[r] = r0
-                r0 = find_root(r0)
-    roots = sorted({find_root(i) for i in range(n_orb)})
-    component_of = {i: roots.index(find_root(i)) for i in range(n_orb)}
+                r0 = _find(comp, r0)
+    roots = sorted({_find(comp, i) for i in range(n_orb)})
+    component_of = {i: roots.index(_find(comp, i)) for i in range(n_orb)}
 
     # connectors between components, in canonical edge order (set to zero
     # when their target component's exploration starts)
@@ -948,18 +943,9 @@ class LiftedHeight:
         d = self.max_edge_change()
         n_orb = q.orbit_count
         r_bound = 0 if n_orb == 1 else (n_orb - 1) * (2 * d + 1) + 2
-        reps = q.reps
-        rep_heights = [self.evaluate(rep) for rep in reps]
-
-        def shift_to_rep(v):
-            i = q.project(v)
-            return reps[i], self.evaluate(v) - rep_heights[i]
-
         return HeightFunction(
             spec=f"synth:m={self.scaling}", evaluate=self.evaluate,
-            declared_d=d, declared_r=r_bound,
-            h_orbits=reps, h_orbit_of=lambda v: q.project(v),
-            shift_to_rep=shift_to_rep,
+            declared_d=d, declared_r=r_bound, h_orbits=q.reps, h_orbit_of=q.project,
         )
 
 

@@ -43,8 +43,9 @@ def make_walk(family: GraphFamily, vertices) -> Walk:
         raise UsageError("a walk needs at least one vertex")
     if len(set(vs)) != len(vs):
         raise UsageError("walk revisits a vertex")
-    for a, b in zip(vs, vs[1:]):
-        if b not in family.neighbors(a):
+    # reading a vertex's neighbors checks its label, the last vertex's too
+    for a, b, out in zip(vs, vs[1:], [family.neighbors(v) for v in vs]):
+        if b not in out:
             raise UsageError(f"walk step {a!r} -> {b!r} is not an edge")
     return Walk(vs)
 

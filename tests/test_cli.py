@@ -91,6 +91,11 @@ def test_usage_errors_exit_2(tmp_path):
     ["quotient", "--family", "z2", "--shifts", "1_0,0;0,3"],
     ["quotient", "--family", "z2", "--shifts", "+3,0;0,3"],
     ["decompose", "--family", "z2", "--walk", "0,0;\u0661,0"],
+    # a one-vertex walk's label is checked too
+    ["decompose", "--family", "tree:3", "--walk", "0"],
+    ["decompose", "--family", "squareoct", "--walk", "0,0,9"],
+    ["decompose", "--family", "z2", "--walk", "0,0,0"],
+    ["decompose", "--family", "z2", "--walk", "5"],
 ])
 def test_bad_family_spec_exits_2(argv):
     assert main(argv) == 2

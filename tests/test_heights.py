@@ -23,8 +23,7 @@ DECLARED = {  # (d, r) from the built-in catalogue
 def constant_height(fam):
     return HeightFunction(
         spec="zero", evaluate=lambda v: 0, declared_d=1, declared_r=0,
-        h_orbits=(fam.origin,), h_orbit_of=lambda v: 0,
-        shift_to_rep=lambda v: (fam.origin, 0))
+        h_orbits=(fam.origin,), h_orbit_of=lambda v: 0)
 
 
 def test_hand_built_family_has_no_default_height():
@@ -56,8 +55,7 @@ def test_clause_a_violation():
     z2 = hypercubic(2)
     hf = HeightFunction(
         spec="x+1", evaluate=lambda v: v[0] + 1, declared_d=1, declared_r=0,
-        h_orbits=((0, 0),), h_orbit_of=lambda v: 0,
-        shift_to_rep=lambda v: ((0, 0), v[0]))
+        h_orbits=((0, 0),), h_orbit_of=lambda v: 0)
     report = validate_height(z2, hf, 2)
     assert any(v.clause == "a" for v in report.violations)
 
@@ -73,8 +71,7 @@ def test_clause_b_profile_violation():
 
     hf = HeightFunction(
         spec="x(1+y%2)", evaluate=h, declared_d=2, declared_r=0,
-        h_orbits=((0, 0),), h_orbit_of=lambda v: 0,
-        shift_to_rep=lambda v: ((0, 0), h(v)))
+        h_orbits=((0, 0),), h_orbit_of=lambda v: 0)
     report = validate_height(z2, hf, 2)
     assert {v.clause for v in report.violations} == {"b"}
     assert sorted(v.vertex for v in report.violations) == sorted(
@@ -112,8 +109,7 @@ def test_measured_d_examples():
     assert validate_height(heis, default_height(heis), 3).measured_d == 1
     skew = HeightFunction(
         spec="2x+y", evaluate=lambda v: 2 * v[0] + v[1], declared_d=2, declared_r=0,
-        h_orbits=((0, 0),), h_orbit_of=lambda v: 0,
-        shift_to_rep=lambda v: ((0, 0), 2 * v[0] + v[1]))
+        h_orbits=((0, 0),), h_orbit_of=lambda v: 0)
     assert validate_height(z2, skew, 3).measured_d == 2
 
 
@@ -131,15 +127,27 @@ def test_clause_c_at_scale_radius8():
         assert report.ok(), (spec, report.violations[:3])
 
 
+def test_clause_b_reads_the_orbit_map():
+    # swapping corners E and W in squareoct's orbit map pairs each of them
+    # with the other's representative, whose neighbors lie the other way
+    fam = parse_family("squareoct")
+    hf = dataclasses.replace(default_height(fam), h_orbit_of=lambda v: (2, 1, 0, 3)[v[2]])
+    report = validate_height(fam, hf, 4)
+    assert {v.clause for v in report.violations} == {"b"}
+    assert {v.vertex[2] for v in report.violations} == {0, 2}
+    assert len(report.violations) == 12
+
+
 @pytest.mark.parametrize("spec", list(DECLARED))
 def test_difference_invariance_via_shift(spec):
+    # the group element carrying v to its orbit's representative preserves
+    # height differences, so v and the representative share a profile
     fam = parse_family(spec)
     hf = default_height(fam)
     from test_families import sample_vertices
     count = 0
     for v in sample_vertices(fam, 800, depth=12):
-        rep, offset = hf.shift_to_rep(v)
-        assert hf.evaluate(v) - offset == hf.evaluate(rep)
+        rep = hf.h_orbits[hf.h_orbit_of(v)]
         profile_v = sorted(hf.evaluate(u) - hf.evaluate(v) for u in fam.neighbors(v))
         profile_r = sorted(hf.evaluate(u) - hf.evaluate(rep) for u in fam.neighbors(rep))
         assert profile_v == profile_r

@@ -711,9 +711,9 @@ def test_staged_solves_the_cube_of_side_4():
     assert_lift_matches_bfs_on_radius_6_ball(Z3, q, inc, lifted)
 
 
-def test_shift_to_rep_evaluates_each_vertex_once(monkeypatch):
-    """The lifted height evaluates each orbit representative once, when its
-    height function is built, and shift_to_rep one label per call."""
+def test_lifted_orbit_map_evaluates_no_vertex(monkeypatch):
+    """Building the lifted height function evaluates no vertex, and its orbit
+    map sends each vertex to the quotient's representative of its orbit."""
     calls = []
     evaluate = synthesis.LiftedHeight.evaluate
 
@@ -725,12 +725,8 @@ def test_shift_to_rep_evaluates_each_vertex_once(monkeypatch):
     q, basis, inc, lifted = synthesize_height(Z2, [(5, 0), (0, 5)])
     calls.clear()
     hf = lifted.as_height_function()
-    assert sorted(calls) == sorted(q.reps)
-    calls.clear()
+    assert calls == []
     verts = ball(Z2, Z2.origin, 6).vertices
     assert len(verts) == 85
     for v in verts:
-        rep, offset = hf.shift_to_rep(v)
-        assert rep == q.reps[q.project(v)]
-        assert offset == evaluate(lifted, v) - evaluate(lifted, rep)
-    assert len(calls) == len(verts)
+        assert hf.h_orbits[hf.h_orbit_of(v)] == q.reps[q.project(v)]

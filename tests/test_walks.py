@@ -134,8 +134,7 @@ def test_decompose_height_sequence_0121():
     # self-avoidingly, so realize the sequence with the diagonal height)
     diag = HeightFunction(
         spec="x+y", evaluate=lambda v: v[0] + v[1], declared_d=1, declared_r=0,
-        h_orbits=((0, 0),), h_orbit_of=lambda v: 0,
-        shift_to_rep=lambda v: ((0, 0), v[0] + v[1]))
+        h_orbits=((0, 0),), h_orbit_of=lambda v: 0)
     w = make_walk(Z2, [(0, 0), (1, 0), (1, 1), (0, 1)])
     assert [diag.evaluate(v) for v in w.vertices] == [0, 1, 2, 1]
     dec = decompose(diag, w)
@@ -405,8 +404,7 @@ def _hand_built(adjacency, heights):
     fam = GraphFamily(spec="hand", neighbors=adjacency.__getitem__, origin=0)
     return fam, HeightFunction(
         spec="hand", evaluate=heights.__getitem__, declared_d=1, declared_r=0,
-        h_orbits=(0,), h_orbit_of=lambda v: 0,
-        shift_to_rep=lambda v: (0, heights[v] - heights[0]))
+        h_orbits=(0,), h_orbit_of=lambda v: 0)
 
 
 @st.composite
