@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import typing
 from dataclasses import dataclass
@@ -85,8 +86,11 @@ class RunConfig:
 def _emit(doc: dict, out_path: str) -> None:
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {out_path!r}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -419,7 +423,15 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         cfg = resolve_config(args)
-        return _COMMANDS[cfg.command](cfg)
+        code = _COMMANDS[cfg.command](cfg)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError as exc:
+        # the reader closed stdout: send what is still buffered to devnull,
+        # so that the interpreter's flush at exit raises nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"usage error: cannot write to standard output: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except (UsageError, MalformedLabelError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -1,8 +1,8 @@
 """Shared exception types and resource budgets.
 
 Budgets guard the operations that walk unbounded graphs (ball extraction,
-SAW searches, isomorphism backtracking).  Each budget can be overridden
-through an environment variable ``SAWLAB_BUDGET_<NAME>``.
+walk counts and enumeration, isomorphism backtracking, quotients).  Each
+budget can be overridden by an environment variable ``SAWLAB_BUDGET_<NAME>``.
 """
 
 import os
@@ -31,7 +31,6 @@ class UsageError(SawlabError, ValueError):
 _DEFAULT_BUDGETS = {
     "BALL_VERTICES": 500_000,
     "ISO_VERTICES": 10_000,
-    "SEARCH_NODES": 2_000_000,
     "QUOTIENT_ORBITS": 20_000,
     "ENUM_WALKS": 50_000_000,
     "COUNT_NODES": None,  # no cap unless set

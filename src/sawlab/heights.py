@@ -10,7 +10,7 @@ lower neighbor.  The two constants attached to a pair (h, group) are
   a SAW whose interior heights stay strictly between its endpoint heights.
 
 ``validate_height`` checks the defining clauses on a finite ball and
-``verify_r`` certifies a declared upper bound for r by finite search.
+``verify_r`` certifies a declared upper bound for r.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from functools import cache
 from typing import Callable
 
-from .errors import ResourceBudgetError, UsageError, budget
+from .errors import UsageError
 from .families import GraphFamily, Label, ball
 
 
@@ -175,36 +175,29 @@ def validate_height(family: GraphFamily, hf: HeightFunction,
                                   measured_d=measured_d)
 
 
-def _pinched_saw_exists(family: GraphFamily, hf: HeightFunction, u: Label, w: Label,
-                        max_len: int, dist_to_w: dict, counter: list) -> bool:
+def _pinched_path_exists(family: GraphFamily, h: Callable[[Label], int], u: Label,
+                         w: Label, max_len: int) -> bool:
     """Is there a SAW from u to w of length <= max_len whose interior heights
-    lie strictly between h(u) and h(w)?"""
-    hu, hw = hf.evaluate(u), hf.evaluate(w)
-    node_cap = budget("SEARCH_NODES")
+    lie strictly between h(u) and h(w)?
 
-    def dfs(v, used, depth):
-        counter[0] += 1
-        if counter[0] > node_cap:
-            raise ResourceBudgetError("verify_r search budget exceeded; result indeterminate")
-        for x in family.neighbors(v):
-            if x == w:
-                return True
-            if depth + 2 > max_len or x in used:
-                continue
-            hx = hf.evaluate(x)
-            if not hu < hx < hw:
-                continue
-            if dist_to_w.get(x, max_len + 1) > max_len - depth - 1:
-                continue
-            used.add(x)
-            if dfs(x, used, depth + 1):
-                return True
-            used.remove(x)
-    if u == w:
-        return False
-    if max_len < 1:
-        return False
-    return bool(dfs(u, {u}, 0))
+    Breadth-first search from u through the vertices in that height band: a
+    shortest such walk is self-avoiding and passes through neither end, so
+    meeting w within max_len levels is exactly the existence of the SAW.
+    """
+    lo, hi = h(u), h(w)
+    seen = {u}
+    level = [u]
+    for _ in range(max_len):
+        nxt = []
+        for v in level:
+            for x in family.neighbors(v):
+                if x == w:
+                    return True
+                if x not in seen and lo < h(x) < hi:
+                    seen.add(x)
+                    nxt.append(x)
+        level = nxt
+    return False
 
 
 def verify_r(family: GraphFamily, hf: HeightFunction, r: int) -> bool:
@@ -212,36 +205,22 @@ def verify_r(family: GraphFamily, hf: HeightFunction, r: int) -> bool:
 
     For each ordered pair of distinct orbit representatives (u, v), the start
     is fixed at u (difference invariance allows this) and every member v' of
-    v's orbit within distance r of u is tried as an endpoint with
-    h(u) < h(v'), searching for a SAW of length <= r whose interior heights
-    lie strictly between.  True iff every pair succeeds.  A search that runs
-    out of budget raises ResourceBudgetError rather than answering False.
+    v's orbit within distance r of u with h(u) < h(v') is tried as an
+    endpoint, nearest first, looking for a SAW of length <= r whose interior
+    heights lie strictly between.  True iff every pair succeeds.  The answer
+    is exact; only the ball's vertex budget can stop it (ResourceBudgetError).
     """
     if r < 0:
         raise UsageError("r must be >= 0")
     n_orbits = hf.orbit_count()
     if n_orbits == 1:
         return True
-    counter = [0]
+    h = cache(hf.evaluate)
     for iu, u in enumerate(hf.h_orbits):
-        hu = hf.evaluate(u)
-        reach = ball(family, u, r) if r >= 1 else None
+        reach = ball(family, u, r).vertices
         for iv in range(n_orbits):
-            if iv == iu:
-                continue
-            if reach is None:
-                return False
-            found = False
-            candidates = sorted(
-                (w for w in reach.vertices
-                 if hf.h_orbit_of(w) == iv and hf.evaluate(w) > hu),
-                key=lambda w: (reach.dist[w], w))
-            for w in candidates:
-                back = ball(family, w, r)
-                if _pinched_saw_exists(family, hf, u, w, r, back.dist, counter):
-                    found = True
-                    break
-            if not found:
+            if iv != iu and not any(
+                    hf.h_orbit_of(w) == iv and h(w) > h(u)
+                    and _pinched_path_exists(family, h, u, w, r) for w in reach):
                 return False
     return True
-

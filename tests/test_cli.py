@@ -16,11 +16,11 @@ RUN = [sys.executable, "-m", "sawlab.cli"]
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(sawlab.__file__)))
 
 
-def run_cli_env(args, env_extra):
+def run_cli_env(args, env_extra, stdout=subprocess.PIPE):
     env = dict(os.environ)
     env.update(env_extra)
     env["PYTHONPATH"] = SRC + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
-    proc = subprocess.run(RUN + args, capture_output=True, text=True, env=env)
+    proc = subprocess.run(RUN + args, stdout=stdout, stderr=subprocess.PIPE, text=True, env=env)
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -116,12 +116,30 @@ def test_bad_family_spec_exits_2(argv):
     ({"c.json": '{"r": "3"}'}, ["--config", "c.json", "validate-height", "--family", "z2"]),
     ({"c.json": '{"kind": "walk"}'}, ["--config", "c.json", "count", "--family", "z2"]),
     ({"c.json": '{"n": 3}'}, ["--config", "c.json", "count", "--family", "z2"]),
+    # an --out that cannot be written: a missing directory, a directory
+    ({}, ["count", "--family", "z2", "--n", "2", "--out", "missing/x.json"]),
+    ({}, ["count", "--family", "z2", "--n", "2", "--out", "."]),
 ])
 def test_unloadable_documents_exit_2(tmp_path, monkeypatch, files, argv):
     for name, text in files.items():
         (tmp_path / name).write_text(text)
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "--family", "z2", "--n", "2"],
+    ["validate-height", "--family", "hex", "--radius", "3", "--r", "1"],
+])
+def test_closed_stdout_exits_2(argv):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        code, _, err = run_cli_env(argv, {}, stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert code == 2 and "Traceback" not in err
+    assert err.startswith("usage error:")
 
 
 def _corrupt_short_row(doc):

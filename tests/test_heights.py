@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from sawlab.errors import UsageError
+from sawlab.errors import ResourceBudgetError, UsageError
 from sawlab.families import GraphFamily, hypercubic, parse_family
 from sawlab.heights import (
     HeightFunction,
@@ -12,6 +12,7 @@ from sawlab.heights import (
     validate_height,
     verify_r,
 )
+from sawlab.walks import enumerate_walks
 
 DECLARED = {  # (d, r) from the built-in catalogue
     "z1": (1, 0), "z2": (1, 0), "z3": (1, 0), "z4": (1, 0),
@@ -184,13 +185,47 @@ def test_prop_bound_holds_when_declared_does():
 
 
 def test_verify_r_budget_is_not_a_false(monkeypatch):
-    """An exhausted search is flagged as indeterminate (raised), never
+    """A ball over its vertex budget is raised as indeterminate, never
     reported as False."""
-    import pytest as _pytest
-
-    from sawlab.errors import ResourceBudgetError
-    monkeypatch.setenv("SAWLAB_BUDGET_SEARCH_NODES", "1")
+    monkeypatch.setenv("SAWLAB_BUDGET_BALL_VERTICES", "10")
     so = parse_family("squareoct")
     hf = default_height(so)
-    with _pytest.raises(ResourceBudgetError):
+    with pytest.raises(ResourceBudgetError):
         verify_r(so, hf, 5)
+
+
+def _shortest_pinched_saws(fam, hf, max_len):
+    """By definition, from every SAW of length <= max_len that each orbit
+    representative u starts: the shortest length that joins u to each other
+    orbit at a strictly higher end with every interior height strictly
+    between."""
+    shortest = {}
+    for iu, u in enumerate(hf.h_orbits):
+        hu = hf.evaluate(u)
+        for n in range(1, max_len + 1):
+            for walk in enumerate_walks(fam, None, u, n, "saw"):
+                *inner, w = walk.vertices[1:]
+                hw = hf.evaluate(w)
+                if hw > hu and all(hu < hf.evaluate(x) < hw for x in inner):
+                    shortest.setdefault((iu, hf.h_orbit_of(w)), n)
+    return shortest
+
+
+@pytest.mark.parametrize("spec,changes,first_true", [
+    ("hex", {}, 1),
+    ("squareoct", {}, 3),
+    ("squareoct", {"h_orbit_of": lambda v: (2, 1, 0, 3)[v[2]]}, 3),
+    # every vertex in the first orbit: the second is never reached
+    ("hex", {"h_orbit_of": lambda v: 0}, None),
+    # rows of even and odd y: a path through a vertex at h(u) is no witness
+    ("z2", {"h_orbits": ((0, 0), (0, 1)), "h_orbit_of": lambda v: v[1] % 2}, 3),
+])
+def test_verify_r_matches_brute_force(spec, changes, first_true):
+    fam = parse_family(spec)
+    hf = dataclasses.replace(default_height(fam), **changes)
+    shortest = _shortest_pinched_saws(fam, hf, 7)
+    pairs = [(iu, iv) for iu in range(hf.orbit_count())
+             for iv in range(hf.orbit_count()) if iu != iv]
+    answers = [verify_r(fam, hf, r) for r in range(8)]
+    assert answers == [all(shortest.get(p, r + 1) <= r for p in pairs) for r in range(8)]
+    assert (answers.index(True) if True in answers else None) == first_true
