@@ -15,10 +15,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import typing
 from dataclasses import dataclass
+from decimal import Decimal
+from fractions import Fraction
 
 from .bounds import BoundsReport, bracket, check_fekete, locality_report
 from .errors import (
@@ -118,8 +121,10 @@ def _parse_vectors(value, flag: str, example: str) -> tuple[tuple[int, ...], ...
         raise UsageError(f"missing {flag} (e.g. '{example}')")
     if isinstance(value, str):
         rows = [[c.strip(" ") for c in part.split(",")] for part in value.split(";")]
-    else:
+    elif isinstance(value, list) and all(isinstance(row, list) for row in value):
         rows = value
+    else:
+        raise UsageError(f"bad {flag} {value!r}: not a list of integer lists")
     try:
         vectors = tuple(tuple(decode_int(c) for c in row) for row in rows)
     except (TypeError, ValueError) as exc:
@@ -168,6 +173,12 @@ def _table_problems(table) -> list[str]:
     return problems
 
 
+def _decimals(x: Fraction, places: int, up: bool) -> str:
+    """x with ``places`` decimals, rounded up or down, never to nearest."""
+    scaled = x * 10 ** places
+    return f"{Decimal(math.ceil(scaled) if up else math.floor(scaled)).scaleb(-places):f}"
+
+
 def cmd_bounds(cfg: RunConfig) -> int:
     if not cfg.table:
         raise UsageError("bounds needs --table")
@@ -178,10 +189,11 @@ def cmd_bounds(cfg: RunConfig) -> int:
         raise InvariantViolationError(f"table {cfg.table}: {'; '.join(problems)}")
     rep = bracket(table)
     if cfg.pretty:
+        lo, hi = Fraction(rep.certified_lower), Fraction(rep.certified_upper)
         sys.stdout.write(
             f"family={rep.family} n_max={rep.n_max} "
-            f"bracket=[{rep.certified_lower:.9f}, {rep.certified_upper:.9f}] "
-            f"width={rep.width:.6f}\n")
+            f"bracket=[{_decimals(lo, 9, up=False)}, {_decimals(hi, 9, up=True)}] "
+            f"width={_decimals(hi - lo, 6, up=True)}\n")
     _emit(_bounds_doc(rep), cfg.out)
     return EXIT_OK
 

@@ -28,14 +28,15 @@ linear form in the walk's lift displacement, which keeps the staged
 construction exact and cheap.
 
 The construction is staged: the distinguished cycle is seeded uniformly,
-its translates are explored segment by segment with each segment total
-forced by the distinguished coordinate of the closed walk it completes,
-totals are spread in equal shares with a small prime-scaled perturbation
-that keeps explored path sums off the integers, inter-component connector
-edges are set to zero, and residual edges are fixed last.  The direct
-method is the dual-form solution delta(i, step) = step . w, which meets
-every cycle target and both strict signs by construction; it acts as the
-fallback and cross-check.  On Z^n / kZ^n its lift has m = k and d = 1.
+then one loop explores, lowest orbit first, each translate of it that meets
+the explored region, segment by segment with each segment total forced by
+the distinguished coordinate of the closed walk it completes, spread in
+equal shares with a small prime-scaled perturbation that keeps explored
+path sums off the integers; when no pending translate meets the region,
+the first edge leaving it is set to zero.  Residual edges are fixed last.
+The direct method is the dual-form solution delta(i, step) = step . w,
+which meets every cycle target and both strict signs by construction; it
+is the fallback and cross-check.  On Z^n / kZ^n its lift has m = k, d = 1.
 
 Which vertex pairs already have an explored SAW with a non-integer sum is
 answered without enumerating SAWs (:func:`nonint_saw_pairs`): the
@@ -359,12 +360,6 @@ class EdgeIncrement:
         """The values on canonical ``(orbit, step)`` edges, as Fractions."""
         t = self.tables
         return {t.edges[c]: Fraction(self.nums[c], self.den) for c in t.undirected}
-
-    def value(self, k: int) -> Fraction:
-        return Fraction(self.nums[k], self.den)
-
-    def walk_sum(self, ids) -> Fraction:
-        return Fraction(sum(map(self.nums.__getitem__, ids)), self.den)
 
 
 def cycle_basis(q: QuotientGraph, generators) -> DirectedCycleBasis:
@@ -702,17 +697,13 @@ def _staged_solve(basis: DirectedCycleBasis, q: QuotientGraph) -> tuple[list[int
         share = total / m
         candidates = []
         for attempt in range(3):
+            # eps <= |share| / 101, so every value is nonzero with total's sign
             eps = abs(total) / (m * _PERTURB_PRIME ** (attempt + 1))
             for rot in range(min(m, 3)):
                 pattern = [Fraction(0)] * m
                 pattern[rot] = eps
                 pattern[(rot + 1) % m] = -eps
-                vals = [share + p for p in pattern]
-                if any(v == 0 or (v > 0) != (total > 0) for v in vals):
-                    continue
-                candidates.append(vals)
-        if not candidates:
-            raise _StagedStuck("no same-sign distribution available")
+                candidates.append([share + p for p in pattern])
         # every candidate sets the same edges, so touches the same vertices
         heads = {head[k] for k in seg}
         pairs = list(itertools.combinations(
@@ -733,24 +724,16 @@ def _staged_solve(basis: DirectedCycleBasis, q: QuotientGraph) -> tuple[list[int
             set_value(k, v)
 
     def explore_cycle(cyc: tuple[int, ...]):
-        if all(is_set[k] for k in cyc):
-            return
-        start = next((i for i, k in enumerate(cyc) if touched(t.tail(k))), None)
-        if start is None:
-            raise _StagedStuck("cycle does not meet the explored region")
+        # cyc is explored only once it meets the explored region
+        start = next(i for i, k in enumerate(cyc) if touched(t.tail(k)))
         run: list[int] = []
         for k in cyc[start:] + cyc[:start]:
-            if is_set[k]:
-                if run:
-                    finish_run(run)
-                    run = []
+            if is_set[k]:  # k's tail is touched, so no run is open here
                 continue
             run.append(k)
-            if touched(head[k]):
+            if touched(head[k]):  # the start's tail is, so the last run ends too
                 finish_run(run)
                 run = []
-        if run:
-            finish_run(run)
 
     def finish_run(seg: list[int]):
         a = t.tail(seg[0])
@@ -769,57 +752,25 @@ def _staged_solve(basis: DirectedCycleBasis, q: QuotientGraph) -> tuple[list[int
             raise _StagedStuck("a distinguished translate is not a simple cycle")
         translates[i] = cyc
 
-    # connected components of the union of the translates
-    comp = list(range(n_orb))
-    for cyc in translates.values():
-        r0 = _find(comp, t.tail(cyc[0]))
-        for k in cyc:
-            r = _find(comp, head[k])
-            if r != r0:
-                comp[r] = r0
-                r0 = _find(comp, r0)
-    roots = sorted({_find(comp, i) for i in range(n_orb)})
-    component_of = {i: roots.index(_find(comp, i)) for i in range(n_orb)}
-
-    # connectors between components, in canonical edge order (set to zero
-    # when their target component's exploration starts)
-    connectors: list[int] = []
-    order = [component_of[0]]
-    joined = {component_of[0]}
-    remaining = set(range(len(roots))) - joined
-    while remaining:
-        found = None
-        for k in t.undirected:
-            ca, cb = component_of[t.tail(k)], component_of[head[k]]
-            if ca == cb or ((ca in joined) == (cb in joined)):
-                continue
-            found = (k, cb if cb not in joined else ca)
-            break
-        if found is None:
-            raise _StagedStuck("components cannot be connected")
-        connectors.append(found[0])
-        joined.add(found[1])
-        order.append(found[1])
-        remaining.discard(found[1])
-
     # Stage 1: seed the distinguished cycle uniformly
     unit = Fraction(1, len(dist))
     for k in dist:
         set_value(k, unit)
 
-    # Stages 2-4: explore each component's translate cycles in order
-    conn_iter = iter(connectors)
-    for comp_pos, comp_id in enumerate(order):
-        if comp_pos > 0:
-            set_value(next(conn_iter), Fraction(0))
-        pending = [i for i in sorted(translates) if component_of[i] == comp_id]
-        while pending:
-            nxt = next((i for i in pending if any(touched(t.tail(k)) for k in translates[i])),
-                       None)
-            if nxt is None:
-                raise _StagedStuck("no translate touches the explored region")
-            pending.remove(nxt)
-            explore_cycle(translates[nxt])
+    # Stages 2-4: explore the lowest pending translate that meets the
+    # explored region; when none does, the touched vertices are those of the
+    # translates explored so far, and the first edge that leaves them is set
+    # to zero (one exists: cycle_basis checked that the quotient is connected)
+    pending = sorted(translates)
+    while pending:
+        nxt = next((i for i in pending if any(touched(t.tail(k)) for k in translates[i])),
+                   None)
+        if nxt is None:
+            set_value(next(k for k in t.undirected if touched(t.tail(k)) != touched(head[k])),
+                      Fraction(0))
+            continue
+        pending.remove(nxt)
+        explore_cycle(translates[nxt])
 
     # Stage 5: residual edges fixed by the explored-walk rule
     for k in t.undirected:

@@ -2,8 +2,10 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -40,6 +42,22 @@ def test_count_table_roundtrip(tmp_path):
     assert b["certified_lower"]["rounding"] == "down"
     assert b["certified_upper"]["rounding"] == "up"
     assert b["certified_lower"]["value"] <= b["certified_upper"]["value"]
+
+
+@pytest.mark.parametrize("family, n", [("z2", 6), ("hex", 8)])
+def test_bounds_pretty_rounds_outward(tmp_path, capsys, family, n):
+    # rounded to nearest, these tables print a lower end above the JSON
+    # value (z2) and an upper end below it (hex)
+    table, out = tmp_path / "t.json", tmp_path / "b.json"
+    assert main(["count", "--family", family, "--n", str(n), "--out", str(table)]) == 0
+    assert main(["bounds", "--table", str(table), "--pretty", "--out", str(out)]) == 0
+    line = capsys.readouterr().out
+    m = re.fullmatch(r"family=\S+ n_max=\d+ bracket=\[(\S+), (\S+)\] width=(\S+)\n", line)
+    lo, hi, width = (Fraction(x) for x in m.groups())
+    doc = json.loads(out.read_text())
+    want_lo = Fraction(doc["certified_lower"]["value"])
+    want_hi = Fraction(doc["certified_upper"]["value"])
+    assert lo <= want_lo and want_hi <= hi and want_hi - want_lo <= width
 
 
 def test_verify_flags_corrupted_table(tmp_path):
@@ -119,6 +137,11 @@ def test_bad_family_spec_exits_2(argv):
     # an --out that cannot be written: a missing directory, a directory
     ({}, ["count", "--family", "z2", "--n", "2", "--out", "missing/x.json"]),
     ({}, ["count", "--family", "z2", "--n", "2", "--out", "."]),
+    # shifts rows that are not lists, although iterating them gives [[3, 0], [0, 3]]
+    ({"q.json": '{"kind": "quotient", "family": "z2", "shifts": ["30", "03"]}'},
+     ["synth-height", "--quotient", "q.json"]),
+    ({"q.json": '{"kind": "quotient", "family": "z2", "shifts": {"30": 1, "03": 2}}'},
+     ["synth-height", "--quotient", "q.json"]),
 ])
 def test_unloadable_documents_exit_2(tmp_path, monkeypatch, files, argv):
     for name, text in files.items():
