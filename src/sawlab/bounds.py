@@ -23,38 +23,24 @@ from .heights import HeightFunction
 from .tables import CountTable
 
 
-def nth_root_lower(value: int, n: int) -> float:
-    """Largest float x (after downward adjustment) with x**n <= value."""
+def nth_root(value: int, n: int, up: bool) -> float:
+    """Smallest float x with x**n >= value when ``up``, else the largest
+    float x with x**n <= value."""
     if value < 0 or n < 1:
         raise UsageError("root of a negative count requested")
     if value == 0:
         return 0.0
-    x = math.exp(math.log(value) / n)
-    while Fraction(x) ** n > value:
-        x = math.nextafter(x, 0.0)
-    while True:
-        y = math.nextafter(x, math.inf)
-        if Fraction(y) ** n <= value:
-            x = y
-        else:
-            return x
 
+    def fits(x: float) -> bool:
+        power = Fraction(x) ** n
+        return power >= value if up else power <= value
 
-def nth_root_upper(value: int, n: int) -> float:
-    """Smallest float x (after upward adjustment) with x**n >= value."""
-    if value < 0 or n < 1:
-        raise UsageError("root of a negative count requested")
-    if value == 0:
-        return 0.0
     x = math.exp(math.log(value) / n)
-    while Fraction(x) ** n < value:
-        x = math.nextafter(x, math.inf)
-    while True:
-        y = math.nextafter(x, 0.0)
-        if Fraction(y) ** n >= value:
-            x = y
-        else:
-            return x
+    while not fits(x):
+        x = math.nextafter(x, math.inf if up else 0.0)
+    while fits(y := math.nextafter(x, 0.0 if up else math.inf)):
+        x = y
+    return x
 
 
 @dataclass(frozen=True)
@@ -83,8 +69,8 @@ def bracket(table: CountTable) -> BoundsReport:
     """Certified bracket from a count table (n >= 1 rows only)."""
     if table.n_max < 1:
         raise UsageError("bracket needs counts up to n_max >= 1")
-    lows = tuple((n, nth_root_lower(table.b[n], n)) for n in range(1, table.n_max + 1))
-    ups = tuple((n, nth_root_upper(table.sigma[n], n)) for n in range(1, table.n_max + 1))
+    lows = tuple((n, nth_root(table.b[n], n, up=False)) for n in range(1, table.n_max + 1))
+    ups = tuple((n, nth_root(table.sigma[n], n, up=True)) for n in range(1, table.n_max + 1))
     return BoundsReport(
         family=table.family, height=table.height, n_max=table.n_max,
         lower_candidates=lows, upper_candidates=ups,

@@ -154,7 +154,7 @@ def cmd_count(cfg: RunConfig) -> int:
         doc["b_by_span"] = [{str(s): str(c) for s, c in row.items()}
                             for row in table.b_by_span]
     if cfg.pretty:
-        sys.stdout.write(_render_table(table))
+        sys.stderr.write(_render_table(table))
     if table.n_max < cfg.n_max:
         doc["requested_n_max"] = cfg.n_max
         _emit(doc, cfg.out)
@@ -190,7 +190,7 @@ def cmd_bounds(cfg: RunConfig) -> int:
     rep = bracket(table)
     if cfg.pretty:
         lo, hi = Fraction(rep.certified_lower), Fraction(rep.certified_upper)
-        sys.stdout.write(
+        sys.stderr.write(
             f"family={rep.family} n_max={rep.n_max} "
             f"bracket=[{_decimals(lo, 9, up=False)}, {_decimals(hi, 9, up=True)}] "
             f"width={_decimals(hi - lo, 6, up=True)}\n")

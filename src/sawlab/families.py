@@ -288,14 +288,12 @@ def ball_ids(family: GraphFamily, start: Label, radius: int,
     return ids, adj
 
 
-def ball(family: GraphFamily, center: Label, radius: int,
-         max_vertices: int | None = None) -> Ball:
+def ball(family: GraphFamily, center: Label, radius: int) -> Ball:
     """Breadth-first closure of ``center`` to the given radius, with the
     complete induced edge set (see :func:`ball_ids`)."""
     if radius < 0:
         raise UsageError("ball radius must be >= 0")
-    cap = budget("BALL_VERTICES") if max_vertices is None else max_vertices
-    ids, adj = ball_ids(family, center, radius, cap)
+    ids, adj = ball_ids(family, center, radius, budget("BALL_VERTICES"))
     vertices = tuple(ids)
     # the sphere was not expanded: one more oracle call per sphere vertex
     # gives its edges inside the ball

@@ -900,14 +900,13 @@ class LiftedHeight:
         )
 
 
-def lift_height(inc: EdgeIncrement, family: GraphFamily, q: QuotientGraph,
-                check_radius: int = 4) -> LiftedHeight:
+def lift_height(inc: EdgeIncrement, family: GraphFamily, q: QuotientGraph) -> LiftedHeight:
     """Scale increments to integers by their denominator and integrate;
-    verifies path independence on a ball (any closed-walk sum must
-    vanish)."""
+    verifies path independence on the radius-4 ball (any closed-walk sum
+    must vanish)."""
     lifted = LiftedHeight(increments=inc, quotient=q)
     t, scaled = inc.tables, inc.nums
-    b = ball(family, family.origin, check_radius)
+    b = ball(family, family.origin, 4)
     nbrs: dict = {v: [] for v in b.vertices}
     for v, u in b.edges:
         nbrs[v].append(u)

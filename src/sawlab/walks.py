@@ -80,43 +80,39 @@ def is_reversed_bridge(hf: HeightFunction, w: Walk) -> bool:
 CONE_CHECK_MAX_VERTICES = 4096
 
 
-class _ConeBall(dict):
-    """The labels a cone check reached, each mapped to its default height
-    relative to the start's, with ``rows``, the measured cone types (see
-    :func:`_cone_ball`)."""
-
-
 @functools.lru_cache(maxsize=1)
-def _cone_ball(family, start, n_max):
+def _cone_ball(family, start):
     """Measure a tree's cone types on a ball around ``start``.
 
     In a tree every SAW is a non-backtracking walk, so how a walk may
     continue depends only on the type of its last vertex.  A vertex's type
     is the default-height (``heights.default_height``) increment of the
     step into it, None for the start, and its row maps each increment of
-    its onward steps to their number.  A breadth-first search expands every
-    vertex closer than n_max to the start, or stops once the ball has more
-    than CONE_CHECK_MAX_VERTICES vertices.  Each expanded vertex must list
-    its parent once and only new vertices besides (so the ball is a tree),
-    and must have the row of the first expanded vertex of its type; when
-    the search stops at the cap, every type must have a row.  A failure
-    raises InvariantViolationError.  When the whole radius-n_max ball was
-    expanded it holds every walk counted, so the counts are verified
-    exactly; beyond the ball they rest on how the family is built.
+    its onward steps to their number.  A breadth-first search expands the
+    tree until the ball has more than CONE_CHECK_MAX_VERTICES vertices, or
+    until the tree ends.  Each expanded vertex must list its parent once and
+    only new vertices besides (so the ball is a tree), and must have the row
+    of the first expanded vertex of its type; when the search stops at the
+    cap, every type must have a row.  A failure raises
+    InvariantViolationError.  The walks of length n are verified exactly
+    when every vertex closer than n to the start was expanded; beyond that
+    length the counts rest on how the family is built.
 
-    Returns a :class:`_ConeBall`.  It does not depend on the walk kind, so
-    the one-entry cache serves the SAW, half-space and bridge counts from
-    one start in turn.
+    Returns ``(ball, rows)``: ``ball`` maps each label reached to its
+    default height relative to the start's, ``rows`` each type to its row.
+    It depends on neither the walk kind nor the length, so the one-entry
+    cache serves every count from one start in turn.
     """
     # a miss: drop the previous start's ball before this one is built, so
     # that two balls are never held at once
     _cone_ball.cache_clear()
     ev = default_height(family).evaluate
     h0 = ev(start)
-    ball = _ConeBall({start: 0})
-    ball.rows = rows = {}
+    ball = {start: 0}
+    rows = {}
     level = [(start, None, None)]
-    for radius in range(n_max):
+    radius = 0
+    while level:
         nxt = []
         for v, parent, t in level:
             hv = ball[v]
@@ -150,33 +146,33 @@ def _cone_ball(family, start, n_max):
                         f"{family.spec}: the cone check passed {CONE_CHECK_MAX_VERTICES} "
                         f"vertices before it expanded a vertex entered by a step of each "
                         f"increment in {sorted(unmeasured)}")
-                return ball
+                return ball, rows
         level = nxt
-    return ball
+        radius += 1
+    return ball, rows
 
 
 @functools.lru_cache(maxsize=1)
-def _verify_cones(family, hf, start, n_max):
+def _verify_cones(family, hf, start):
     """The cone types measured around start (:func:`_cone_ball`), after
     checking, when hf is given, that it is the height they are measured in.
     The one-entry cache serves the half-space and bridge counts from one
-    start in turn, so hf is checked once per ball, not once per walk
-    kind."""
-    ball = _cone_ball(family, start, n_max)
+    start in turn, so hf is checked once per ball, not once per walk kind
+    or length."""
+    ball, rows = _cone_ball(family, start)
     if hf is not None:
         h0 = hf.evaluate(start)
         if any(hf.evaluate(v) - h0 != h for v, h in ball.items()):
             raise InvariantViolationError(
                 f"{family.spec}: height {hf.spec!r} differs from the one the family's "
                 f"cone types are measured in")
-    return ball.rows
+    return rows
 
 
 def _count_cones(rows, n_max, mode):
     """Counts (and bridge span tables) of the walks from a start, as
     :func:`_count_from` returns them, by an exact DP over the cone types
-    ``rows`` that :func:`_verify_cones` measured on a ball of radius n_max
-    or more around it.
+    ``rows`` that :func:`_verify_cones` measured around it.
 
     A walk's state is the type of its last vertex, its height above the
     start and the running maximum of its heights; the walks sharing a state
@@ -415,14 +411,12 @@ def _budget_levels(family, hf, start, n_max, kind, node_budget, jobs, ball_cap):
     counted, so level n is counted only while the running total of its
     costs fits the budget.  A level that does not fit, or whose ball is over
     ``ball_cap`` (the ``budget("BALL_VERTICES")`` it was read under), is not
-    started.  A tree's cone types are measured once, on the radius-n_max
-    ball, which covers every level.
+    started.
 
     The one-entry cache serves the half-space levels of
     :func:`count_halfspace` to :func:`count_bridges` from the same start,
     whose high-water mark they set.
     """
-    rows = _verify_cones(family, hf, start, n_max) if family.tree else None
     counts, spent = [], 0
     for n in range(n_max + 1):
         if n:
@@ -430,26 +424,10 @@ def _budget_levels(family, hf, start, n_max, kind, node_budget, jobs, ball_cap):
             if spent > node_budget:
                 break
         try:
-            counts = (_count_cones(rows, n, kind) if family.tree
-                      else _count(family, hf, start, n, kind, jobs))[0]
+            counts = _count(family, hf, start, n, kind, jobs)[0]
         except ResourceBudgetError:
             break
     return tuple(counts)
-
-
-def _count_budgeted(family, hf, start, n_max, mode, node_budget, jobs):
-    """Counts (and bridge span tables) of levels 0..m from start, as
-    :func:`_count` returns them, for the high-water mark m of ``node_budget``
-    that :func:`_budget_levels` finds.  Bridges are grown through half-space
-    walks, so the half-space levels set their mark, and they are counted
-    once, at it."""
-    counts = _budget_levels(family, hf, start, n_max, "saw" if mode == "saw" else "halfspace",
-                            node_budget, jobs, budget("BALL_VERTICES"))
-    if mode != "bridge" or not counts:
-        return list(counts), []
-    if family.tree:
-        return _count_cones(_verify_cones(family, hf, start, n_max), len(counts) - 1, mode)
-    return _count(family, hf, start, len(counts) - 1, mode, jobs)
 
 
 # The estimated walk count below which _count stays in process at any
@@ -499,10 +477,15 @@ def _prefix_orbits(prefixes, perms):
     return reps, weights
 
 
-def _count(family, hf, start, n_max, mode, jobs):
+def _count(family, hf, start, n_max, mode, jobs, node_budget=None):
     """Counts (and bridge span tables) of the walks from start; see
     :func:`_count_from`.  SAWs are counted on :func:`_compile_ball`'s ball,
     half-space walks and bridges on :func:`_height_ball`'s.
+
+    With a ``node_budget`` the levels 0..m are counted instead, for the
+    high-water mark m that :func:`_budget_levels` finds.  Bridges are grown
+    through half-space walks, so the half-space levels set their mark, and
+    they are counted once, at it.
 
     The walks longer than a fixed depth are split by their prefix of that
     depth.  A symmetry of the ball that fixes the start (and every height,
@@ -517,8 +500,14 @@ def _count(family, hf, start, n_max, mode, jobs):
     integers, independent of scheduling.  A tree is counted by
     :func:`_count_cones` instead, at every ``jobs``.
     """
+    if node_budget is not None:
+        counts = _budget_levels(family, hf, start, n_max, "saw" if mode == "saw" else "halfspace",
+                                node_budget, jobs, budget("BALL_VERTICES"))
+        if mode != "bridge" or not counts:
+            return list(counts), []
+        n_max = len(counts) - 1
     if family.tree:
-        return _count_cones(_verify_cones(family, hf, start, n_max), n_max, mode)
+        return _count_cones(_verify_cones(family, hf, start), n_max, mode)
     if mode == "saw":
         _, adj, perms = _compile_ball(family, start, n_max)
         heights = None
@@ -567,7 +556,7 @@ def count_saws(family: GraphFamily, start: Label, n_max: int, jobs: int = 1,
     unit per walk of length below n (the neighbor lookups a depth-first
     search of it makes), and a level that would not fit is not started: the
     completed prefix of the table is returned (its length marks the high
-    water) instead of an error.  See :func:`_count_budgeted`.
+    water) instead of an error.  See :func:`_count`.
 
     The walks are counted on the radius-n_max ball compiled to int ids; a
     ball of more than ``budget("BALL_VERTICES")`` vertices raises
@@ -583,9 +572,7 @@ def count_saws(family: GraphFamily, start: Label, n_max: int, jobs: int = 1,
     """
     if n_max < 0:
         raise UsageError("n_max must be >= 0")
-    if node_budget is not None:
-        return _count_budgeted(family, None, start, n_max, "saw", node_budget, jobs)[0]
-    return _count(family, None, start, n_max, "saw", jobs)[0]
+    return _count(family, None, start, n_max, "saw", jobs, node_budget)[0]
 
 
 def count_halfspace(family: GraphFamily, hf: HeightFunction, start: Label,
@@ -594,9 +581,7 @@ def count_halfspace(family: GraphFamily, hf: HeightFunction, start: Label,
     """Exact counts of walks whose non-initial heights all exceed the start's."""
     if n_max < 0:
         raise UsageError("n_max must be >= 0")
-    if node_budget is not None:
-        return _count_budgeted(family, hf, start, n_max, "halfspace", node_budget, jobs)[0]
-    return _count(family, hf, start, n_max, "halfspace", jobs)[0]
+    return _count(family, hf, start, n_max, "halfspace", jobs, node_budget)[0]
 
 
 def count_bridges(family: GraphFamily, hf: HeightFunction, start: Label,
@@ -605,9 +590,7 @@ def count_bridges(family: GraphFamily, hf: HeightFunction, start: Label,
     """Exact bridge counts per length, plus per-length span distributions."""
     if n_max < 0:
         raise UsageError("n_max must be >= 0")
-    if node_budget is not None:
-        return _count_budgeted(family, hf, start, n_max, "bridge", node_budget, jobs)
-    return _count(family, hf, start, n_max, "bridge", jobs)
+    return _count(family, hf, start, n_max, "bridge", jobs, node_budget)
 
 
 # ---------------------------------------------------------------------------

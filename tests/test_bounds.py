@@ -13,8 +13,7 @@ from sawlab.bounds import (
     check_fekete,
     distinct_partitions,
     locality_report,
-    nth_root_lower,
-    nth_root_upper,
+    nth_root,
     similarity_K,
 )
 from sawlab.families import ball, hypercubic, parse_family, regular_tree
@@ -27,8 +26,8 @@ Z2 = hypercubic(2)
 
 @given(st.integers(1, 10 ** 12), st.integers(1, 12))
 def test_directed_rounding_brackets_true_root(value, n):
-    lo = nth_root_lower(value, n)
-    hi = nth_root_upper(value, n)
+    lo = nth_root(value, n, up=False)
+    hi = nth_root(value, n, up=True)
     assert Fraction(lo) ** n <= value <= Fraction(hi) ** n
     assert lo <= hi
     # the bracketing floats are adjacent or equal
@@ -36,15 +35,15 @@ def test_directed_rounding_brackets_true_root(value, n):
 
 
 def test_exact_roots_stay_exact():
-    assert nth_root_lower(2 ** 12, 12) == 2.0
-    assert nth_root_upper(2 ** 12, 12) == 2.0
-    assert nth_root_lower(1, 5) == 1.0
+    assert nth_root(2 ** 12, 12, up=False) == 2.0
+    assert nth_root(2 ** 12, 12, up=True) == 2.0
+    assert nth_root(1, 5, up=False) == 1.0
 
 
 def test_directed_rounding_huge_integers():
     big = 3 ** 200 + 12345
-    lo = nth_root_lower(big, 17)
-    hi = nth_root_upper(big, 17)
+    lo = nth_root(big, 17, up=False)
+    hi = nth_root(big, 17, up=True)
     from fractions import Fraction
     assert Fraction(lo) ** 17 <= big <= Fraction(hi) ** 17
     assert 0 < hi - lo < 1e-6 * hi

@@ -51,13 +51,28 @@ def test_bounds_pretty_rounds_outward(tmp_path, capsys, family, n):
     table, out = tmp_path / "t.json", tmp_path / "b.json"
     assert main(["count", "--family", family, "--n", str(n), "--out", str(table)]) == 0
     assert main(["bounds", "--table", str(table), "--pretty", "--out", str(out)]) == 0
-    line = capsys.readouterr().out
+    line = capsys.readouterr().err
     m = re.fullmatch(r"family=\S+ n_max=\d+ bracket=\[(\S+), (\S+)\] width=(\S+)\n", line)
     lo, hi, width = (Fraction(x) for x in m.groups())
     doc = json.loads(out.read_text())
     want_lo = Fraction(doc["certified_lower"]["value"])
     want_hi = Fraction(doc["certified_upper"]["value"])
     assert lo <= want_lo and want_hi <= hi and want_hi - want_lo <= width
+
+
+def test_pretty_text_leaves_stdout_json(tmp_path, capsys):
+    # the text table and the bracket line go to stderr: stdout holds the
+    # document alone, byte for byte the --out file
+    table = tmp_path / "t.json"
+    for args, out in ((["count", "--family", "z2", "--n", "2"], table),
+                      (["bounds", "--table", str(table)], tmp_path / "b.json")):
+        assert main(args + ["--pretty", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert main(args + ["--pretty"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err.startswith("family=z2 ")
+        json.loads(captured.out)
+        assert captured.out == out.read_text()
 
 
 def test_verify_flags_corrupted_table(tmp_path):

@@ -133,10 +133,11 @@ def test_ball_nesting(spec):
         prev = cur
 
 
-def test_ball_budget():
+def test_ball_budget(monkeypatch):
     z2 = hypercubic(2)
+    monkeypatch.setenv("SAWLAB_BUDGET_BALL_VERTICES", "100")
     with pytest.raises(ResourceBudgetError):
-        ball(z2, (0, 0), 50, max_vertices=100)
+        ball(z2, (0, 0), 50)
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS)

@@ -257,9 +257,10 @@ def test_budgeted_bridges_reuse_the_half_space_levels(monkeypatch):
     calls = []
     count = walks._count
 
-    def recorded(family, hf, start, n_max, mode, jobs):
-        calls.append((start, n_max, mode))
-        return count(family, hf, start, n_max, mode, jobs)
+    def recorded(family, hf, start, n_max, mode, jobs, node_budget=None):
+        if node_budget is None:
+            calls.append((start, n_max, mode))
+        return count(family, hf, start, n_max, mode, jobs, node_budget)
 
     monkeypatch.setattr(walks, "_count", recorded)
     for spec, node_budget in (("z2", 5272), ("z2", 10**9), ("hex", 1000)):
@@ -294,10 +295,33 @@ def test_budgeted_tree_counts_check_each_cone_ball_once():
     table = build_count_table(fam, hf, 30, node_budget=10**9)
     table_calls, calls = calls, 0
     walks._cone_ball.cache_clear()
-    walks._cone_ball(fam, fam.origin, 30)
+    walks._cone_ball(fam, fam.origin)
     assert table_calls == calls
     assert table.n_max == 28
     assert table == build_count_table(fam, hf, 28)
+
+
+def test_one_cone_check_per_start_at_every_length():
+    # the cone check does not depend on the length: tables of every length,
+    # budgeted or not, ask the oracle for one ball around the start
+    t3 = parse_family("tree:3")
+    calls = 0
+
+    def counted(v):
+        nonlocal calls
+        calls += 1
+        return t3.neighbors(v)
+
+    fam = dataclasses.replace(t3, neighbors=counted)
+    hf = default_height(fam)
+    walks._cone_ball.cache_clear()
+    for n in (2, 12, 30):
+        build_count_table(fam, hf, n)
+    build_count_table(fam, hf, 30, node_budget=10**9)
+    table_calls, calls = calls, 0
+    walks._cone_ball.cache_clear()
+    walks._cone_ball(fam, fam.origin)
+    assert table_calls == calls
 
 
 def test_parallel_counts_match_serial():
@@ -686,7 +710,7 @@ def test_one_cone_check_per_representative():
     build_count_table(fam, default_height(fam), 9)
     table_calls, calls = calls, 0
     walks._cone_ball.cache_clear()
-    walks._cone_ball(fam, fam.origin, 9)
+    walks._cone_ball(fam, fam.origin)
     assert table_calls == calls < walks.CONE_CHECK_MAX_VERTICES
 
 
@@ -703,7 +727,7 @@ def test_one_height_check_per_cone_ball():
         return hf.evaluate(v)
 
     build_count_table(t5, dataclasses.replace(hf, evaluate=counted), 9)
-    assert calls == len(walks._cone_ball(t5, t5.origin, 9)) + 1
+    assert calls == len(walks._cone_ball(t5, t5.origin)[0]) + 1
 
 
 @given(st.integers(0, 6))
