@@ -98,12 +98,9 @@ def check_fekete(table: CountTable) -> bool:
 
 def _ball_signature(b: Ball) -> tuple[dict, tuple]:
     """The ball's adjacency sets, and a summary that isomorphic balls share."""
-    adj = {v: set() for v in b.vertices}
-    for u, v in b.edges:
-        adj[u].add(v)
-        adj[v].add(u)
+    adj = {v: {u for u in b.neighbors[v] if u in b.dist} for v in b.vertices}
     profile = sorted((b.dist[v], len(adj[v])) for v in b.vertices)
-    return adj, (len(b.vertices), len(b.edges), tuple(profile))
+    return adj, (len(b.vertices), sum(map(len, adj.values())) // 2, tuple(profile))
 
 
 def ball_isomorphic(a: Ball, b: Ball) -> bool:

@@ -2,9 +2,11 @@
 
 A family is represented by canonical vertex labels plus a pure neighbor
 function, so arbitrarily large graphs can be explored without materializing
-them.  All built-in families are vertex-transitive.  Each built-in family
-carries its default height; the height's orbits, which may be finer than
-the family's one orbit, live in :mod:`sawlab.heights`.
+them.  The oracles keep no memory of their answers; a :class:`Ball` keeps
+the neighbor list of each of its vertices, and its readers use that.  All
+built-in families are vertex-transitive.  Each built-in family carries its
+default height; the height's orbits, which may be finer than the family's
+one orbit, live in :mod:`sawlab.heights`.
 
 Built-ins and their labels:
 
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import cache, partial
+from functools import partial
 from itertools import islice
 from typing import Callable
 
@@ -41,7 +43,9 @@ class GraphFamily:
     """Lazy oracle for one infinite graph.
 
     ``spec`` is the parseable name (see :func:`parse_family`); it is what
-    reports carry.  ``height`` builds the family's default height (see
+    reports carry.  ``neighbors`` is a pure function that remembers nothing:
+    a caller that reads a list twice keeps it, as :func:`ball` does.
+    ``height`` builds the family's default height (see
     ``heights.default_height``); it is None for a family built by hand.
     ``symmetries`` holds generators, as label maps, of graph automorphisms
     that fix the origin, and ``tree`` says the graph is a tree, to be
@@ -60,13 +64,20 @@ class GraphFamily:
 
 @dataclass(frozen=True)
 class Ball:
-    """Induced subgraph of all vertices within ``radius`` of ``root``."""
+    """All vertices within ``radius`` of ``root``, each with the oracle's
+    neighbor list, which for a sphere vertex reaches outside the ball."""
 
     root: Label
     radius: int
     vertices: tuple[Label, ...]
-    edges: tuple[tuple[Label, Label], ...]
+    neighbors: dict = field(repr=False)
     dist: dict = field(repr=False)
+
+    @property
+    def edges(self) -> tuple[tuple[Label, Label], ...]:
+        """The induced edges ``(u, v)`` with u < v, sorted."""
+        return tuple(sorted((v, u) for v, nb in self.neighbors.items()
+                            for u in nb if v < u and u in self.dist))
 
 
 def _malformed(label, family: str, why: str) -> MalformedLabelError:
@@ -107,7 +118,6 @@ def hypercubic(n: int) -> GraphFamily:
         raise UsageError("hypercubic dimension must be >= 1")
     spec = f"z{n}"
 
-    @cache
     def neighbors(v: Label) -> tuple[Label, ...]:
         _check_int_tuple(v, n, spec)
         out = []
@@ -144,7 +154,6 @@ def regular_tree(d: int) -> GraphFamily:
             if not (isinstance(c, int) and 0 <= c < hi):
                 raise _malformed(v, spec, f"child index {c} out of range")
 
-    # uncached: tree vertices are never revisited during enumeration, and
     # the lists below are constructed in sorted order (a path prefix sorts
     # before its extensions, smaller ray indices first)
     def neighbors(v: Label) -> tuple[Label, ...]:
@@ -176,7 +185,6 @@ def hexagonal() -> GraphFamily:
     from .heights import hexagonal_height
     spec = "hex"
 
-    @cache
     def neighbors(v: Label) -> tuple[Label, ...]:
         _check_int_tuple(v, 2, spec)
         x, y = v
@@ -204,7 +212,6 @@ def square_octagon() -> GraphFamily:
     from .heights import square_octagon_height
     spec = "squareoct"
 
-    @cache
     def neighbors(v: Label) -> tuple[Label, ...]:
         _require(isinstance(v, tuple) and len(v) == 3, v, spec, "expected (i, j, corner)")
         i, j, k = v
@@ -238,7 +245,6 @@ def heisenberg() -> GraphFamily:
     from .heights import heisenberg_height
     spec = "heis"
 
-    @cache
     def neighbors(v: Label) -> tuple[Label, ...]:
         _check_int_tuple(v, 3, spec)
         x, y, z = v
@@ -289,27 +295,24 @@ def ball_ids(family: GraphFamily, start: Label, radius: int,
 
 
 def ball(family: GraphFamily, center: Label, radius: int) -> Ball:
-    """Breadth-first closure of ``center`` to the given radius, with the
-    complete induced edge set (see :func:`ball_ids`)."""
+    """Breadth-first closure of ``center`` to the given radius, with each
+    vertex's neighbor list (see :func:`ball_ids`)."""
     if radius < 0:
         raise UsageError("ball radius must be >= 0")
     ids, adj = ball_ids(family, center, radius, budget("BALL_VERTICES"))
     vertices = tuple(ids)
-    # the sphere was not expanded: one more oracle call per sphere vertex
-    # gives its edges inside the ball
-    adj += [[ids[u] for u in family.neighbors(v) if u in ids] for v in vertices[len(adj):]]
     # a vertex is one step further out than its lowest-id neighbor
     depth = [0] * len(vertices)
-    edges = []
     for i, nb in enumerate(adj):
-        v = vertices[i]
         for j in nb:
             if j > i and not depth[j]:
                 depth[j] = depth[i] + 1
-            if v < vertices[j]:
-                edges.append((v, vertices[j]))
-    return Ball(root=center, radius=radius, vertices=vertices,
-                edges=tuple(sorted(edges)), dist=dict(zip(vertices, depth)))
+    # the expanded vertices' lists are their id lists read back as labels;
+    # the sphere was not expanded: one oracle call per sphere vertex
+    neighbors = {v: tuple([vertices[j] for j in nb]) for v, nb in zip(vertices, adj)}
+    neighbors.update((v, family.neighbors(v)) for v in vertices[len(adj):])
+    return Ball(root=center, radius=radius, vertices=vertices, neighbors=neighbors,
+                dist=dict(zip(vertices, depth)))
 
 
 def _spec_int(text: str, spec: str, signed: bool = False) -> int:

@@ -147,7 +147,8 @@ def validate_height(family: GraphFamily, hf: HeightFunction,
     all neighbors are within reach, clause (b) by comparing each vertex's
     height-difference profile with that of ``h_orbits[h_orbit_of(v)]``, plus
     the consistency of the declared d.  Violations are reported, not raised.
-    Each label's height is evaluated once per call.
+    Each label's height is evaluated once per call, and each vertex's
+    neighbors are read from the ball.
     """
     if radius < 1:
         raise UsageError("validation radius must be >= 1")
@@ -165,7 +166,7 @@ def validate_height(family: GraphFamily, hf: HeightFunction,
     rep_profiles = [Counter(h(u) - h(rep) for u in family.neighbors(rep)) for rep in hf.h_orbits]
     for v in b.vertices:
         hv = h(v)
-        diffs = [h(u) - hv for u in family.neighbors(v)]
+        diffs = [h(u) - hv for u in b.neighbors[v]]
         if b.dist[v] <= radius - 1 and (not any(d > 0 for d in diffs)
                                         or not any(d < 0 for d in diffs)):
             violations.append(Violation("c", v, f"neighbor height diffs {sorted(diffs)}"))
@@ -175,10 +176,11 @@ def validate_height(family: GraphFamily, hf: HeightFunction,
                                   measured_d=measured_d)
 
 
-def _pinched_path_exists(family: GraphFamily, h: Callable[[Label], int], u: Label,
+def _pinched_path_exists(neighbors: dict, h: Callable[[Label], int], u: Label,
                          w: Label, max_len: int) -> bool:
     """Is there a SAW from u to w of length <= max_len whose interior heights
-    lie strictly between h(u) and h(w)?
+    lie strictly between h(u) and h(w)?  ``neighbors`` holds the lists of
+    the radius-max_len ball around u, which the search never leaves.
 
     Breadth-first search from u through the vertices in that height band: a
     shortest such walk is self-avoiding and passes through neither end, so
@@ -190,7 +192,7 @@ def _pinched_path_exists(family: GraphFamily, h: Callable[[Label], int], u: Labe
     for _ in range(max_len):
         nxt = []
         for v in level:
-            for x in family.neighbors(v):
+            for x in neighbors[v]:
                 if x == w:
                     return True
                 if x not in seen and lo < h(x) < hi:
@@ -217,10 +219,11 @@ def verify_r(family: GraphFamily, hf: HeightFunction, r: int) -> bool:
         return True
     h = cache(hf.evaluate)
     for iu, u in enumerate(hf.h_orbits):
-        reach = ball(family, u, r).vertices
+        reach = ball(family, u, r)
         for iv in range(n_orbits):
             if iv != iu and not any(
                     hf.h_orbit_of(w) == iv and h(w) > h(u)
-                    and _pinched_path_exists(family, h, u, w, r) for w in reach):
+                    and _pinched_path_exists(reach.neighbors, h, u, w, r)
+                    for w in reach.vertices):
                 return False
     return True

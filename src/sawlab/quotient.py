@@ -14,7 +14,7 @@ A rank-one quotient Z^n / <v> is kept as an infinite *cylinder* family
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache, partial
+from functools import partial
 from math import gcd
 from typing import Callable
 
@@ -245,7 +245,6 @@ def cylinder(n: int, v: tuple[int, ...]) -> GraphFamily:
         q = z[p] // v[p]
         return tuple(a - q * b for a, b in zip(z, v)) if q else tuple(z)
 
-    @cache
     def neighbors(z: Label) -> tuple[Label, ...]:
         _check_int_tuple(z, n, spec)
         if reduce(z) != z:

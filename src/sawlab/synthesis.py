@@ -907,16 +907,12 @@ def lift_height(inc: EdgeIncrement, family: GraphFamily, q: QuotientGraph) -> Li
     lifted = LiftedHeight(increments=inc, quotient=q)
     t, scaled = inc.tables, inc.nums
     b = ball(family, family.origin, 4)
-    nbrs: dict = {v: [] for v in b.vertices}
-    for v, u in b.edges:
-        nbrs[v].append(u)
-        nbrs[u].append(v)
     # accumulation in the ball's breadth-first order (each vertex is reached
     # from an earlier one), then consistency across every ball edge
     cache = {family.origin: 0}
     for v in b.vertices:
         i = q.project(v)
-        for u in nbrs[v]:
+        for u in filter(b.dist.__contains__, b.neighbors[v]):
             h = cache[v] + scaled[t.edge_id((i, tuple(a - c for a, c in zip(u, v))))]
             if cache.setdefault(u, h) != h:
                 raise InvariantViolationError(

@@ -492,13 +492,14 @@ def _count(family, hf, start, n_max, mode, jobs, node_budget=None):
     for half-space walks and bridges) carries the walks through one prefix
     onto the walks through its image, so only the first prefix of each orbit
     is counted, weighted by the orbit's size.  The representatives are
-    counted in a pool of at most ``jobs`` worker processes only when that
-    pays: when ``len(reps) * c[s]**k >= POOL_MIN_WALKS * c[s-1]**k``, an
-    estimate in exact ints of the walks of length n_max through them from
-    the counts c up to the split depth s, with k = n_max - s.  Otherwise, and
-    at jobs = 1, they are counted in process.  Totals are sums of exact
-    integers, independent of scheduling.  A tree is counted by
-    :func:`_count_cones` instead, at every ``jobs``.
+    counted in a pool of at most ``jobs`` worker processes, and no more
+    than there are representatives, only when that pays: when
+    ``len(reps) * c[s]**k >= POOL_MIN_WALKS * c[s-1]**k``, an estimate in
+    exact ints of the walks of length n_max through them from the counts c
+    up to the split depth s, with k = n_max - s.  Otherwise, and at jobs = 1,
+    they are counted in process.  Totals are sums of exact integers,
+    independent of scheduling.  A tree is counted by :func:`_count_cones`
+    instead, at every ``jobs``.
     """
     if node_budget is not None:
         counts = _budget_levels(family, hf, start, n_max, "saw" if mode == "saw" else "halfspace",
@@ -542,7 +543,7 @@ def _count(family, hf, start, n_max, mode, jobs, node_budget=None):
     # opens no pool need not pay for
     import concurrent.futures
     with concurrent.futures.ProcessPoolExecutor(
-            max_workers=jobs, initializer=_init_worker,
+            max_workers=min(jobs, len(reps)), initializer=_init_worker,
             initargs=(adj, heights, mode, n_max)) as pool:
         add(pool.map(_worker_counts, reps))
     return counts, spans

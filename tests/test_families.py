@@ -210,6 +210,8 @@ def test_ball_queries_the_oracle_once_per_vertex(spec):
     counted = dataclasses.replace(fam, neighbors=lambda v: calls.append(v) or fam.neighbors(v))
     b = ball(counted, fam.origin, 3)
     assert sorted(calls) == sorted(b.vertices)
+    # each vertex keeps the oracle's own list, sphere vertices included
+    assert b.neighbors == {v: fam.neighbors(v) for v in b.vertices}
     inside = set(b.vertices)
     assert set(b.edges) == {(v, u) for v in inside for u in fam.neighbors(v) if u in inside and v < u}
     # dist is the breadth-first distance: one more than the nearest neighbor's
@@ -219,6 +221,12 @@ def test_ball_queries_the_oracle_once_per_vertex(spec):
         near[v].append(b.dist[u])
     assert b.dist[fam.origin] == 0
     assert all(b.dist[v] == 1 + min(near[v]) for v in inside if v != fam.origin)
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS)
+def test_oracles_keep_no_memory(spec):
+    # a ball keeps the lists its readers need; an oracle remembers nothing
+    assert not hasattr(parse_family(spec).neighbors, "cache_info")
 
 
 @given(st.tuples(st.integers(-20, 20), st.integers(-20, 20)))

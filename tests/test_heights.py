@@ -5,7 +5,7 @@ import dataclasses
 import pytest
 
 from sawlab.errors import ResourceBudgetError, UsageError
-from sawlab.families import GraphFamily, hypercubic, parse_family
+from sawlab.families import GraphFamily, ball, hypercubic, parse_family
 from sawlab.heights import (
     HeightFunction,
     default_height,
@@ -81,13 +81,14 @@ def test_clause_b_profile_violation():
 
 
 def test_validate_height_reads_each_neighborhood_once():
-    """Clauses (b) and (c) share one oracle call per ball vertex; only the
-    orbit representatives are asked again for their profiles."""
+    """The ball asks the oracle once per vertex (57 at radius 6) and
+    clauses (b) and (c) read its lists; only the 4 orbit representatives
+    are asked again for their profiles."""
     fam = parse_family("squareoct")
     calls = []
     counted = dataclasses.replace(fam, neighbors=lambda v: calls.append(v) or fam.neighbors(v))
     assert validate_height(counted, default_height(fam), 6).ok()
-    assert len(calls) == 118
+    assert len(calls) == 57 + 4
 
 
 @pytest.mark.parametrize("spec", ["squareoct", "hex", "z3"])
@@ -182,6 +183,17 @@ def test_prop_bound_holds_when_declared_does():
         bound = (n - 1) * (2 * d + 1) + 2
         assert verify_r(fam, hf, hf.declared_r)
         assert verify_r(fam, hf, bound)
+
+
+def test_verify_r_reads_each_ball_once():
+    """Each representative's band searches read the lists of its radius-r
+    ball, which asks the oracle once per ball vertex."""
+    fam = parse_family("squareoct")
+    hf = default_height(fam)
+    calls = []
+    counted = dataclasses.replace(fam, neighbors=lambda v: calls.append(v) or fam.neighbors(v))
+    assert verify_r(counted, hf, 11)
+    assert len(calls) == sum(len(ball(fam, u, 11).vertices) for u in hf.h_orbits)
 
 
 def test_verify_r_budget_is_not_a_false(monkeypatch):

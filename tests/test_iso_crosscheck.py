@@ -26,10 +26,8 @@ def ball_from_edges(root, edges):
                 dist[y] = dist[x] + 1
                 queue.append(y)
     vertices = tuple(sorted(dist, key=lambda v: (dist[v], v)))
-    norm_edges = tuple(sorted((min(u, v), max(u, v)) for u, v in edges
-                              if u in dist and v in dist))
-    return Ball(root=root, radius=max(dist.values(), default=0),
-                vertices=vertices, edges=norm_edges, dist=dist)
+    return Ball(root=root, radius=max(dist.values(), default=0), vertices=vertices,
+                neighbors={v: tuple(sorted(adj[v])) for v in vertices}, dist=dist)
 
 
 def brute_force_iso(a, b):

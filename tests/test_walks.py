@@ -377,6 +377,36 @@ def test_forced_pool_budgeted_counts_match_serial(monkeypatch):
     assert opened
 
 
+def test_pool_has_no_more_workers_than_representatives(monkeypatch):
+    """A pool forks its workers at once, so it asks for no more of them
+    than there are prefix representatives: z2's SAWs have 5, at any
+    ``jobs``.  The stub executor runs the tasks in process."""
+    import concurrent.futures
+
+    workers = []
+
+    class InProcess:
+        def __init__(self, max_workers, initializer, initargs):
+            workers.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(walks, "POOL_MIN_WALKS", 0)
+    monkeypatch.setattr(walks, "_worker_inputs", None)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcess)
+    z2 = parse_family("z2")
+    assert count_saws(z2, z2.origin, 7, jobs=64) == count_saws(z2, z2.origin, 7, jobs=1)
+    assert workers == [5]
+
+
 def test_small_counts_open_no_pool(monkeypatch):
     # the benchmark's CLI counts at --jobs 2 are below the pool's break-even
     import concurrent.futures
