@@ -146,9 +146,11 @@ def build_quotient(family: GraphFamily, sub: SubgroupDescriptor) -> QuotientGrap
     frontier = [lat.reduce(family.origin)]
     index[frontier[0]] = 0
     reps.append(frontier[0])
+    lists: dict[Label, tuple] = {}  # each representative's, for the checks below
     while frontier:
         v = frontier.pop()
-        for u in family.neighbors(v):
+        lists[v] = family.neighbors(v)
+        for u in lists[v]:
             ru = lat.reduce(u)
             if ru not in index:
                 if len(reps) >= cap:
@@ -157,9 +159,9 @@ def build_quotient(family: GraphFamily, sub: SubgroupDescriptor) -> QuotientGrap
                 reps.append(ru)
                 frontier.append(ru)
 
-    def count_row(v: Label) -> list[int]:
+    def count_row(nbrs) -> list[int]:
         row = [0] * len(reps)
-        for u in family.neighbors(v):
+        for u in nbrs:
             row[index[lat.reduce(u)]] += 1
         return row
 
@@ -167,7 +169,7 @@ def build_quotient(family: GraphFamily, sub: SubgroupDescriptor) -> QuotientGrap
     for s in sub.shifts:
         for v in reps[:2]:
             shifted = tuple(a + b for a, b in zip(v, s))
-            want = {tuple(a + b for a, b in zip(u, s)) for u in family.neighbors(v)}
+            want = {tuple(a + b for a, b in zip(u, s)) for u in lists[v]}
             if set(family.neighbors(shifted)) != want:
                 raise InvariantViolationError(
                     f"shift {s} is not a graph automorphism at {v}")
@@ -175,9 +177,9 @@ def build_quotient(family: GraphFamily, sub: SubgroupDescriptor) -> QuotientGrap
     shift0 = next(s for s in sub.shifts if any(s))
     mult = []
     for i, rep in enumerate(reps):
-        row = count_row(rep)
+        row = count_row(lists[rep])
         other = tuple(a + b for a, b in zip(rep, shift0))
-        if count_row(other) != row:
+        if count_row(family.neighbors(other)) != row:
             raise InvariantViolationError(
                 f"edge multiplicities ill-defined on orbit {i} ({rep})")
         mult.append(tuple(row))

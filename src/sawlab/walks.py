@@ -170,18 +170,20 @@ def _verify_cones(family, hf, start):
 
 
 def _count_cones(rows, n_max, mode):
-    """Counts (and bridge span tables) of the walks from a start, as
-    :func:`_count_from` returns them, by an exact DP over the cone types
-    ``rows`` that :func:`_verify_cones` measured around it.
+    """The tally of the walks from a start, as :func:`_count_from` returns
+    it, by an exact DP over the cone types ``rows`` that
+    :func:`_verify_cones` measured around it.
 
     A walk's state is the type of its last vertex, its height above the
     start and the running maximum of its heights; the walks sharing a state
     continue alike.  Half-space walks and bridges keep only the states
     above the start, and a walk is a bridge when its height is the running
-    maximum, its span that height.
+    maximum, its span that height: a bridge row is ``n_max * top + 1`` wide
+    for the largest increment top (or 0), the others one.
     """
-    counts = [1] + [0] * n_max
-    spans = [{0: 1}] + [{} for _ in range(n_max)] if mode == "bridge" else None
+    top = max([0, *(inc for row in rows.values() for inc in row)]) if mode == "bridge" else 0
+    tally = [[0] * (n_max * top + 1) for _ in range(n_max + 1)]
+    tally[0][0] = 1
     states = {(None, 0, 0): 1}
     for depth in range(1, n_max + 1):
         nxt = {}
@@ -198,13 +200,13 @@ def _count_cones(rows, n_max, mode):
                     key = (inc, hu, max(hi, hu))
                 nxt[key] = nxt.get(key, 0) + num * mult
         states = nxt
+        row = tally[depth]
         for (t, h, hi), num in states.items():
             if mode != "bridge":
-                counts[depth] += num
+                row[0] += num
             elif h == hi:
-                counts[depth] += num
-                spans[depth][h] = spans[depth].get(h, 0) + num
-    return counts, spans
+                row[h] += num
+    return tally
 
 
 @functools.lru_cache(maxsize=1)
@@ -285,7 +287,11 @@ def _height_ball(family, hf, start, n_max):
 
 
 def _count_from(adj, heights, path, n_max, mode):
-    """Count the walks of each length up to n_max that extend ``path``.
+    """The tally of the walks extending ``path``: for each length up to
+    n_max (zero below ``len(path) - 1``) a row of exact ints.  A SAW or
+    half-space row holds the count; a bridge row is indexed by span, the
+    height above the start h0, and is ``max(heights) - h0 + 1`` wide, so the
+    tallies of two prefixes from one start add elementwise.
 
     ``adj[v]`` lists the ids a walk may step to from v (for half-space walks
     and bridges only those above the start), and ``heights`` is read for
@@ -304,15 +310,13 @@ def _count_from(adj, heights, path, n_max, mode):
     are simple and symmetric, which :func:`_compile_ball` checks; the
     half-space start is in no height-filtered row, so its own row is left
     out.  A bridge tests the free neighbors of its last free step u against
-    the running maximum through u.  Returns ``(counts, spans)``:
-    ``counts[d]`` for d >= len(path) - 1 (lower depths are 0), ``spans[d]``
-    the bridge span table at each depth, or None for the other kinds.
+    the running maximum through u.
     """
-    counts = [0] * (n_max + 1)
     used = set(path)
     base = len(path) - 1
 
     if mode != "bridge":
+        counts = [0] * (n_max + 1)
         last = n_max - 3
 
         def walks(v, depth):
@@ -359,22 +363,21 @@ def _count_from(adj, heights, path, n_max, mode):
                     counts[n_max] += len(adj[u]) - len(used.intersection(adj[u]))
         elif base == n_max - 1:
             counts[n_max] = len(adj[v]) - len(used.intersection(adj[v]))
-        return counts, None
+        return [[c] for c in counts]
 
-    spans = [{} for _ in range(n_max + 1)]
     h0 = heights[path[0]]
+    tally = [[0] * (max(heights) - h0 + 1) for _ in range(n_max + 1)]
     last = n_max - 1
-    top = spans[n_max]
+    top = tally[n_max]
 
     def bridges(v, depth, hi):
         depth += 1
-        table = spans[depth]
+        row = tally[depth]
         for u in adj[v]:
             if u not in used:
                 hu = heights[u]
                 if hu >= hi:
-                    counts[depth] += 1
-                    table[hu - h0] = table.get(hu - h0, 0) + 1
+                    row[hu - h0] += 1
                     hi_u = hu
                 else:
                     hi_u = hi
@@ -387,27 +390,24 @@ def _count_from(adj, heights, path, n_max, mode):
                         if w not in used:
                             hw = heights[w]
                             if hw >= hi_u:
-                                counts[n_max] += 1
-                                top[hw - h0] = top.get(hw - h0, 0) + 1
+                                top[hw - h0] += 1
 
-    hs = [heights[v] for v in path]
-    hi = max(hs)
-    if hs[-1] == hi:
-        counts[base] = 1
-        spans[base][hi - h0] = 1
+    hi = max(heights[v] for v in path)
+    if heights[path[-1]] == hi:
+        tally[base][hi - h0] = 1
     if base < n_max:
         bridges(path[-1], base, hi)
-    return counts, spans
+    return tally
 
 
 @functools.lru_cache(maxsize=1)
 def _budget_levels(family, hf, start, n_max, kind, node_budget, jobs, ball_cap):
-    """The counts of kind (``"saw"`` or ``"halfspace"``) from start, levels
+    """The tally of kind (``"saw"`` or ``"halfspace"``) from start, levels
     0..m, for the high-water mark m of ``node_budget``.
 
     A depth-first search of level n looks up the neighbors of each walk it
     extends, so level n costs one unit per walk of length below n: the sum
-    of the counts below n.  Those counts are known once level n - 1 is
+    of the rows below n.  Those counts are known once level n - 1 is
     counted, so level n is counted only while the running total of its
     costs fits the budget.  A level that does not fit, or whose ball is over
     ``ball_cap`` (the ``budget("BALL_VERTICES")`` it was read under), is not
@@ -417,17 +417,17 @@ def _budget_levels(family, hf, start, n_max, kind, node_budget, jobs, ball_cap):
     :func:`count_halfspace` to :func:`count_bridges` from the same start,
     whose high-water mark they set.
     """
-    counts, spent = [], 0
+    tally, spent = [], 0
     for n in range(n_max + 1):
         if n:
-            spent += sum(counts)
+            spent += sum(map(sum, tally))
             if spent > node_budget:
                 break
         try:
-            counts = _count(family, hf, start, n, kind, jobs)[0]
+            tally = _count(family, hf, start, n, kind, jobs)
         except ResourceBudgetError:
             break
-    return tuple(counts)
+    return tally
 
 
 # The estimated walk count below which _count stays in process at any
@@ -478,9 +478,9 @@ def _prefix_orbits(prefixes, perms):
 
 
 def _count(family, hf, start, n_max, mode, jobs, node_budget=None):
-    """Counts (and bridge span tables) of the walks from start; see
-    :func:`_count_from`.  SAWs are counted on :func:`_compile_ball`'s ball,
-    half-space walks and bridges on :func:`_height_ball`'s.
+    """The tally of the walks from start; see :func:`_count_from`.  SAWs
+    are counted on :func:`_compile_ball`'s ball, half-space walks and
+    bridges on :func:`_height_ball`'s.
 
     With a ``node_budget`` the levels 0..m are counted instead, for the
     high-water mark m that :func:`_budget_levels` finds.  Bridges are grown
@@ -491,22 +491,22 @@ def _count(family, hf, start, n_max, mode, jobs, node_budget=None):
     depth.  A symmetry of the ball that fixes the start (and every height,
     for half-space walks and bridges) carries the walks through one prefix
     onto the walks through its image, so only the first prefix of each orbit
-    is counted, weighted by the orbit's size.  The representatives are
-    counted in a pool of at most ``jobs`` worker processes, and no more
-    than there are representatives, only when that pays: when
-    ``len(reps) * c[s]**k >= POOL_MIN_WALKS * c[s-1]**k``, an estimate in
-    exact ints of the walks of length n_max through them from the counts c
-    up to the split depth s, with k = n_max - s.  Otherwise, and at jobs = 1,
-    they are counted in process.  Totals are sums of exact integers,
+    is counted and its tally added elementwise, weighted by the orbit's
+    size.  The representatives are counted in a pool of at most ``jobs``
+    worker processes, and no more than there are representatives, only when
+    that pays: when ``len(reps) * c[s]**k >= POOL_MIN_WALKS * c[s-1]**k``,
+    an estimate in exact ints of the walks of length n_max through them
+    from the row sums c up to the split depth s, with k = n_max - s.
+    Otherwise, and at jobs = 1, they are counted in process.  Totals are sums of exact integers,
     independent of scheduling.  A tree is counted by :func:`_count_cones`
     instead, at every ``jobs``.
     """
     if node_budget is not None:
-        counts = _budget_levels(family, hf, start, n_max, "saw" if mode == "saw" else "halfspace",
-                                node_budget, jobs, budget("BALL_VERTICES"))
-        if mode != "bridge" or not counts:
-            return list(counts), []
-        n_max = len(counts) - 1
+        tally = _budget_levels(family, hf, start, n_max, "saw" if mode == "saw" else "halfspace",
+                               node_budget, jobs, budget("BALL_VERTICES"))
+        if mode != "bridge" or not tally:
+            return tally
+        n_max = len(tally) - 1
     if family.tree:
         return _count_cones(_verify_cones(family, hf, start), n_max, mode)
     if mode == "saw":
@@ -517,28 +517,23 @@ def _count(family, hf, start, n_max, mode, jobs, node_budget=None):
     split = 3
     if n_max <= split:
         return _count_from(adj, heights, [0], n_max, mode)
-    counts, spans = _count_from(adj, heights, [0], split, mode)
-    counts += [0] * (n_max - split)
-    if spans is not None:
-        spans += [{} for _ in range(n_max - split)]
+    tally = _count_from(adj, heights, [0], split, mode)
+    tally += [[0] * len(tally[0]) for _ in range(n_max - split)]
     prefixes = [(0,)]
     for _ in range(split):
         prefixes = [p + (u,) for p in prefixes for u in adj[p[-1]] if u not in p]
     reps, weights = _prefix_orbits(prefixes, perms)
 
     def add(parts):
-        for weight, (part_counts, part_spans) in zip(weights, parts):
+        for weight, part in zip(weights, parts):
             for d in range(split + 1, n_max + 1):
-                counts[d] += weight * part_counts[d]
-                if part_spans is not None:
-                    for s, c in part_spans[d].items():
-                        spans[d][s] = spans[d].get(s, 0) + weight * c
+                tally[d] = [x + weight * y for x, y in zip(tally[d], part[d])]
 
     k = n_max - split
     if (jobs <= 1 or not reps
-            or len(reps) * counts[split] ** k < POOL_MIN_WALKS * counts[split - 1] ** k):
+            or len(reps) * sum(tally[split]) ** k < POOL_MIN_WALKS * sum(tally[split - 1]) ** k):
         add(_count_from(adj, heights, list(p), n_max, mode) for p in reps)
-        return counts, spans
+        return tally
     # imported here: concurrent.futures loads logging, which a call that
     # opens no pool need not pay for
     import concurrent.futures
@@ -546,7 +541,7 @@ def _count(family, hf, start, n_max, mode, jobs, node_budget=None):
             max_workers=min(jobs, len(reps)), initializer=_init_worker,
             initargs=(adj, heights, mode, n_max)) as pool:
         add(pool.map(_worker_counts, reps))
-    return counts, spans
+    return tally
 
 
 def count_saws(family: GraphFamily, start: Label, n_max: int, jobs: int = 1,
@@ -573,7 +568,7 @@ def count_saws(family: GraphFamily, start: Label, n_max: int, jobs: int = 1,
     """
     if n_max < 0:
         raise UsageError("n_max must be >= 0")
-    return _count(family, None, start, n_max, "saw", jobs, node_budget)[0]
+    return [row[0] for row in _count(family, None, start, n_max, "saw", jobs, node_budget)]
 
 
 def count_halfspace(family: GraphFamily, hf: HeightFunction, start: Label,
@@ -582,16 +577,18 @@ def count_halfspace(family: GraphFamily, hf: HeightFunction, start: Label,
     """Exact counts of walks whose non-initial heights all exceed the start's."""
     if n_max < 0:
         raise UsageError("n_max must be >= 0")
-    return _count(family, hf, start, n_max, "halfspace", jobs, node_budget)[0]
+    return [row[0] for row in _count(family, hf, start, n_max, "halfspace", jobs, node_budget)]
 
 
 def count_bridges(family: GraphFamily, hf: HeightFunction, start: Label,
                   n_max: int, jobs: int = 1,
                   node_budget: int | None = None) -> tuple[list[int], list[dict]]:
-    """Exact bridge counts per length, plus per-length span distributions."""
+    """Exact bridge counts per length (the tally's row sums), plus per-length
+    span distributions (its nonzero entries)."""
     if n_max < 0:
         raise UsageError("n_max must be >= 0")
-    return _count(family, hf, start, n_max, "bridge", jobs, node_budget)
+    tally = _count(family, hf, start, n_max, "bridge", jobs, node_budget)
+    return [sum(row) for row in tally], [{s: c for s, c in enumerate(row) if c} for row in tally]
 
 
 # ---------------------------------------------------------------------------

@@ -646,12 +646,12 @@ def test_staged_succeeds_where_the_pair_sweep_hit_its_cap():
 
 def test_synthesis_walks_its_check_ball_once():
     """The lift's path-independence check reads the edges of the ball it
-    builds: after the quotient build's 56 oracle calls, the lift asks once
+    builds: after the quotient build's 36 oracle calls, the lift asks once
     per vertex of its radius-4 check ball (41), not twice."""
     calls = []
     counted = dataclasses.replace(Z2, neighbors=lambda v: calls.append(v) or Z2.neighbors(v))
     synthesize_height(counted, [(4, 0), (0, 4)])
-    assert len(calls) == 97
+    assert len(calls) == 77
 
 
 def test_one_edge_table_per_synthesis(monkeypatch):

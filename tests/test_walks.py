@@ -566,10 +566,12 @@ _PREFIX_GRAPH = ({0: (1, 2, 3), 1: (0, 2, 4), 2: (0, 1, 5, 6), 3: (0, 6), 4: (1,
 
 
 @pytest.mark.parametrize("spec, n", [("z2", 6), ("hex", 7), ("hand", 5)])
-@pytest.mark.parametrize("mode", ["saw", "halfspace"])
+@pytest.mark.parametrize("mode", ["saw", "halfspace", "bridge"])
 def test_count_from_counts_the_extensions_of_each_prefix(spec, n, mode):
     # the pool workers count each prefix on its own: whatever the prefix's
-    # length, _count_from(path) counts exactly the walks that extend it
+    # length, _count_from(path) counts exactly the walks that extend it; a
+    # bridge row is indexed by span and spans every height in the ball, so
+    # that the rows of two prefixes add elementwise
     if spec == "hand":
         fam, hf = _hand_built(*_PREFIX_GRAPH)
     else:
@@ -578,18 +580,27 @@ def test_count_from_counts_the_extensions_of_each_prefix(spec, n, mode):
     start = fam.origin
     labels, adj, _ = walks._compile_ball(fam, start, n)
     heights = None
-    if mode == "halfspace":
+    if mode != "saw":
         adj, heights, _ = walks._height_ball(fam, hf, start, n)
     ids = {v: i for i, v in enumerate(labels)}
+    h0 = hf.evaluate(start)
+    width = max(map(hf.evaluate, labels)) - h0 + 1 if mode == "bridge" else 1
     by_length = [[w.vertices for w in enumerate_walks(fam, hf, start, d, mode)]
                  for d in range(n + 1)]
+    # every prefix of a bridge is a half-space walk
+    prefixes = by_length if mode != "bridge" else [
+        [w.vertices for w in enumerate_walks(fam, hf, start, d, "halfspace")]
+        for d in range(n + 1)]
     checked = 0
     for base in range(n - 3, n + 1):
-        for prefix in by_length[base]:
-            want = [0] * base + [sum(w[:base + 1] == prefix for w in by_length[d])
-                                 for d in range(base, n + 1)]
+        for prefix in prefixes[base]:
+            want = [[0] * width for _ in range(n + 1)]
+            for d in range(base, n + 1):
+                for w in by_length[d]:
+                    if w[:base + 1] == prefix:
+                        want[d][hf.evaluate(w[-1]) - h0 if mode == "bridge" else 0] += 1
             path = [ids[v] for v in prefix]
-            assert walks._count_from(adj, heights, path, n, mode) == (want, None)
+            assert walks._count_from(adj, heights, path, n, mode) == want
             checked += 1
     assert checked > 4
 
