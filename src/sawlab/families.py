@@ -111,6 +111,17 @@ def signed_permutations(n: int) -> tuple[Callable[[Label], Label], ...]:
     return tuple(_flip(i) for i in range(n)) + tuple(_swap(i) for i in range(n - 1))
 
 
+def _hypercubic_symmetries(n: int) -> tuple[Callable[[Label], Label], ...]:
+    """The group of :func:`signed_permutations` from n generators: the flip
+    of axis 1, the adjacent swaps past axis 0 and the swap of axes 0 and 1
+    (z1 keeps its one flip).  Those that fix axis 0, all but the last,
+    generate every signed permutation of the other axes, as the flips and
+    swaps among those axes do."""
+    if n == 1:
+        return (_flip(0),)
+    return (_flip(1), *(_swap(i) for i in range(1, n - 1)), _swap(0))
+
+
 def hypercubic(n: int) -> GraphFamily:
     """The lattice Z^n with nearest-neighbor adjacency."""
     from .heights import first_coordinate_height
@@ -118,17 +129,15 @@ def hypercubic(n: int) -> GraphFamily:
         raise UsageError("hypercubic dimension must be >= 1")
     spec = f"z{n}"
 
+    # built in sorted order: v - e_0 < ... < v - e_{n-1} < v + e_{n-1} < ... < v + e_0
     def neighbors(v: Label) -> tuple[Label, ...]:
         _check_int_tuple(v, n, spec)
-        out = []
-        for i in range(n):
-            for s in (1, -1):
-                out.append(v[:i] + (v[i] + s,) + v[i + 1:])
-        return tuple(sorted(out))
+        return (*[v[:i] + (v[i] - 1,) + v[i + 1:] for i in range(n)],
+                *[v[:i] + (v[i] + 1,) + v[i + 1:] for i in reversed(range(n))])
 
     origin = (0,) * n
     return GraphFamily(spec=spec, neighbors=neighbors, origin=origin,
-                       symmetries=signed_permutations(n),
+                       symmetries=_hypercubic_symmetries(n),
                        height=partial(first_coordinate_height, n))
 
 
@@ -147,29 +156,35 @@ def regular_tree(d: int) -> GraphFamily:
     def check(v) -> None:
         _require(isinstance(v, tuple) and len(v) == 2, v, spec, "expected (ray_index, path)")
         j, path = v
-        _require(isinstance(j, int) and j >= 0, v, spec, "ray index must be a non-negative int")
+        _require(isinstance(j, int) and not isinstance(j, bool) and j >= 0, v, spec,
+                 "ray index must be a non-negative int")
         _require(isinstance(path, tuple), v, spec, "path must be a tuple")
         for k, c in enumerate(path):
             hi = (d - 1) if (j == 0 or k > 0) else (d - 2)
-            if not (isinstance(c, int) and 0 <= c < hi):
+            if not (isinstance(c, int) and not isinstance(c, bool) and 0 <= c < hi):
                 raise _malformed(v, spec, f"child index {c} out of range")
+
+    child_steps = tuple((c,) for c in range(d - 1))
+    child_indices = frozenset(range(d - 1))
+    exact_int = frozenset((int,))
 
     # the lists below are constructed in sorted order (a path prefix sorts
     # before its extensions, smaller ray indices first)
     def neighbors(v: Label) -> tuple[Label, ...]:
-        check(v)
+        # a label of exact ints takes one test; any other label, and any
+        # label that fails it, takes check and its messages
+        if not (type(v) is tuple and len(v) == 2 and type(v[0]) is int
+                and type(v[1]) is tuple and v[0] >= 0
+                and exact_int.issuperset(map(type, v[1]))
+                and child_indices.issuperset(v[1])
+                and not (v[0] and v[1] and v[1][0] == d - 2)):
+            check(v)
         j, path = v
         if path:
-            out = [(j, path[:-1])]
-            out.extend((j, path + (c,)) for c in range(d - 1))
-        elif j >= 1:
-            out = [(j - 1, ())]
-            out.extend((j, (c,)) for c in range(d - 2))
-            out.append((j + 1, ()))
-        else:
-            out = [(0, (c,)) for c in range(d - 1)]
-            out.append((1, ()))
-        return tuple(out)
+            return ((j, path[:-1]), *[(j, path + c) for c in child_steps])
+        if j >= 1:
+            return ((j - 1, ()), *[(j, c) for c in child_steps[:-1]], (j + 1, ()))
+        return (*[(0, c) for c in child_steps], (1, ()))
 
     origin = (0, ())
     return GraphFamily(spec=spec, neighbors=neighbors, origin=origin, tree=True,

@@ -70,15 +70,17 @@ def first_coordinate_height(n: int) -> HeightFunction:
     )
 
 
+def _horocyclic(v):
+    j, path = v
+    return len(path) - j
+
+
 def horocyclic_height() -> HeightFunction:
     """Horocyclic height on the suspended tree: depth below the ray minus
-    position along it."""
-    def evaluate(v):
-        j, path = v
-        return len(path) - j
-
+    position along it.  Every call shares one evaluate function, so the
+    tree counters can tell it is the height their cone check measured in."""
     return HeightFunction(
-        spec="horocyclic", evaluate=evaluate, declared_d=1, declared_r=0,
+        spec="horocyclic", evaluate=_horocyclic, declared_d=1, declared_r=0,
         h_orbits=((0, ()),), h_orbit_of=lambda v: 0,
     )
 

@@ -19,7 +19,7 @@ from math import gcd
 from typing import Callable
 
 from .errors import InvariantViolationError, MalformedLabelError, ResourceBudgetError, UsageError, budget
-from .families import GraphFamily, Label, _check_int_tuple, hypercubic
+from .families import GraphFamily, Label, _check_int_tuple, hypercubic, signed_permutations
 from .heights import HeightFunction
 
 
@@ -225,8 +225,9 @@ def cylinder(n: int, v: tuple[int, ...]) -> GraphFamily:
 
     Labels are reduced so the first coordinate with a nonzero entry of v
     lies in [0, |v_p|); loops and multiplicities from the collapse are
-    dropped.  The symmetries are those of Z^n's generators that map v to
-    +-v, each followed by the reduction.  The default height is
+    dropped.  The symmetries are those axis flips and adjacent swaps
+    (:func:`families.signed_permutations`) that map v to +-v, each followed
+    by the reduction.  The default height is
     h(z) = z . w, with w a primitive integer vector perpendicular to v;
     d = max |w_i|.
     """
@@ -269,6 +270,6 @@ def cylinder(n: int, v: tuple[int, ...]) -> GraphFamily:
                      evaluate=evaluate, declared_d=max(abs(c) for c in w), declared_r=0,
                      h_orbits=(origin,), h_orbit_of=lambda z: 0)
     return GraphFamily(spec=spec, neighbors=neighbors, origin=origin,
-                       symmetries=tuple(descend(g) for g in base.symmetries
+                       symmetries=tuple(descend(g) for g in signed_permutations(n)
                                         if g(v) in (v, minus_v)),
                        height=height)

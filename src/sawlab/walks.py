@@ -16,9 +16,10 @@ and breaks at its last maximizer.
 from __future__ import annotations
 
 import functools
+from collections import Counter
 from dataclasses import dataclass
 from itertools import repeat
-from operator import eq
+from operator import eq, ne, sub
 from typing import Iterator, Literal
 
 from .errors import InvariantViolationError, ResourceBudgetError, UsageError, budget
@@ -98,8 +99,9 @@ def _cone_ball(family, start):
     when every vertex closer than n to the start was expanded; beyond that
     length the counts rest on how the family is built.
 
-    Returns ``(ball, rows)``: ``ball`` maps each label reached to its
-    default height relative to the start's, ``rows`` each type to its row.
+    Returns ``(ball, rows, ev)``: ``ball`` maps each label reached to its
+    default height relative to the start's, ``rows`` each type to its row,
+    and ``ev`` is the default height's evaluate function.
     It depends on neither the walk kind nor the length, so the one-entry
     cache serves every count from one start in turn.
     """
@@ -107,38 +109,53 @@ def _cone_ball(family, start):
     # that two balls are never held at once
     _cone_ball.cache_clear()
     ev = default_height(family).evaluate
+    neighbors = family.neighbors
     h0 = ev(start)
     ball = {start: 0}
     rows = {}
-    level = [(start, None, None)]
+    # each type's onward increments, sorted, as its first vertex had them
+    firsts = {}
+    # a level is four parallel lists: vertex, parent, type, height
+    level = [start], [None], [None], [0]
     radius = 0
-    while level:
-        nxt = []
-        for v, parent, t in level:
-            hv = ball[v]
-            row = {}
+    while level[0]:
+        nxt = [], [], [], []
+        kids, parents_of, types, heights = nxt
+        add_kid, add_height = kids.append, heights.append
+        for v, parent, t, hv in zip(*level):
+            incs = []
             parents = 0
-            for u in family.neighbors(v):
+            for u in neighbors(v):
                 if u == parent:
                     parents += 1
                     continue
-                if u in ball:
+                # one hash per child: a vertex already in the ball leaves
+                # its size unchanged
+                size = len(ball)
+                hu = ball[u] = ev(u) - h0
+                if len(ball) == size:
                     raise InvariantViolationError(
                         f"{family.spec} is marked a tree, but {u!r} closes a cycle "
                         f"at distance {radius + 1} from {start!r}")
-                ball[u] = ev(u) - h0
-                inc = ball[u] - hv
-                row[inc] = row.get(inc, 0) + 1
-                nxt.append((u, v, inc))
+                add_kid(u)
+                add_height(hu)
+                incs.append(hu - hv)
+            parents_of.extend(repeat(v, len(incs)))
+            types.extend(incs)
             if parents != (parent is not None):
                 raise InvariantViolationError(
                     f"{family.spec}: {v!r} lists the vertex it was reached from "
                     f"{parents} times")
-            if rows.setdefault(t, row) != row:
-                raise InvariantViolationError(
-                    f"{family.spec}: {v!r} has onward steps {row} by height increment, "
-                    f"where the first vertex entered by a step of increment {t} had "
-                    f"{rows[t]}")
+            first = firsts.get(t)
+            if first is None or sorted(incs) != first:
+                row = dict(Counter(incs))
+                if first is not None:
+                    raise InvariantViolationError(
+                        f"{family.spec}: {v!r} has onward steps {row} by height increment, "
+                        f"where the first vertex entered by a step of increment {t} had "
+                        f"{rows[t]}")
+                rows[t] = row
+                firsts[t] = sorted(incs)
             if len(ball) > CONE_CHECK_MAX_VERTICES:
                 unmeasured = {inc for r in rows.values() for inc in r}.difference(rows)
                 if unmeasured:
@@ -146,23 +163,25 @@ def _cone_ball(family, start):
                         f"{family.spec}: the cone check passed {CONE_CHECK_MAX_VERTICES} "
                         f"vertices before it expanded a vertex entered by a step of each "
                         f"increment in {sorted(unmeasured)}")
-                return ball, rows
+                return ball, rows, ev
         level = nxt
         radius += 1
-    return ball, rows
+    return ball, rows, ev
 
 
 @functools.lru_cache(maxsize=1)
 def _verify_cones(family, hf, start):
     """The cone types measured around start (:func:`_cone_ball`), after
     checking, when hf is given, that it is the height they are measured in.
-    The one-entry cache serves the half-space and bridge counts from one
-    start in turn, so hf is checked once per ball, not once per walk kind
-    or length."""
-    ball, rows = _cone_ball(family, start)
-    if hf is not None:
+    The check is skipped when hf evaluates with the very function the ball
+    was measured with: a pure function gives the stored heights again.  Any
+    other function is evaluated once per ball vertex.  The one-entry cache
+    serves the half-space and bridge counts from one start in turn, so hf
+    is checked once per ball, not once per walk kind or length."""
+    ball, rows, ev = _cone_ball(family, start)
+    if hf is not None and hf.evaluate is not ev:
         h0 = hf.evaluate(start)
-        if any(hf.evaluate(v) - h0 != h for v, h in ball.items()):
+        if any(map(ne, map(sub, map(hf.evaluate, ball), repeat(h0)), ball.values())):
             raise InvariantViolationError(
                 f"{family.spec}: height {hf.spec!r} differs from the one the family's "
                 f"cone types are measured in")

@@ -50,6 +50,14 @@ def test_z2_neighbors_exact():
     assert set(z2.neighbors((3, -2))) == {(4, -2), (2, -2), (3, -1), (3, -3)}
 
 
+@pytest.mark.parametrize("spec", ALL_SPECS)
+def test_neighbor_lists_are_sorted(spec):
+    fam = parse_family(spec)
+    for v in sample_vertices(fam, 20):
+        nb = fam.neighbors(v)
+        assert list(nb) == sorted(set(nb)), v
+
+
 def test_tree_neighbor_structure():
     t3 = regular_tree(3)
     nbrs = t3.neighbors((0, ()))
@@ -155,7 +163,8 @@ def test_malformed_labels_rejected():
         with pytest.raises((MalformedLabelError, TypeError)):
             z2.neighbors(bad)
     t3 = regular_tree(3)
-    for bad in [(0, (5,)), (-1, ()), (1, (3,)), ((), ())]:
+    for bad in [(0, (5,)), (-1, ()), (1, (3,)), ((), ()), (1.0, ()), (0, (0.0,)), [0, ()],
+                (0, [0]), (0, (), 0)]:
         with pytest.raises(MalformedLabelError):
             t3.neighbors(bad)
     # the messages that are formatted only when a check fails
@@ -164,6 +173,14 @@ def test_malformed_labels_rejected():
     with pytest.raises(MalformedLabelError,
                        match=r"^tree:3: bad label \(1, \(0, 2\)\): child index 2 out of range$"):
         t3.neighbors((1, (0, 2)))
+    # a bool equals an int of its value, but no label holds one
+    with pytest.raises(MalformedLabelError,
+                       match=r"^tree:3: bad label \(True, \(\)\): ray index must be a "
+                             r"non-negative int$"):
+        t3.neighbors((True, ()))
+    with pytest.raises(MalformedLabelError,
+                       match=r"^tree:3: bad label \(0, \(True,\)\): child index True out of range$"):
+        t3.neighbors((0, (True,)))
     so = square_octagon()
     with pytest.raises(MalformedLabelError):
         so.neighbors((0, 0, 7))

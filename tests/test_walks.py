@@ -1,6 +1,7 @@
 """SAW engine: exact counts, streaming enumeration, bridge decomposition."""
 
 import dataclasses
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,8 +14,9 @@ from sawlab.families import (
     hypercubic,
     parse_family,
     regular_tree,
+    signed_permutations,
 )
-from sawlab.heights import HeightFunction, default_height
+from sawlab.heights import HeightFunction, default_height, parse_height
 from sawlab.tables import build_count_table
 from sawlab.walks import (
     Walk,
@@ -609,8 +611,32 @@ def test_z4_radius_9_ball_compiles():
     z4 = parse_family("z4")
     labels, adj, perms = walks._compile_ball(z4, z4.origin, 9)
     assert len(labels) == 5641
-    assert len(perms) == len(z4.symmetries) == 7
+    assert len(perms) == len(z4.symmetries) == 4
     assert count_saws(z4, z4.origin, 9)[9] == 40_613_816  # OEIS A010575
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_hypercubic_generators_give_the_same_prefix_orbits(n):
+    # z{n} declares n generators of its signed permutations, not every flip
+    # and adjacent swap; they generate the same group, and those that keep
+    # the height the same subgroup, so the counted prefixes and their
+    # weights are the same
+    fam = hypercubic(n)
+    every = dataclasses.replace(fam, symmetries=signed_permutations(n))
+    hf = default_height(fam)
+    for filtered in (False, True):
+        orbits = []
+        for f in (fam, every):
+            if filtered:
+                adj, _, perms = walks._height_ball(f, hf, f.origin, 5)
+            else:
+                _, adj, perms = walks._compile_ball(f, f.origin, 5)
+            prefixes = [(0,)]
+            for _ in range(3):
+                prefixes = [p + (u,) for p in prefixes for u in adj[p[-1]] if u not in p]
+            orbits.append(walks._prefix_orbits(prefixes, perms))
+        assert orbits[0] == orbits[1]
+        assert len(orbits[0][0]) < sum(orbits[0][1])
 
 
 def test_ball_over_budget_is_a_resource_error(monkeypatch):
@@ -728,6 +754,26 @@ def test_bad_cone_type_declarations_are_rejected(fam, why):
             count()
 
 
+@pytest.mark.parametrize("fam, message", [
+    (_hand_tree({0: (1,), 1: (0, 0, 2), 2: (1,)}, {0: 0, 1: 1, 2: 2}),
+     "hand: 1 lists the vertex it was reached from 2 times"),
+    (_hand_tree({0: (1,), 1: (2,), 2: (1,)}, {0: 0, 1: 1, 2: 2}),
+     "hand: 1 lists the vertex it was reached from 0 times"),
+    # the cycle is found before the doubled parent is counted
+    (_hand_tree({0: (1, 2), 1: (0, 0, 2), 2: (0, 1)}, {0: 0, 1: 1, 2: 2}),
+     "hand is marked a tree, but 2 closes a cycle at distance 2 from 0"),
+    (dataclasses.replace(parse_family("z2"), tree=True),
+     "z2 is marked a tree, but (-1, -1) closes a cycle at distance 2 from (0, 0)"),
+    (_hand_tree({0: (1, 2), 1: (0, 3), 2: (0,), 3: (1,)}, {0: 0, 1: 1, 2: 1, 3: 2}),
+     "hand: 2 has onward steps {} by height increment, where the first vertex entered "
+     "by a step of increment 1 had {1: 1}"),
+], ids=["parent-twice", "parent-never", "cycle-first", "z2-cycle", "row"])
+def test_cone_check_messages(fam, message):
+    walks._cone_ball.cache_clear()
+    with pytest.raises(InvariantViolationError, match=f"^{re.escape(message)}$"):
+        count_saws(fam, fam.origin, 8)
+
+
 def test_cone_types_are_checked_against_the_height_used():
     t3 = regular_tree(3)
     hf = default_height(t3)
@@ -769,6 +815,24 @@ def test_one_height_check_per_cone_ball():
 
     build_count_table(t5, dataclasses.replace(hf, evaluate=counted), 9)
     assert calls == len(walks._cone_ball(t5, t5.origin)[0]) + 1
+
+
+def test_measured_height_is_not_evaluated_again(monkeypatch):
+    # the built-in trees' height is the function their cone ball was
+    # measured with, so a table evaluates it once per ball vertex in all
+    calls = 0
+
+    def counted(v):
+        nonlocal calls
+        calls += 1
+        return len(v[1]) - v[0]
+
+    monkeypatch.setattr("sawlab.heights._horocyclic", counted)
+    t5 = parse_family("tree:5")
+    walks._cone_ball.cache_clear()
+    walks._verify_cones.cache_clear()
+    build_count_table(t5, parse_height(t5, "default"), 9)
+    assert calls == len(walks._cone_ball(t5, t5.origin)[0])
 
 
 @given(st.integers(0, 6))
