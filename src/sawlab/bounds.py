@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvariantViolationError, ResourceBudgetError, UsageError, budget
-from .families import Ball, GraphFamily, ball
+from .families import Ball, GraphFamily, ball, balls
 from .heights import HeightFunction
 from .tables import CountTable
 
@@ -173,16 +173,14 @@ class SimilarityResult:
 
 
 def similarity_K(fam_a: GraphFamily, fam_b: GraphFamily, cap: int) -> SimilarityResult:
-    """Largest k <= cap with isomorphic rooted k-balls around the origins."""
+    """Largest k <= cap with isomorphic rooted k-balls around the origins.
+    Each family's balls come from one growing search (:func:`balls`); the
+    k-ball of fam_a is grown before fam_b's, and none beyond radius cap."""
     if cap < 0:
         raise UsageError("cap must be >= 0")
-    k = 0
-    while k <= cap:
-        ba = ball(fam_a, fam_a.origin, k)
-        bb = ball(fam_b, fam_b.origin, k)
+    for k, ba, bb in zip(range(cap + 1), balls(fam_a, fam_a.origin), balls(fam_b, fam_b.origin)):
         if not ball_isomorphic(ba, bb):
             return SimilarityResult(K=k - 1, cap=cap, capped=False, mismatch_radius=k)
-        k += 1
     return SimilarityResult(K=cap, cap=cap, capped=True, mismatch_radius=None)
 
 

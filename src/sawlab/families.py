@@ -31,7 +31,7 @@ import re
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import islice
-from typing import Callable
+from typing import Callable, Iterator
 
 from .errors import MalformedLabelError, ResourceBudgetError, UsageError, budget
 
@@ -89,20 +89,58 @@ def _require(cond: bool, label, family: str, why: str) -> None:
         raise _malformed(label, family, why)
 
 
+# the type test of a label of exact ints: ``_EXACT_INT.issuperset(map(type, v))``
+_EXACT_INT = frozenset((int,))
+
+
 def _check_int_tuple(v, n: int, family: str) -> None:
-    # a message that needs formatting is built only when the check fails
+    # a tuple of n exact ints passes one test; any other label takes the
+    # checks below, and a message is formatted only when one fails
+    if type(v) is tuple and len(v) == n and _EXACT_INT.issuperset(map(type, v)):
+        return
     if not (isinstance(v, tuple) and len(v) == n):
         raise _malformed(v, family, f"expected {n}-tuple")
     _require(all(isinstance(c, int) and not isinstance(c, bool) for c in v), v, family,
              "coordinates must be ints")
 
 
+def _lattice_rows(v: Label) -> tuple[Label, ...]:
+    """The neighbors of v in Z^n, built by changing one list copy of v, in
+    sorted order: v - e_0 < ... < v - e_{n-1} < v + e_{n-1} < ... < v + e_0."""
+    w = list(v)
+    out = [None] * (2 * len(w))
+    for i, c in enumerate(v):
+        w[i] = c - 1
+        out[i] = tuple(w)
+        w[i] = c + 1
+        out[~i] = tuple(w)
+        w[i] = c
+    return tuple(out)
+
+
+# each label map below changes one list copy of its label
 def _flip(i: int) -> Callable[[Label], Label]:
-    return lambda v: v[:i] + (-v[i],) + v[i + 1:]
+    def flip(v: Label) -> Label:
+        w = list(v)
+        w[i] = -w[i]
+        return tuple(w)
+    return flip
 
 
 def _swap(i: int) -> Callable[[Label], Label]:
-    return lambda v: v[:i] + (v[i + 1], v[i]) + v[i + 2:]
+    def swap(v: Label) -> Label:
+        w = list(v)
+        w[i], w[i + 1] = w[i + 1], w[i]
+        return tuple(w)
+    return swap
+
+
+def _turn(v: Label) -> Label:
+    # the flip of axis 1 after rotating axes 1..n-1 one place:
+    # (v0, v1, ..., v_{n-1}) -> (v0, -v_{n-1}, v1, ..., v_{n-2})
+    w = list(v)
+    w.insert(1, -w.pop())
+    return tuple(w)
 
 
 def signed_permutations(n: int) -> tuple[Callable[[Label], Label], ...]:
@@ -112,14 +150,17 @@ def signed_permutations(n: int) -> tuple[Callable[[Label], Label], ...]:
 
 
 def _hypercubic_symmetries(n: int) -> tuple[Callable[[Label], Label], ...]:
-    """The group of :func:`signed_permutations` from n generators: the flip
-    of axis 1, the adjacent swaps past axis 0 and the swap of axes 0 and 1
-    (z1 keeps its one flip).  Those that fix axis 0, all but the last,
-    generate every signed permutation of the other axes, as the flips and
-    swaps among those axes do."""
+    """The group of :func:`signed_permutations` from at most three
+    generators: :func:`_turn`, the swap of axes 1 and 2 and the swap of
+    axes 0 and 1 (z1 keeps its one flip; in z2, with no axis 2, the turn is
+    the flip of axis 1).  The ones that fix axis 0, all but the last,
+    generate every signed permutation of the other axes, as a search of the
+    group's elements confirms for n = 2..8."""
     if n == 1:
         return (_flip(0),)
-    return (_flip(1), *(_swap(i) for i in range(1, n - 1)), _swap(0))
+    if n == 2:
+        return (_turn, _swap(0))
+    return (_turn, _swap(1), _swap(0))
 
 
 def hypercubic(n: int) -> GraphFamily:
@@ -129,11 +170,9 @@ def hypercubic(n: int) -> GraphFamily:
         raise UsageError("hypercubic dimension must be >= 1")
     spec = f"z{n}"
 
-    # built in sorted order: v - e_0 < ... < v - e_{n-1} < v + e_{n-1} < ... < v + e_0
     def neighbors(v: Label) -> tuple[Label, ...]:
         _check_int_tuple(v, n, spec)
-        return (*[v[:i] + (v[i] - 1,) + v[i + 1:] for i in range(n)],
-                *[v[:i] + (v[i] + 1,) + v[i + 1:] for i in reversed(range(n))])
+        return _lattice_rows(v)
 
     origin = (0,) * n
     return GraphFamily(spec=spec, neighbors=neighbors, origin=origin,
@@ -200,15 +239,14 @@ def hexagonal() -> GraphFamily:
     from .heights import hexagonal_height
     spec = "hex"
 
+    # the rows are built in sorted order: the vertical neighbor sits
+    # between the horizontal ones
     def neighbors(v: Label) -> tuple[Label, ...]:
         _check_int_tuple(v, 2, spec)
         x, y = v
-        out = [(x + 1, y), (x - 1, y)]
         if (x + y) % 2 == 0:
-            out.append((x, y + 1))
-        else:
-            out.append((x, y - 1))
-        return tuple(sorted(out))
+            return ((x - 1, y), (x, y + 1), (x + 1, y))
+        return ((x - 1, y), (x, y - 1), (x + 1, y))
 
     origin = (0, 0)
     return GraphFamily(spec=spec, neighbors=neighbors, origin=origin,
@@ -227,21 +265,27 @@ def square_octagon() -> GraphFamily:
     from .heights import square_octagon_height
     spec = "squareoct"
 
-    def neighbors(v: Label) -> tuple[Label, ...]:
+    def check(v) -> None:
+        # as _check_int_tuple, with the corner in the one test
+        if (type(v) is tuple and len(v) == 3 and _EXACT_INT.issuperset(map(type, v))
+                and 0 <= v[2] <= 3):
+            return
         _require(isinstance(v, tuple) and len(v) == 3, v, spec, "expected (i, j, corner)")
-        i, j, k = v
         _require(all(isinstance(c, int) and not isinstance(c, bool) for c in v), v, spec,
                  "coordinates must be ints")
-        _require(0 <= k <= 3, v, spec, "corner must be in 0..3")
+        _require(0 <= v[2] <= 3, v, spec, "corner must be in 0..3")
+
+    # the rows are built in sorted order
+    def neighbors(v: Label) -> tuple[Label, ...]:
+        check(v)
+        i, j, k = v
         if k == _SO_E:
-            out = [(i, j, _SO_N), (i, j, _SO_S), (i + 1, j, _SO_W)]
-        elif k == _SO_N:
-            out = [(i, j, _SO_E), (i, j, _SO_W), (i, j + 1, _SO_S)]
-        elif k == _SO_W:
-            out = [(i, j, _SO_N), (i, j, _SO_S), (i - 1, j, _SO_E)]
-        else:
-            out = [(i, j, _SO_E), (i, j, _SO_W), (i, j - 1, _SO_N)]
-        return tuple(sorted(out))
+            return ((i, j, _SO_N), (i, j, _SO_S), (i + 1, j, _SO_W))
+        if k == _SO_N:
+            return ((i, j, _SO_E), (i, j, _SO_W), (i, j + 1, _SO_S))
+        if k == _SO_W:
+            return ((i - 1, j, _SO_E), (i, j, _SO_N), (i, j, _SO_S))
+        return ((i, j - 1, _SO_N), (i, j, _SO_E), (i, j, _SO_W))
 
     origin = (0, 0, _SO_N)
     return GraphFamily(spec=spec, neighbors=neighbors, origin=origin,
@@ -254,28 +298,23 @@ def heisenberg() -> GraphFamily:
     Vertices (x, y, z) stand for the upper unitriangular matrix with x, y on
     the superdiagonal and z in the corner; edges are right multiplication by
     the three generators and their inverses.  The declared symmetries are
-    group automorphisms that permute the generators: a -> a^-1 with
-    c -> c^-1, b -> b^-1 with c -> c^-1, and a <-> b with c -> c^-1.
+    group automorphisms that permute the generators: b -> b^-1 with
+    c -> c^-1, and a <-> b with c -> c^-1.  They generate a group of
+    order 8, a -> a^-1 included, and the first alone generates the part
+    that keeps the height x.
     """
     from .heights import heisenberg_height
     spec = "heis"
 
+    # the rows are built in sorted order
     def neighbors(v: Label) -> tuple[Label, ...]:
         _check_int_tuple(v, 3, spec)
         x, y, z = v
-        out = [
-            (x + 1, y, z),
-            (x - 1, y, z),
-            (x, y + 1, z + x),
-            (x, y - 1, z - x),
-            (x, y, z + 1),
-            (x, y, z - 1),
-        ]
-        return tuple(sorted(out))
+        return ((x - 1, y, z), (x, y - 1, z - x), (x, y, z - 1),
+                (x, y, z + 1), (x, y + 1, z + x), (x + 1, y, z))
 
     origin = (0, 0, 0)
     symmetries = (
-        lambda v: (-v[0], v[1], -v[2]),
         lambda v: (v[0], -v[1], -v[2]),
         lambda v: (v[1], v[0], v[0] * v[1] - v[2]),
     )
@@ -328,6 +367,33 @@ def ball(family: GraphFamily, center: Label, radius: int) -> Ball:
     neighbors.update((v, family.neighbors(v)) for v in vertices[len(adj):])
     return Ball(root=center, radius=radius, vertices=vertices, neighbors=neighbors,
                 dist=dict(zip(vertices, depth)))
+
+
+def balls(family: GraphFamily, center: Label) -> Iterator[Ball]:
+    """The balls of radius 0, 1, 2, ... around ``center``, each equal to
+    :func:`ball`'s, from one breadth-first search grown one level per
+    ball, so the oracle is asked once per vertex.  Each ball holds its own
+    copies of the search's dicts.  Raises ResourceBudgetError, with
+    :func:`ball_ids`'s message, as soon as the ball being grown has more
+    than ``budget("BALL_VERTICES")`` vertices."""
+    cap = budget("BALL_VERTICES")
+    neighbors = {}
+    dist = {center: 0}
+    level = [center]
+    radius = 0
+    while True:
+        neighbors.update(zip(level, map(family.neighbors, level)))
+        yield Ball(root=center, radius=radius, vertices=tuple(dist), neighbors=dict(neighbors),
+                   dist=dict(dist))
+        radius += 1
+        first = len(dist)
+        for v in level:
+            for u in neighbors[v]:
+                dist.setdefault(u, radius)
+            if len(dist) > cap:
+                raise ResourceBudgetError(
+                    f"ball({family.spec}, r={radius}) around {center!r} exceeds {cap} vertices")
+        level = list(islice(dist, first, None))
 
 
 def _spec_int(text: str, spec: str, signed: bool = False) -> int:

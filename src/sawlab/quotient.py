@@ -19,7 +19,7 @@ from math import gcd
 from typing import Callable
 
 from .errors import InvariantViolationError, MalformedLabelError, ResourceBudgetError, UsageError, budget
-from .families import GraphFamily, Label, _check_int_tuple, hypercubic, signed_permutations
+from .families import GraphFamily, Label, _check_int_tuple, _lattice_rows, signed_permutations
 from .heights import HeightFunction
 
 
@@ -242,17 +242,17 @@ def cylinder(n: int, v: tuple[int, ...]) -> GraphFamily:
     if v[p] < 0:
         v = tuple(-c for c in v)
     spec = f"zcyl:{n}:{','.join(str(c) for c in v)}"
-    base = hypercubic(n)
 
     def reduce(z: tuple[int, ...]) -> tuple[int, ...]:
         q = z[p] // v[p]
         return tuple(a - q * b for a, b in zip(z, v)) if q else tuple(z)
 
     def neighbors(z: Label) -> tuple[Label, ...]:
+        # checked here, so Z^n's rows are built without its oracle's check
         _check_int_tuple(z, n, spec)
-        if reduce(z) != z:
+        if not 0 <= z[p] < v[p]:
             raise MalformedLabelError(f"{spec}: label {z!r} is not reduced")
-        out = {reduce(u) for u in base.neighbors(z)}
+        out = {reduce(u) for u in _lattice_rows(z)}
         out.discard(z)
         return tuple(sorted(out))
 

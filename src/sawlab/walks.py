@@ -300,7 +300,7 @@ def _height_ball(family, hf, start, n_max):
     labels, adj, perms = _compile_ball(family, start, n_max)
     heights = list(map(hf.evaluate, labels))
     h0 = heights[0]
-    adj = tuple(tuple(u for u in nb if heights[u] > h0) for nb in adj)
+    adj = tuple([tuple([u for u in nb if heights[u] > h0]) for nb in adj])
     perms = tuple(g for g in perms if list(map(heights.__getitem__, g)) == heights)
     return adj, heights, perms
 
@@ -486,7 +486,7 @@ def _prefix_orbits(prefixes, perms):
         while todo:
             q = todo.pop()
             for g in perms:
-                image = tuple(g[v] for v in q)
+                image = tuple(map(g.__getitem__, q))
                 if image not in orbit:
                     orbit.add(image)
                     todo.append(image)

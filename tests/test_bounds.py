@@ -16,6 +16,7 @@ from sawlab.bounds import (
     nth_root,
     similarity_K,
 )
+from sawlab.errors import ResourceBudgetError
 from sawlab.families import ball, hypercubic, parse_family, regular_tree
 from sawlab.heights import default_height
 from sawlab.quotient import cylinder
@@ -119,6 +120,31 @@ def test_similarity_capped_and_symmetric():
     ]
     for a, b, cap in pairs:
         assert similarity_K(a, b, cap).K == similarity_K(b, a, cap).K
+
+
+def test_similarity_K_asks_each_oracle_once_per_vertex(monkeypatch):
+    calls = {}
+
+    def counted(fam):
+        return dataclasses.replace(
+            fam, neighbors=lambda v: calls.setdefault(fam.spec, []).append(v) or fam.neighbors(v))
+
+    cyl = cylinder(2, (0, 24))
+    res = similarity_K(counted(Z2), counted(cyl), 30)
+    assert (res.K, res.mismatch_radius) == (11, 12)
+    for fam in (Z2, cyl):
+        assert sorted(calls[fam.spec]) == sorted(ball(fam, fam.origin, 12).vertices)
+    # an over-cap ball ends the search at the radius where ball() would
+    # end, the first family's ball before the second's
+    monkeypatch.setenv("SAWLAB_BUDGET_BALL_VERTICES", "100")
+    with pytest.raises(ResourceBudgetError,
+                       match=r"^ball\(z2, r=7\) around \(0, 0\) exceeds 100 vertices$"):
+        ball(Z2, Z2.origin, 7)
+    for a, b in ((Z2, cyl), (cyl, Z2)):
+        with pytest.raises(ResourceBudgetError,
+                           match=rf"^ball\({a.spec}, r=7\) around \(0, 0\) exceeds 100 vertices$"):
+            similarity_K(a, b, 30)
+    assert similarity_K(a, b, 6).capped
 
 
 def test_distinct_partitions_examples():

@@ -190,6 +190,92 @@ def test_malformed_labels_rejected():
             cyl.neighbors(bad)
 
 
+# every lattice oracle with the length of its labels
+LATTICE_ORACLES = {"z1": 1, "z2": 2, "z3": 3, "z4": 4, "hex": 2, "heis": 3, "squareoct": 3,
+                   "zcyl:2:0,6": 2, "zcyl:3:1,1,0": 3}
+
+
+def _bad_lattice_labels(spec, n):
+    """Labels that no lattice oracle accepts, each with the message it
+    raises: bools, floats, lists, None and tuples one too short or long."""
+    shape = "expected (i, j, corner)" if spec == "squareoct" else f"expected {n}-tuple"
+    ints = "coordinates must be ints"
+    zero = (0,) * (n - 1)
+    cases = [((True,) + zero, ints), (zero + (False,), ints), ((0.0,) + zero, ints),
+             (zero + (0.5,), ints), (("0",) + zero, ints), ([0] * n, shape), (None, shape),
+             ((0,) * (n - 1), shape), ((0,) * (n + 1), shape)]
+    if spec == "squareoct":
+        cases += [((0, 0, -1), "corner must be in 0..3"), ((0, 0, 4), "corner must be in 0..3"),
+                  ((0, -3, 7), "corner must be in 0..3")]
+    return [(v, f"{spec}: bad label {v!r}: {why}") for v, why in cases]
+
+
+@pytest.mark.parametrize("spec", LATTICE_ORACLES)
+def test_lattice_oracles_reject_bad_labels_with_their_messages(spec):
+    fam = parse_family(spec)
+    bad = _bad_lattice_labels(spec, LATTICE_ORACLES[spec])
+    if spec.startswith("zcyl"):
+        bad += [(v, f"{spec}: label {v!r} is not reduced")
+                for v in ([(0, 6), (0, -1), (1, 12)] if spec == "zcyl:2:0,6"
+                          else [(1, 0, 0), (-1, 5, 5)])]
+    for v, message in bad:
+        with pytest.raises(MalformedLabelError) as err:
+            fam.neighbors(v)
+        assert str(err.value) == message
+
+
+class _Int(int):
+    """An int subclass other than bool: labels may hold it."""
+
+
+def _independent_rows(spec, v):
+    # each family's definition, sorted afterwards
+    if spec == "hex":
+        x, y = v
+        return sorted([(x + 1, y), (x - 1, y), (x, y + 1 if (x + y) % 2 == 0 else y - 1)])
+    if spec == "heis":
+        x, y, z = v
+        return sorted([(x + 1, y, z), (x - 1, y, z), (x, y + 1, z + x), (x, y - 1, z - x),
+                       (x, y, z + 1), (x, y, z - 1)])
+    if spec == "squareoct":
+        i, j, k = v
+        step = {0: (i + 1, j, 2), 1: (i, j + 1, 3), 2: (i - 1, j, 0), 3: (i, j - 1, 1)}[k]
+        return sorted([(i, j, (k + 1) % 4), (i, j, (k + 3) % 4), step])
+    rows = [v[:i] + (v[i] + s,) + v[i + 1:] for i in range(len(v)) for s in (-1, 1)]
+    if spec.startswith("zcyl"):
+        shift = tuple(map(int, spec.split(":")[2].split(",")))
+        p = next(i for i, c in enumerate(shift) if c)
+
+        def reduce(u):
+            q = u[p] // shift[p]
+            return tuple(a - q * b for a, b in zip(u, shift))
+        rows = set(map(reduce, rows)) - {v}
+    return sorted(rows)
+
+
+def _far_labels(spec, n):
+    big = 10 ** 15
+    if spec == "squareoct":
+        return [(-big, -big - 1, k) for k in range(4)] + [(-7, big, k) for k in range(4)]
+    if spec.startswith("zcyl"):
+        # the coordinate of the shift's first entry that is not zero stays
+        # reduced: zcyl:2:0,6 keeps y in 0..5, zcyl:3:1,1,0 keeps x at 0
+        return ([(-big, 0), (-big + 1, 5), (big, 3)] if n == 2
+                else [(0, -big, -big - 1), (0, big, -3)])
+    return [tuple(-big - i for i in range(n)), tuple((-1) ** i * big + i for i in range(n))]
+
+
+@pytest.mark.parametrize("spec", LATTICE_ORACLES)
+def test_lattice_rows_match_a_sorted_construction(spec):
+    fam = parse_family(spec)
+    n = LATTICE_ORACLES[spec]
+    for v in _far_labels(spec, n) + sample_vertices(fam, 12):
+        rows = fam.neighbors(v)
+        assert type(rows) is tuple and list(rows) == _independent_rows(spec, v), v
+        # an int subclass that is not a bool is accepted, with the same rows
+        assert fam.neighbors(tuple(map(_Int, v))) == rows, v
+
+
 def test_parse_family_errors():
     with pytest.raises(UsageError):
         parse_family("z9")

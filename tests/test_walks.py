@@ -11,6 +11,8 @@ from sawlab.errors import InvariantViolationError, ResourceBudgetError, UsageErr
 from sawlab.families import (
     BUILTIN_FAMILY_SPECS,
     GraphFamily,
+    _flip,
+    _swap,
     hypercubic,
     parse_family,
     regular_tree,
@@ -611,31 +613,49 @@ def test_z4_radius_9_ball_compiles():
     z4 = parse_family("z4")
     labels, adj, perms = walks._compile_ball(z4, z4.origin, 9)
     assert len(labels) == 5641
-    assert len(perms) == len(z4.symmetries) == 4
+    assert len(perms) == len(z4.symmetries) == 3
     assert count_saws(z4, z4.origin, 9)[9] == 40_613_816  # OEIS A010575
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
-def test_hypercubic_generators_give_the_same_prefix_orbits(n):
-    # z{n} declares n generators of its signed permutations, not every flip
-    # and adjacent swap; they generate the same group, and those that keep
-    # the height the same subgroup, so the counted prefixes and their
-    # weights are the same
-    fam = hypercubic(n)
-    every = dataclasses.replace(fam, symmetries=signed_permutations(n))
+def _adjacent_swap_generators(n):
+    # n generators of z{n}'s signed permutations: the flip of axis 1, the
+    # adjacent swaps past axis 0 and the swap of axes 0 and 1
+    return (_flip(1), *(_swap(i) for i in range(1, n - 1)), _swap(0))
+
+
+# heis's automorphisms a -> a^-1, b -> b^-1 and a <-> b, each with c -> c^-1
+_HEIS_THREE_AUTOMORPHISMS = (
+    lambda v: (-v[0], v[1], -v[2]),
+    lambda v: (v[0], -v[1], -v[2]),
+    lambda v: (v[1], v[0], v[0] * v[1] - v[2]),
+)
+
+
+@pytest.mark.parametrize("spec, references", [
+    *[pytest.param(f"z{n}", (signed_permutations(n), _adjacent_swap_generators(n)), id=str(n))
+      for n in (2, 3, 4)],
+    pytest.param("heis", (_HEIS_THREE_AUTOMORPHISMS,), id="heis"),
+])
+def test_hypercubic_generators_give_the_same_prefix_orbits(spec, references):
+    # z{n} declares at most three generators of its signed permutations and
+    # heis two automorphisms; each set generates the same group as the
+    # larger reference sets, and those that keep the height the same
+    # subgroup, so the counted prefixes and their weights are the same
+    fam = parse_family(spec)
     hf = default_height(fam)
     for filtered in (False, True):
         orbits = []
-        for f in (fam, every):
+        for f in (fam, *(dataclasses.replace(fam, symmetries=g) for g in references)):
             if filtered:
                 adj, _, perms = walks._height_ball(f, hf, f.origin, 5)
             else:
                 _, adj, perms = walks._compile_ball(f, f.origin, 5)
+                assert len(perms) == len(f.symmetries)
             prefixes = [(0,)]
             for _ in range(3):
                 prefixes = [p + (u,) for p in prefixes for u in adj[p[-1]] if u not in p]
             orbits.append(walks._prefix_orbits(prefixes, perms))
-        assert orbits[0] == orbits[1]
+        assert all(o == orbits[0] for o in orbits[1:])
         assert len(orbits[0][0]) < sum(orbits[0][1])
 
 
