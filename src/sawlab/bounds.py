@@ -112,17 +112,11 @@ def ball_isomorphic(a: Ball, b: Ball) -> bool:
     (adj_a, sig_a), (adj_b, sig_b) = _ball_signature(a), _ball_signature(b)
     if sig_a != sig_b:
         return False
-    # order A's vertices so each (after the root) touches an earlier one
-    order = [a.root]
-    placed = {a.root}
-    rest = sorted((v for v in a.vertices if v != a.root),
-                  key=lambda v: (a.dist[v], -len(adj_a[v]), v))
-    pending = list(rest)
-    while pending:
-        pick = next((v for v in pending if any(u in placed for u in adj_a[v])), pending[0])
-        pending.remove(pick)
-        order.append(pick)
-        placed.add(pick)
+    # order A's vertices by distance from the root: a vertex at distance
+    # d >= 1 has a neighbor at distance d - 1, so each (after the root)
+    # touches an earlier one
+    order = [a.root, *sorted((v for v in a.vertices if v != a.root),
+                             key=lambda v: (a.dist[v], -len(adj_a[v]), v))]
 
     klass_b: dict[tuple, list] = {}
     for v in b.vertices:

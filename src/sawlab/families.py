@@ -322,60 +322,22 @@ def heisenberg() -> GraphFamily:
                        symmetries=symmetries, height=heisenberg_height)
 
 
-def ball_ids(family: GraphFamily, start: Label, radius: int,
-             cap: int) -> tuple[dict, list]:
-    """Breadth-first search of the radius ball around ``start``.
-
-    Returns ``(ids, adj)``: ``ids`` maps each vertex of the ball to its int
-    id in breadth-first order, start first, and ``adj[i]`` holds the ids of
-    vertex i's neighbors in the oracle's order.  Only the vertices closer
-    than ``radius`` are expanded, so they are the ones with an ``adj`` entry
-    and the oracle is called once for each of them.  Raises
-    ResourceBudgetError as soon as the ball has more than ``cap`` vertices.
-    """
-    ids = {start: 0}
-    adj = []
-    level = [start]
-    for _ in range(radius):
-        first = len(ids)
-        for v in level:
-            # a vertex seen for the first time takes the next id
-            adj.append(tuple([ids.setdefault(u, len(ids)) for u in family.neighbors(v)]))
-            if len(ids) > cap:
-                raise ResourceBudgetError(
-                    f"ball({family.spec}, r={radius}) around {start!r} exceeds {cap} vertices")
-        level = list(islice(ids, first, None))
-    return ids, adj
-
-
 def ball(family: GraphFamily, center: Label, radius: int) -> Ball:
-    """Breadth-first closure of ``center`` to the given radius, with each
-    vertex's neighbor list (see :func:`ball_ids`)."""
+    """The ball of the given radius around ``center``: the radius-th ball
+    of :func:`balls`."""
     if radius < 0:
         raise UsageError("ball radius must be >= 0")
-    ids, adj = ball_ids(family, center, radius, budget("BALL_VERTICES"))
-    vertices = tuple(ids)
-    # a vertex is one step further out than its lowest-id neighbor
-    depth = [0] * len(vertices)
-    for i, nb in enumerate(adj):
-        for j in nb:
-            if j > i and not depth[j]:
-                depth[j] = depth[i] + 1
-    # the expanded vertices' lists are their id lists read back as labels;
-    # the sphere was not expanded: one oracle call per sphere vertex
-    neighbors = {v: tuple([vertices[j] for j in nb]) for v, nb in zip(vertices, adj)}
-    neighbors.update((v, family.neighbors(v)) for v in vertices[len(adj):])
-    return Ball(root=center, radius=radius, vertices=vertices, neighbors=neighbors,
-                dist=dict(zip(vertices, depth)))
+    return next(islice(balls(family, center), radius, None))
 
 
 def balls(family: GraphFamily, center: Label) -> Iterator[Ball]:
-    """The balls of radius 0, 1, 2, ... around ``center``, each equal to
-    :func:`ball`'s, from one breadth-first search grown one level per
-    ball, so the oracle is asked once per vertex.  Each ball holds its own
-    copies of the search's dicts.  Raises ResourceBudgetError, with
-    :func:`ball_ids`'s message, as soon as the ball being grown has more
-    than ``budget("BALL_VERTICES")`` vertices."""
+    """The balls of radius 0, 1, 2, ... around ``center``, from one
+    breadth-first search grown one level per ball, so the oracle is asked
+    once per vertex.  A ball lists its vertices in breadth-first order,
+    center first, with each one's distance and neighbor list; each ball
+    holds its own copies of the search's dicts.  Raises
+    ResourceBudgetError, naming the radius being grown, as soon as that
+    ball has more than ``budget("BALL_VERTICES")`` vertices."""
     cap = budget("BALL_VERTICES")
     neighbors = {}
     dist = {center: 0}

@@ -238,14 +238,10 @@ def cylinder(n: int, v: tuple[int, ...]) -> GraphFamily:
         raise UsageError(f"shift vector must have {n} coordinates")
     if not any(v):
         raise UsageError("cylinder shift must be nonzero")
-    p = next(i for i in range(n) if v[i] != 0)
-    if v[p] < 0:
-        v = tuple(-c for c in v)
+    # the one HNF row is v with a positive pivot
+    lat = lattice_structure((v,))
+    (v,), (p,), reduce = lat.hnf_rows, lat.pivots, lat.reduce
     spec = f"zcyl:{n}:{','.join(str(c) for c in v)}"
-
-    def reduce(z: tuple[int, ...]) -> tuple[int, ...]:
-        q = z[p] // v[p]
-        return tuple(a - q * b for a, b in zip(z, v)) if q else tuple(z)
 
     def neighbors(z: Label) -> tuple[Label, ...]:
         # checked here, so Z^n's rows are built without its oracle's check

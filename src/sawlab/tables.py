@@ -74,8 +74,6 @@ def build_count_table(family: GraphFamily, hf: HeightFunction, n_max: int,
     table's n_max is the high-water mark actually completed for every
     representative and kind.
     """
-    if n_max < 0:
-        raise UsageError("n_max must be >= 0")
     sigma_rows, c_rows, b_rows, span_rows = [], [], [], []
     achieved = n_max
     for rep in hf.h_orbits:

@@ -18,12 +18,12 @@ from __future__ import annotations
 import functools
 from collections import Counter
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import islice, repeat
 from operator import eq, ne, sub
 from typing import Iterator, Literal
 
 from .errors import InvariantViolationError, ResourceBudgetError, UsageError, budget
-from .families import GraphFamily, Label, ball_ids
+from .families import GraphFamily, Label
 from .heights import HeightFunction, default_height
 
 WalkKind = Literal["saw", "halfspace", "bridge"]
@@ -234,23 +234,36 @@ def _compile_ball(family, start, n_max):
 
     Returns ``(labels, adj, perms)`` with start as id 0: ``labels[i]`` is
     vertex i's label and ``adj[i]`` the ids of its neighbors in the oracle's
-    order, as :func:`families.ball_ids` builds them under the cap
-    ``budget("BALL_VERTICES")``.  Only vertices closer than n_max get an
-    ``adj`` entry: no walk of length n_max steps out of the sphere.  The
-    kernel counts a walk's last steps from how many of a vertex's neighbors
-    the walk holds, so it needs a simple, symmetric adjacency: a vertex that
-    lists itself or lists a neighbor twice, or that lists a vertex with an
-    ``adj`` entry which does not list it back, raises
-    InvariantViolationError.  When start is the origin, ``perms`` holds each
-    of the family's declared symmetries as a permutation of the ids,
-    verified on the ball; otherwise it is empty.
+    order.  Only vertices closer than n_max get an ``adj`` entry, so the
+    oracle is called once for each of them: no walk of length n_max steps
+    out of the sphere.  The search raises ResourceBudgetError, with
+    :func:`families.balls`'s message, as soon as the ball has more than
+    ``budget("BALL_VERTICES")`` vertices.  The kernel counts a walk's last
+    steps from how many of a vertex's neighbors the walk holds, so it needs
+    a simple, symmetric adjacency: a vertex that lists itself or lists a
+    neighbor twice, or that lists a vertex with an ``adj`` entry which does
+    not list it back, raises InvariantViolationError.  When start is the
+    origin, ``perms`` holds each of the family's declared symmetries as a
+    permutation of the ids, verified on the ball; otherwise it is empty.
 
     The result does not depend on the walk kind, so the one-entry cache
     serves the SAW, half-space and bridge counts from one start in turn.
     The cap is read on a miss only: clear this cache and
     :func:`_height_ball`'s after changing it.
     """
-    ids, adj = ball_ids(family, start, n_max, budget("BALL_VERTICES"))
+    cap = budget("BALL_VERTICES")
+    ids = {start: 0}
+    adj = []
+    level = [start]
+    for radius in range(1, n_max + 1):
+        first = len(ids)
+        for v in level:
+            # a vertex seen for the first time takes the next id
+            adj.append(tuple([ids.setdefault(u, len(ids)) for u in family.neighbors(v)]))
+            if len(ids) > cap:
+                raise ResourceBudgetError(
+                    f"ball({family.spec}, r={radius}) around {start!r} exceeds {cap} vertices")
+        level = list(islice(ids, first, None))
     labels = tuple(ids)
     inner = len(adj)
     if (list(map(len, map(set, adj))) != list(map(len, adj))
@@ -520,6 +533,8 @@ def _count(family, hf, start, n_max, mode, jobs, node_budget=None):
     independent of scheduling.  A tree is counted by :func:`_count_cones`
     instead, at every ``jobs``.
     """
+    if n_max < 0:
+        raise UsageError("n_max must be >= 0")
     if node_budget is not None:
         tally = _budget_levels(family, hf, start, n_max, "saw" if mode == "saw" else "halfspace",
                                node_budget, jobs, budget("BALL_VERTICES"))
@@ -585,8 +600,6 @@ def count_saws(family: GraphFamily, start: Label, n_max: int, jobs: int = 1,
     in process at every ``jobs``.  The same holds for
     :func:`count_halfspace` and :func:`count_bridges`.
     """
-    if n_max < 0:
-        raise UsageError("n_max must be >= 0")
     return [row[0] for row in _count(family, None, start, n_max, "saw", jobs, node_budget)]
 
 
@@ -594,8 +607,6 @@ def count_halfspace(family: GraphFamily, hf: HeightFunction, start: Label,
                     n_max: int, jobs: int = 1,
                     node_budget: int | None = None) -> list[int]:
     """Exact counts of walks whose non-initial heights all exceed the start's."""
-    if n_max < 0:
-        raise UsageError("n_max must be >= 0")
     return [row[0] for row in _count(family, hf, start, n_max, "halfspace", jobs, node_budget)]
 
 
@@ -604,8 +615,6 @@ def count_bridges(family: GraphFamily, hf: HeightFunction, start: Label,
                   node_budget: int | None = None) -> tuple[list[int], list[dict]]:
     """Exact bridge counts per length (the tally's row sums), plus per-length
     span distributions (its nonzero entries)."""
-    if n_max < 0:
-        raise UsageError("n_max must be >= 0")
     tally = _count(family, hf, start, n_max, "bridge", jobs, node_budget)
     return [sum(row) for row in tally], [{s: c for s, c in enumerate(row) if c} for row in tally]
 

@@ -129,11 +129,13 @@ def test_similarity_K_asks_each_oracle_once_per_vertex(monkeypatch):
         return dataclasses.replace(
             fam, neighbors=lambda v: calls.setdefault(fam.spec, []).append(v) or fam.neighbors(v))
 
-    cyl = cylinder(2, (0, 24))
-    res = similarity_K(counted(Z2), counted(cyl), 30)
-    assert (res.K, res.mismatch_radius) == (11, 12)
-    for fam in (Z2, cyl):
-        assert sorted(calls[fam.spec]) == sorted(ball(fam, fam.origin, 12).vertices)
+    for width, cap, want in ((24, 30, (11, 12)), (40, 50, (19, 20))):
+        calls.clear()
+        cyl = cylinder(2, (0, width))
+        res = similarity_K(counted(Z2), counted(cyl), cap)
+        assert (res.K, res.mismatch_radius) == want
+        for fam in (Z2, cyl):
+            assert sorted(calls[fam.spec]) == sorted(ball(fam, fam.origin, want[1]).vertices)
     # an over-cap ball ends the search at the radius where ball() would
     # end, the first family's ball before the second's
     monkeypatch.setenv("SAWLAB_BUDGET_BALL_VERTICES", "100")

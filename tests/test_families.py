@@ -6,7 +6,8 @@ import itertools
 import pytest
 from hypothesis import example, given, strategies as st
 
-from sawlab.bounds import ball_isomorphic
+from sawlab import walks
+from sawlab.bounds import ball_isomorphic, similarity_K
 from sawlab.errors import MalformedLabelError, ResourceBudgetError, UsageError
 from sawlab.families import (
     BUILTIN_FAMILY_SPECS,
@@ -146,6 +147,19 @@ def test_ball_budget(monkeypatch):
     monkeypatch.setenv("SAWLAB_BUDGET_BALL_VERTICES", "100")
     with pytest.raises(ResourceBudgetError):
         ball(z2, (0, 0), 50)
+
+
+def test_over_cap_ball_names_the_radius_that_crossed_the_cap(monkeypatch):
+    # radius 6 of z2 has 85 vertices, radius 7 has 113: each reader of a
+    # ball stops there and says so, whatever radius it asked for
+    z2 = hypercubic(2)
+    monkeypatch.setenv("SAWLAB_BUDGET_BALL_VERTICES", "100")
+    walks._compile_ball.cache_clear()
+    for read in (lambda: ball(z2, z2.origin, 50), lambda: walks.count_saws(z2, z2.origin, 50),
+                 lambda: similarity_K(z2, z2, 50)):
+        with pytest.raises(ResourceBudgetError,
+                           match=r"^ball\(z2, r=7\) around \(0, 0\) exceeds 100 vertices$"):
+            read()
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS)

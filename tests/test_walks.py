@@ -683,6 +683,22 @@ def test_budgeted_tree_counts_need_no_ball(monkeypatch):
     assert build_count_table(t3, hf, 12, node_budget=10**9) == full
 
 
+def test_negative_length_is_a_usage_error_before_any_work():
+    def refuse(v):
+        raise AssertionError(f"oracle asked for {v!r}")
+
+    for fam in (Z2, parse_family("tree:3")):
+        silent = dataclasses.replace(fam, neighbors=refuse)
+        hf = default_height(fam)
+        for count in (lambda b: count_saws(silent, fam.origin, -1, node_budget=b),
+                      lambda b: count_halfspace(silent, hf, fam.origin, -1, node_budget=b),
+                      lambda b: count_bridges(silent, hf, fam.origin, -1, node_budget=b),
+                      lambda b: build_count_table(silent, hf, -1, node_budget=b)):
+            for node_budget in (None, 10**6):
+                with pytest.raises(UsageError, match=r"^n_max must be >= 0$"):
+                    count(node_budget)
+
+
 @pytest.mark.parametrize("spec", ["z1", "z2", "z3", "z4", "heis", "hex", "zcyl:2:0,6",
                                   "zcyl:3:1,1,0"])
 def test_symmetry_reduced_counts_match_unreduced(spec):
