@@ -17,8 +17,10 @@ the case's stdout.  The cases:
 * ``locality``: pairs that match to different radii (cylinders of two
   widths, lattices that differ at once, two trees, a family with itself).
 * ``quotient``: lattices of one to four dimensions, a skew and an
-  overcomplete set of shifts, and two inputs that exit 2 (shifts of rank
-  below the dimension, a family that is not a lattice).
+  overcomplete set of shifts, two inputs that exit 2 (shifts of rank
+  below the dimension, a family that is not a lattice), and three skew
+  lattices whose Hermite normal form needs reduction above two or more
+  pivots.
 * ``rows``: every ball vertex's neighbor row, in breadth-first order, on
   the radius-6 ball around the origin of every built-in family and two
   cylinders.
@@ -52,7 +54,9 @@ LOCALITIES = ("z2 zcyl:2:0,4 8 6", "z2 zcyl:2:0,6 10 8", "z2 hex 6 4", "hex squa
               "tree:3 tree:4 8 4", "z3 heis 6 4", "z2 z2 10 6")
 QUOTIENTS = ("z1 3", "z2 3,0;0,3", "z2 2,1;0,5", "z2 4,0;0,4", "z2 1,0;0,1;1,1",
              "z3 3,0,0;0,3,0;0,0,3", "z3 2,1,0;0,2,1;0,0,3",
-             "z4 2,0,0,0;0,2,0,0;0,0,2,0;0,0,0,2", "z2 2,0", "zcyl:2:0,4 1,0;0,4")
+             "z4 2,0,0,0;0,2,0,0;0,0,2,0;0,0,0,2", "z2 2,0", "zcyl:2:0,4 1,0;0,4",
+             "z3 1,1,0;0,1,1;0,0,3", "z3 2,3,1;1,2,3;3,1,2",
+             "z4 1,1,0,0;0,1,1,0;0,0,1,1;0,0,0,2")
 
 ROWS = """import sys
 from sawlab.families import ball, parse_family

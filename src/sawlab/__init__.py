@@ -40,7 +40,6 @@ from .heights import (
 )
 from .quotient import (
     QuotientGraph,
-    SubgroupDescriptor,
     build_quotient,
     check_symmetric,
     cylinder,

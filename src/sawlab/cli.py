@@ -33,7 +33,7 @@ from .errors import (
 )
 from .families import parse_family
 from .heights import parse_height, validate_height, verify_r
-from .quotient import SubgroupDescriptor, build_quotient, check_symmetric
+from .quotient import build_quotient, check_symmetric
 from .synthesis import (
     increment_invariant_problems,
     quotient_tables,
@@ -48,7 +48,7 @@ from .tables import (
     read_table,
     table_to_dict,
 )
-from .walks import decompose, is_halfspace, make_walk
+from .walks import decompose, make_walk
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -234,7 +234,7 @@ def cmd_locality(cfg: RunConfig) -> int:
 def cmd_quotient(cfg: RunConfig) -> int:
     family = parse_family(cfg.family)
     shifts = _parse_vectors(cfg.shifts, "--shifts", "3,0;0,3")
-    q = build_quotient(family, SubgroupDescriptor(family.spec, shifts))
+    q = build_quotient(family, shifts)
     doc = {
         "kind": "quotient",
         "family": family.spec,
@@ -311,8 +311,6 @@ def cmd_decompose(cfg: RunConfig) -> int:
     family = parse_family(cfg.family)
     hf = parse_height(family, cfg.height)
     walk = make_walk(family, _parse_vectors(cfg.walk, "--walk", "0,0;1,0;1,1"))
-    if not is_halfspace(hf, walk):
-        raise UsageError("decompose expects a half-space walk")
     dec = decompose(hf, walk)
     _emit({
         "kind": "bridge-decomposition",

@@ -4,8 +4,8 @@ A quotient of Z^n by a full-rank translation lattice L is a finite directed
 multigraph with loops: vertices are the orbits v + L, and the number of
 directed edges from one orbit to another is the number of neighbors of a
 representative landing in the target orbit.  Orbits are canonicalized by
-reducing coordinates against the Hermite normal form of L's generator
-matrix.
+reducing coordinates against the Hermite normal form of L, which depends
+only on L and not on how its generating shifts were written.
 
 A rank-one quotient Z^n / <v> is kept as an infinite *cylinder* family
 (loops, orientations, and multiplicities dropped).
@@ -21,21 +21,6 @@ from typing import Callable
 from .errors import InvariantViolationError, MalformedLabelError, ResourceBudgetError, UsageError, budget
 from .families import GraphFamily, Label, _check_int_tuple, _lattice_rows, signed_permutations
 from .heights import HeightFunction
-
-
-@dataclass(frozen=True)
-class SubgroupDescriptor:
-    """A translation subgroup of a lattice family, given by generator shifts."""
-
-    family: str
-    shifts: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        if not self.shifts:
-            raise UsageError("subgroup needs at least one shift")
-        n = len(self.shifts[0])
-        if any(len(s) != n for s in self.shifts):
-            raise UsageError("all shifts must have the same dimension")
 
 
 @dataclass(frozen=True)
@@ -69,74 +54,68 @@ class QuotientGraph:
 
 def hermite_normal_form(rows: list[tuple[int, ...]]) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
     """Row-style HNF of an integer matrix: returns the nonzero rows (upper
-    echelon, positive pivots, entries above each pivot reduced) and their
-    pivot columns."""
-    m = [list(r) for r in rows]
-    n = len(rows[0])
-    pivot_rows: list[list[int]] = []
+    echelon, positive pivots, each entry above a pivot in [0, pivot)) and
+    their pivot columns.  It depends only on the lattice the rows span.
+
+    Column by column, the row with the smallest nonzero entry reduces the
+    others by floor division until one row is left; that row, made
+    positive, reduces the rows already placed.  A later pivot changes no
+    column left of it, so reducing in ascending order undoes nothing."""
+    pending = [list(r) for r in rows]
+    placed: list[list[int]] = []
     pivots: list[int] = []
-    row0 = 0
-    for col in range(n):
-        best = None
-        for r in range(row0, len(m)):
-            if m[r][col] != 0 and (best is None or abs(m[r][col]) < abs(m[best][col])):
-                best = r
-        if best is None:
+    for col in range(len(rows[0])):
+        live = [r for r in pending if r[col]]
+        while len(live) > 1:
+            best = min(live, key=lambda r: abs(r[col]))
+            for r in live:
+                if r is not best:
+                    q = r[col] // best[col]
+                    r[:] = [a - q * b for a, b in zip(r, best)]
+            live = [r for r in live if r[col]]
+        if not live:
             continue
-        m[row0], m[best] = m[best], m[row0]
-        # eliminate the column below row0 by repeated Euclid steps
-        again = True
-        while again:
-            again = False
-            for r in range(row0 + 1, len(m)):
-                if m[r][col] != 0:
-                    q = m[r][col] // m[row0][col]
-                    for i in range(n):
-                        m[r][i] -= q * m[row0][i]
-                    if m[r][col] != 0:
-                        m[row0], m[r] = m[r], m[row0]
-                        again = True
-        if m[row0][col] < 0:
-            m[row0] = [-x for x in m[row0]]
-        pivot_rows.append(m[row0])
+        (row,) = live
+        pending.remove(row)
+        if row[col] < 0:
+            row[:] = [-a for a in row]
+        for r in placed:
+            q = r[col] // row[col]
+            r[:] = [a - q * b for a, b in zip(r, row)]
+        placed.append(row)
         pivots.append(col)
-        row0 += 1
-        if row0 == len(m):
-            break
-    # reduce entries above each pivot
-    for k in range(len(pivot_rows) - 1, -1, -1):
-        p = pivots[k]
-        for j in range(k):
-            q = pivot_rows[j][p] // pivot_rows[k][p]
-            if q:
-                for i in range(n):
-                    pivot_rows[j][i] -= q * pivot_rows[k][i]
-    return tuple(tuple(r) for r in pivot_rows), tuple(pivots)
+    return tuple(tuple(r) for r in placed), tuple(pivots)
 
 
 def lattice_structure(shifts: tuple[tuple[int, ...], ...]) -> LatticeStructure:
+    """The reduction data of the lattice spanned by ``shifts``.  Every shift
+    list, a quotient's or a cylinder's, is checked here."""
+    if not shifts:
+        raise UsageError("subgroup needs at least one shift")
+    n = len(shifts[0])
+    if any(len(s) != n for s in shifts):
+        raise UsageError("all shifts must have the same dimension")
     nonzero = [s for s in shifts if any(s)]
     if not nonzero:
         raise UsageError("translation lattice must contain a nonzero shift")
     rows, pivots = hermite_normal_form(nonzero)
-    return LatticeStructure(dim=len(shifts[0]), hnf_rows=rows, pivots=pivots)
+    return LatticeStructure(dim=n, hnf_rows=rows, pivots=pivots)
 
 
-def build_quotient(family: GraphFamily, sub: SubgroupDescriptor) -> QuotientGraph:
-    """Quotient of a lattice family by its translation subgroup.
+def build_quotient(family: GraphFamily, shifts: tuple[tuple[int, ...], ...]) -> QuotientGraph:
+    """Quotient of a lattice family by the translation subgroup its shifts
+    generate.
 
     Orbits are discovered by closure from the origin; multiplicities are
     counted from one representative per orbit and cross-checked on a second
     representative (the action must make them well defined).
     """
-    if sub.family != family.spec:
-        raise UsageError(f"subgroup is for {sub.family!r}, family is {family.spec!r}")
     n = len(family.origin)
     if family.spec != f"z{n}":
         raise UsageError("only translation subgroups of z{n} lattices are supported")
-    if len(sub.shifts[0]) != n:
-        raise UsageError(f"shifts have dimension {len(sub.shifts[0])}, {family.spec} has {n}")
-    lat = lattice_structure(sub.shifts)
+    lat = lattice_structure(shifts)
+    if lat.dim != n:
+        raise UsageError(f"shifts have dimension {lat.dim}, {family.spec} has {n}")
     if len(lat.hnf_rows) < n:
         raise UsageError("translation lattice has rank < dimension: infinitely many orbits")
 
@@ -166,7 +145,7 @@ def build_quotient(family: GraphFamily, sub: SubgroupDescriptor) -> QuotientGrap
         return row
 
     # the declared action must carry neighbors to neighbors (sample check)
-    for s in sub.shifts:
+    for s in shifts:
         for v in reps[:2]:
             shifted = tuple(a + b for a, b in zip(v, s))
             want = {tuple(a + b for a, b in zip(u, s)) for u in lists[v]}
@@ -174,7 +153,7 @@ def build_quotient(family: GraphFamily, sub: SubgroupDescriptor) -> QuotientGrap
                 raise InvariantViolationError(
                     f"shift {s} is not a graph automorphism at {v}")
 
-    shift0 = next(s for s in sub.shifts if any(s))
+    shift0 = next(s for s in shifts if any(s))
     mult = []
     for i, rep in enumerate(reps):
         row = count_row(lists[rep])
@@ -201,13 +180,6 @@ def check_symmetric(q: QuotientGraph) -> bool:
     return all(m[i][j] == m[j][i] for i in range(q.orbit_count) for j in range(i))
 
 
-def _primitive(v: tuple[int, ...]) -> tuple[int, ...]:
-    g = 0
-    for c in v:
-        g = gcd(g, c)
-    return tuple(c // g for c in v)
-
-
 def perpendicular_vector(v: tuple[int, ...]) -> tuple[int, ...]:
     """A primitive integer vector perpendicular to v (n >= 2)."""
     n = len(v)
@@ -217,7 +189,8 @@ def perpendicular_vector(v: tuple[int, ...]) -> tuple[int, ...]:
     # all coordinates nonzero: rotate the first two
     w = [0] * n
     w[0], w[1] = v[1], -v[0]
-    return _primitive(tuple(w))
+    g = gcd(*w)
+    return tuple(c // g for c in w)
 
 
 def cylinder(n: int, v: tuple[int, ...]) -> GraphFamily:

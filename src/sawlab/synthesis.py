@@ -79,7 +79,7 @@ from math import gcd, lcm
 
 from .errors import InvariantViolationError, UsageError
 from .families import GraphFamily, Label, ball
-from .quotient import QuotientGraph, SubgroupDescriptor, build_quotient, check_symmetric
+from .quotient import QuotientGraph, build_quotient, check_symmetric
 
 DirectedEdge = tuple[int, tuple[int, ...]]  # (tail orbit, unit step)
 
@@ -948,8 +948,7 @@ def verify_cocycle(inc: EdgeIncrement, family: GraphFamily, q: QuotientGraph,
 def synthesize_height(family: GraphFamily, shifts, method: str = "auto"):
     """Full pipeline: quotient, cycle basis from unit squares, increments,
     integer lift.  Returns (quotient, basis, increments, lifted height)."""
-    sub = SubgroupDescriptor(family.spec, tuple(tuple(s) for s in shifts))
-    q = build_quotient(family, sub)
+    q = build_quotient(family, shifts)
     if not check_symmetric(q):
         raise InvariantViolationError("translation quotient is unexpectedly asymmetric")
     basis = cycle_basis(q, unit_square_generators(q))

@@ -87,6 +87,10 @@ def test_fekete_checks():
                        for row in t.b_by_rep),
         b_spans_by_rep=t.b_spans_by_rep)
     assert not check_fekete(corrupted)
+    # sigma_2 = 17 > sigma_1 sigma_1 = 16
+    sigma_heavy = dataclasses.replace(
+        t, sigma_by_rep=tuple(row[:2] + (17,) + row[3:] for row in t.sigma_by_rep))
+    assert not check_fekete(sigma_heavy)
     tiny = table_for("z2", 0)
     assert check_fekete(tiny)
 

@@ -85,6 +85,20 @@ def test_verify_flags_corrupted_table(tmp_path):
     assert main(["verify", "--table", str(out), "--out", str(out) + ".v"]) == 4
 
 
+@pytest.mark.parametrize("key, n, value, problem", [
+    ("sigma", 0, "2", "sigma[0] = 2 != 1"),
+    ("c", 3, "-1", "c has a negative count"),
+])
+def test_verify_reports_row_invariants(tmp_path, key, n, value, problem):
+    out, report = tmp_path / "t.json", tmp_path / "v.json"
+    main(["count", "--family", "z2", "--n", "4", "--out", str(out)])
+    doc = json.loads(out.read_text())
+    doc[key][n] = doc[f"{key}_by_rep"][0][n] = value
+    out.write_text(json.dumps(doc))
+    assert main(["verify", "--table", str(out), "--out", str(report)]) == 4
+    assert problem in json.loads(report.read_text())["problems"]
+
+
 def test_bounds_refuses_a_table_that_verify_rejects(tmp_path):
     # b_2 = 100 keeps the span sums but breaks b <= c <= sigma, and would
     # put the certified lower end above the upper one
@@ -320,6 +334,19 @@ def test_quotient_and_synth_cli(tmp_path):
     assert s["declared_r"] >= 0
     assert int(s["scaling_m"]) >= 1
     assert len(s["increments"]) == 18
+
+
+def test_synth_height_depends_on_the_lattice_only(tmp_path):
+    # one lattice written three ways: as generated, with the first row
+    # reduced above one pivot only, and in its Hermite normal form
+    docs = []
+    for k, shifts in enumerate(("1,1,0;0,1,1;0,0,3", "1,0,-1;0,1,1;0,0,3",
+                                "1,0,2;0,1,1;0,0,3")):
+        out = tmp_path / f"s{k}.json"
+        assert main(["synth-height", "--family", "z3", "--shifts", shifts,
+                     "--out", str(out)]) == 0
+        docs.append(out.read_bytes())
+    assert docs[0] == docs[1] == docs[2]
 
 
 def test_validate_height_cli(tmp_path):

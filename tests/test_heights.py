@@ -52,6 +52,14 @@ def test_constant_height_violates_clause_c():
     assert clauses == {"c"}
 
 
+def test_clause_d_violation():
+    hex_ = parse_family("hex")
+    hf = dataclasses.replace(default_height(hex_), declared_d=0)
+    report = validate_height(hex_, hf, 2)
+    assert [v.clause for v in report.violations] == ["d"]
+    assert report.violations[0].detail == "measured d = 1 exceeds declared 0"
+
+
 def test_clause_a_violation():
     z2 = hypercubic(2)
     hf = HeightFunction(

@@ -1,13 +1,12 @@
 """Quotient multigraphs and cylinder families."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sawlab.errors import UsageError
 from sawlab.families import ball, hypercubic, parse_family
 from sawlab.quotient import (
     QuotientGraph,
-    SubgroupDescriptor,
     build_quotient,
     check_symmetric,
     cylinder,
@@ -21,7 +20,7 @@ Z2 = hypercubic(2)
 
 
 def test_z2_mod3_quotient():
-    q = build_quotient(Z2, SubgroupDescriptor("z2", ((3, 0), (0, 3))))
+    q = build_quotient(Z2, ((3, 0), (0, 3)))
     assert q.orbit_count == 9
     assert all(sum(q.multiplicities[i]) == 4 for i in range(9))
     assert check_symmetric(q)
@@ -29,14 +28,14 @@ def test_z2_mod3_quotient():
 
 
 def test_full_collapse_quotients():
-    q1 = build_quotient(Z1, SubgroupDescriptor("z1", ((1,),)))
+    q1 = build_quotient(Z1, ((1,),))
     assert q1.orbit_count == 1 and q1.multiplicities == ((2,),)
-    q2 = build_quotient(Z2, SubgroupDescriptor("z2", ((1, 0), (0, 1))))
+    q2 = build_quotient(Z2, ((1, 0), (0, 1)))
     assert q2.orbit_count == 1 and q2.multiplicities == ((4,),)
 
 
 def test_projection_is_morphism():
-    q = build_quotient(Z2, SubgroupDescriptor("z2", ((3, 0), (0, 3))))
+    q = build_quotient(Z2, ((3, 0), (0, 3)))
     for v in [(0, 0), (1, 2), (-4, 7), (9, 9)]:
         i = q.project(v)
         for u in Z2.neighbors(v):
@@ -45,7 +44,7 @@ def test_projection_is_morphism():
 
 
 def test_multiplicity_independence_across_representatives():
-    q = build_quotient(Z2, SubgroupDescriptor("z2", ((2, 1), (0, 5))))
+    q = build_quotient(Z2, ((2, 1), (0, 5)))
     for i, rep in enumerate(q.reps):
         for shift in ((2, 1), (0, 5), (2, 6)):
             other = tuple(a + b for a, b in zip(rep, shift))
@@ -67,7 +66,7 @@ def test_check_symmetric_on_matrix():
 def test_rank_deficient_lattice_rejected():
     # infinitely many orbits whatever the budget: a usage error
     with pytest.raises(UsageError, match="rank < dimension"):
-        build_quotient(Z2, SubgroupDescriptor("z2", ((2, 0),)))
+        build_quotient(Z2, ((2, 0),))
 
 
 def test_hnf_reduction_canonical():
@@ -78,6 +77,22 @@ def test_hnf_reduction_canonical():
     assert len(seen) == 10  # index = |det| = 10
     for v in list(seen)[:5]:
         assert lat.reduce(v) == v
+    # 6 // 4 leaves the remainder row (2, 0), which becomes the pivot row
+    assert hermite_normal_form([(4, 1), (6, 1)]) == (((2, 0), (0, 1)), (0, 1))
+
+
+@settings(max_examples=200)
+@example([(1, 1, 0), (0, 1, 1), (0, 0, 3)])
+@given(st.integers(1, 4).flatmap(lambda n: st.lists(
+    st.tuples(*[st.integers(-7, 7)] * n), min_size=1, max_size=5)))
+def test_hnf_is_the_canonical_basis(rows):
+    hnf, pivots = hermite_normal_form(rows)
+    assert list(pivots) == sorted(set(pivots))
+    for k, (row, p) in enumerate(zip(hnf, pivots)):
+        assert row[p] > 0 and not any(row[:p])
+        assert all(0 <= above[p] < row[p] for above in hnf[:k])
+    # its own rows add nothing to the lattice: the same basis comes back
+    assert hermite_normal_form(rows + list(hnf)) == (hnf, pivots)
 
 
 def test_cylinder_neighbors():
@@ -136,4 +151,4 @@ def test_cylinder_reduction_is_canonical(m, x):
 def test_quotient_of_cylinder_family_rejected():
     cyl = cylinder(2, (0, 4))
     with pytest.raises(UsageError):
-        build_quotient(cyl, SubgroupDescriptor(cyl.spec, ((1, 0),)))
+        build_quotient(cyl, ((1, 0),))

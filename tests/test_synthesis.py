@@ -19,7 +19,7 @@ from sawlab import synthesis
 from sawlab.errors import InvariantViolationError
 from sawlab.families import ball, hypercubic
 from sawlab.heights import validate_height
-from sawlab.quotient import SubgroupDescriptor, build_quotient
+from sawlab.quotient import build_quotient
 from sawlab.synthesis import (
     EdgeIncrement,
     cycle_basis,
@@ -47,7 +47,7 @@ SYNTH_QUOTIENTS = ((Z2, [(4, 0), (0, 4)]), (Z2, [(5, 0), (0, 5)]), (Z2, [(6, 0),
 
 
 def quotient_of(family, shifts):
-    return build_quotient(family, SubgroupDescriptor(family.spec, tuple(shifts)))
+    return build_quotient(family, tuple(shifts))
 
 
 def increment_from_values(q, values, method="broken"):
