@@ -24,6 +24,14 @@ the case's stdout.  The cases:
 * ``rows``: every ball vertex's neighbor row, in breadth-first order, on
   the radius-6 ball around the origin of every built-in family and two
   cylinders.
+* the subcommands that import a layer only when they run it: ``bounds``
+  and ``verify`` on a z3 n=9 table that a first case writes with
+  ``count --out``, ``decompose`` on a z2 and a hex half-space walk of
+  three spans, ``synth-height`` on Z2/(3,3), and a ``count`` whose options
+  all come from a ``--config`` file.
+
+Every case runs in one temporary directory, which holds the table and the
+config file, so that the paths in the outputs are the same on every run.
 
 The cases are this script's, not the package's, so one copy of it diffs two
 checkouts:
@@ -35,9 +43,11 @@ checkouts:
 
 import argparse
 import hashlib
+import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 FAMILIES = ("z1", "z2", "z3", "z4", "tree:3", "tree:4", "tree:5", "tree:6",
@@ -57,6 +67,12 @@ QUOTIENTS = ("z1 3", "z2 3,0;0,3", "z2 2,1;0,5", "z2 4,0;0,4", "z2 1,0;0,1;1,1",
              "z4 2,0,0,0;0,2,0,0;0,0,2,0;0,0,0,2", "z2 2,0", "zcyl:2:0,4 1,0;0,4",
              "z3 1,1,0;0,1,1;0,0,3", "z3 2,3,1;1,2,3;3,1,2",
              "z4 1,1,0,0;0,1,1,0;0,0,1,1;0,0,0,2")
+
+TABLE = "z3-n9.json"
+CONFIG_FILE = "config.json"
+CONFIG = {"family": "squareoct", "n_max": 12, "kind": "bridge", "per_span": True}
+DECOMPOSITIONS = (("z2", "0,0;1,0;2,0;3,0;3,-1;2,-1;1,-1;1,-2;2,-2"),
+                  ("hex", "0,0;1,0;2,0;3,0;3,-1;2,-1;2,-2;1,-2;1,-3;2,-3"))
 
 ROWS = """import sys
 from sawlab.families import ball, parse_family
@@ -91,6 +107,15 @@ def cases():
         yield f"quotient {case}", (*cli, "quotient", "--family", family, "--shifts", shifts), {}
     for family in FAMILIES:
         yield f"rows {family}", ("-c", ROWS, family), {}
+    yield "count z3@9 --out", (*cli, "count", "--family", "z3", "--n", "9", "--out", TABLE), {}
+    yield "bounds z3@9", (*cli, "bounds", "--table", TABLE), {}
+    yield "verify z3@9", (*cli, "verify", "--table", TABLE), {}
+    for family, walk in DECOMPOSITIONS:
+        yield (f"decompose {family} {walk}",
+               (*cli, "decompose", "--family", family, "--walk", walk), {})
+    yield ("synth-height z2 3,0;0,3",
+           (*cli, "synth-height", "--family", "z2", "--shifts", "3,0;0,3"), {})
+    yield "count --config squareoct@12 bridge", (*cli, "--config", CONFIG_FILE, "count"), {}
 
 
 def main(argv=None) -> int:
@@ -99,12 +124,14 @@ def main(argv=None) -> int:
                         help="directory holding the sawlab package (default: this checkout's)")
     args = parser.parse_args(argv)
     src = str(Path(args.src).resolve())
-    for name, case_argv, extra in cases():
-        env = {**os.environ, "PYTHONPATH": src, **extra}
-        run = subprocess.run([sys.executable, *case_argv], env=env, stdout=subprocess.PIPE,
-                             stderr=subprocess.DEVNULL)
-        print(f"{name} exit={run.returncode} {hashlib.sha256(run.stdout).hexdigest()}",
-              flush=True)
+    with tempfile.TemporaryDirectory() as work:
+        Path(work, CONFIG_FILE).write_text(json.dumps(CONFIG))
+        for name, case_argv, extra in cases():
+            env = {**os.environ, "PYTHONPATH": src, **extra}
+            run = subprocess.run([sys.executable, *case_argv], env=env, cwd=work,
+                                 stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
+            print(f"{name} exit={run.returncode} {hashlib.sha256(run.stdout).hexdigest()}",
+                  flush=True)
     return 0
 
 

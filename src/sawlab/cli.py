@@ -14,16 +14,14 @@ violation.
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import math
 import os
 import sys
 import typing
 from dataclasses import dataclass
-from decimal import Decimal
-from fractions import Fraction
 
-from .bounds import BoundsReport, bracket, check_fekete, locality_report
 from .errors import (
     InvariantViolationError,
     MalformedLabelError,
@@ -33,22 +31,40 @@ from .errors import (
 )
 from .families import parse_family
 from .heights import parse_height, validate_height, verify_r
-from .quotient import build_quotient, check_symmetric
-from .synthesis import (
-    increment_invariant_problems,
-    quotient_tables,
-    synthesize_height,
-    verify_cocycle,
-)
-from .tables import (
-    build_count_table,
-    check_table_invariants,
-    decode_int,
-    read_json,
-    read_table,
-    table_to_dict,
-)
-from .walks import decompose, make_walk
+
+# the names that only some subcommands read, and the module of each: a
+# subcommand binds what it reads into this module's globals on first need
+# (``_need``), so that a call imports only the layers it runs, and a name
+# patched on this module is the one the subcommand calls
+_LAZY = {
+    **dict.fromkeys(("BoundsReport", "bracket", "check_fekete", "locality_report"), ".bounds"),
+    **dict.fromkeys(("build_quotient", "check_symmetric"), ".quotient"),
+    **dict.fromkeys(("increment_invariant_problems", "quotient_tables", "synthesize_height",
+                     "verify_cocycle"), ".synthesis"),
+    **dict.fromkeys(("build_count_table", "check_table_invariants", "decode_int", "read_json",
+                     "read_table", "table_to_dict"), ".tables"),
+    **dict.fromkeys(("decompose", "make_walk"), ".walks"),
+    "Decimal": "decimal",
+    "Fraction": "fractions",
+}
+
+
+def _need(*names: str) -> None:
+    """Bind each name of ``_LAZY`` into this module's globals, unless it is
+    bound already (run as ``python -m sawlab.cli`` this module is
+    ``__main__``, and its own globals are the ones bound)."""
+    scope = globals()
+    for name in names:
+        if name not in scope:
+            scope[name] = getattr(importlib.import_module(_LAZY[name], __package__), name)
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _need(name)
+    return globals()[name]
+
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -117,6 +133,7 @@ def _bounds_doc(rep: BoundsReport) -> dict:
 def _parse_vectors(value, flag: str, example: str) -> tuple[tuple[int, ...], ...]:
     """Integer vectors written as 'a,b;c,d', or read from a JSON document as
     a list of integer lists (``flag`` names the option or field)."""
+    _need("decode_int")
     if not value:
         raise UsageError(f"missing {flag} (e.g. '{example}')")
     if isinstance(value, str):
@@ -143,6 +160,7 @@ def _render_table(table) -> str:
 
 
 def cmd_count(cfg: RunConfig) -> int:
+    _need("build_count_table", "table_to_dict")
     family = parse_family(cfg.family)
     hf = parse_height(family, cfg.height)
     table = build_count_table(family, hf, cfg.n_max, jobs=cfg.jobs,
@@ -167,6 +185,7 @@ def cmd_count(cfg: RunConfig) -> int:
 
 def _table_problems(table) -> list[str]:
     """The table's structural invariants and Fekete inequalities that fail."""
+    _need("check_table_invariants", "check_fekete")
     problems = check_table_invariants(table)
     if not check_fekete(table):
         problems.append("a Fekete inequality fails")
@@ -175,6 +194,7 @@ def _table_problems(table) -> list[str]:
 
 def _decimals(x: Fraction, places: int, up: bool) -> str:
     """x with ``places`` decimals, rounded up or down, never to nearest."""
+    _need("Decimal")
     scaled = x * 10 ** places
     return f"{Decimal(math.ceil(scaled) if up else math.floor(scaled)).scaleb(-places):f}"
 
@@ -182,6 +202,7 @@ def _decimals(x: Fraction, places: int, up: bool) -> str:
 def cmd_bounds(cfg: RunConfig) -> int:
     if not cfg.table:
         raise UsageError("bounds needs --table")
+    _need("read_table", "bracket")
     table = read_table(cfg.table)
     # a bracket is certified only for a table that verify accepts
     problems = _table_problems(table)
@@ -189,6 +210,7 @@ def cmd_bounds(cfg: RunConfig) -> int:
         raise InvariantViolationError(f"table {cfg.table}: {'; '.join(problems)}")
     rep = bracket(table)
     if cfg.pretty:
+        _need("Fraction")
         lo, hi = Fraction(rep.certified_lower), Fraction(rep.certified_upper)
         sys.stderr.write(
             f"family={rep.family} n_max={rep.n_max} "
@@ -201,12 +223,14 @@ def cmd_bounds(cfg: RunConfig) -> int:
 def cmd_verify(cfg: RunConfig) -> int:
     if not cfg.table:
         raise UsageError("verify needs --table")
+    _need("read_table")
     problems = _table_problems(read_table(cfg.table))
     _emit({"kind": "verify-report", "table": cfg.table, "problems": problems}, cfg.out)
     return EXIT_OK if not problems else EXIT_INVARIANT
 
 
 def cmd_locality(cfg: RunConfig) -> int:
+    _need("locality_report")
     fam_a = parse_family(cfg.family)
     fam_b = parse_family(cfg.family_b)
     hf_a = parse_height(fam_a, cfg.height)
@@ -232,6 +256,7 @@ def cmd_locality(cfg: RunConfig) -> int:
 
 
 def cmd_quotient(cfg: RunConfig) -> int:
+    _need("build_quotient", "check_symmetric")
     family = parse_family(cfg.family)
     shifts = _parse_vectors(cfg.shifts, "--shifts", "3,0;0,3")
     q = build_quotient(family, shifts)
@@ -249,7 +274,10 @@ def cmd_quotient(cfg: RunConfig) -> int:
 
 
 def cmd_synth_height(cfg: RunConfig) -> int:
+    _need("synthesize_height", "increment_invariant_problems", "quotient_tables",
+          "verify_cocycle")
     if cfg.quotient:
+        _need("read_json")
         qdoc = read_json(cfg.quotient, "quotient document")
         if not isinstance(qdoc, dict) or qdoc.get("kind") != "quotient":
             raise UsageError("--quotient file must be a quotient document")
@@ -308,6 +336,7 @@ def cmd_validate_height(cfg: RunConfig) -> int:
 
 
 def cmd_decompose(cfg: RunConfig) -> int:
+    _need("make_walk", "decompose")
     family = parse_family(cfg.family)
     hf = parse_height(family, cfg.height)
     walk = make_walk(family, _parse_vectors(cfg.walk, "--walk", "0,0;1,0;1,1"))
@@ -403,6 +432,7 @@ def _check_config(defaults: dict) -> None:
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     defaults: dict = {}
     if args.config:
+        _need("read_json")
         defaults = read_json(args.config, "config file")
         if not isinstance(defaults, dict):
             raise UsageError("config file must hold a JSON object")

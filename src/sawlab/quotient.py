@@ -112,7 +112,8 @@ def build_quotient(family: GraphFamily, shifts: tuple[tuple[int, ...], ...]) -> 
     """
     n = len(family.origin)
     if family.spec != f"z{n}":
-        raise UsageError("only translation subgroups of z{n} lattices are supported")
+        raise UsageError(f"only translation subgroups of the lattices z1, z2, ... are "
+                         f"supported, not {family.spec}")
     lat = lattice_structure(shifts)
     if lat.dim != n:
         raise UsageError(f"shifts have dimension {lat.dim}, {family.spec} has {n}")

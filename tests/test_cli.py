@@ -1,15 +1,18 @@
 """CLI: exit codes, determinism, round-trips."""
 
+import ast
 import json
 import os
 import re
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import sawlab
+from sawlab import cli
 from sawlab.cli import main
 
 RUN = [sys.executable, "-m", "sawlab.cli"]
@@ -18,11 +21,16 @@ RUN = [sys.executable, "-m", "sawlab.cli"]
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(sawlab.__file__)))
 
 
-def run_cli_env(args, env_extra, stdout=subprocess.PIPE):
+def child_env(env_extra=()):
     env = dict(os.environ)
     env.update(env_extra)
     env["PYTHONPATH"] = SRC + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
-    proc = subprocess.run(RUN + args, stdout=stdout, stderr=subprocess.PIPE, text=True, env=env)
+    return env
+
+
+def run_cli_env(args, env_extra, stdout=subprocess.PIPE):
+    proc = subprocess.run(RUN + args, stdout=stdout, stderr=subprocess.PIPE, text=True,
+                          env=child_env(env_extra))
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -308,6 +316,104 @@ def test_rank_deficient_shifts_exit_2(command, shifts):
     code, out, err = run_cli([command, "--family", "z2", "--shifts", shifts])
     assert code == 2 and not out
     assert err == "usage error: translation lattice has rank < dimension: infinitely many orbits\n"
+
+
+def test_non_lattice_quotient_names_the_family():
+    code, out, err = run_cli(["quotient", "--family", "hex", "--shifts", "1,0"])
+    assert code == 2 and not out
+    assert err == ("usage error: only translation subgroups of the lattices z1, z2, ... "
+                   "are supported, not hex\n")
+
+
+# runs main(ARG...) in a fresh interpreter, or only imports the CLI when
+# there is no ARG, and prints the exit code and the sawlab modules loaded
+FOOTPRINT = """import json, sys
+from sawlab.cli import main
+code = main(sys.argv[1:]) if len(sys.argv) > 1 else 0
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("sawlab."))]))
+"""
+CLI_CORE = ["sawlab.cli", "sawlab.errors", "sawlab.families", "sawlab.heights"]
+
+
+def footprint(args):
+    proc = subprocess.run([sys.executable, "-c", FOOTPRINT, *args], capture_output=True,
+                          text=True, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    return tuple(json.loads(proc.stdout))
+
+
+def test_each_subcommand_imports_only_the_layers_it_runs(tmp_path):
+    out = ["--out", str(tmp_path / "out.json")]
+    assert footprint([]) == (0, CLI_CORE)
+    code, loaded = footprint(["count", "--family", "z2", "--n", "4", *out])
+    assert code == 0 and "sawlab.tables" in loaded
+    assert not {"sawlab.bounds", "sawlab.quotient", "sawlab.synthesis"} & set(loaded)
+    assert footprint(["validate-height", "--family", "z2", "--radius", "3", *out]) == \
+        (0, CLI_CORE)
+    code, loaded = footprint(["synth-height", "--family", "z2", "--shifts", "3,0;0,3", *out])
+    assert code == 0 and "sawlab.synthesis" in loaded
+    assert json.loads((tmp_path / "out.json").read_text())["lifted_valid"]
+
+
+def test_run_as_a_module_the_cli_is_not_imported_again(tmp_path):
+    # python -m runs the CLI as __main__: it binds the layers into its own
+    # globals, and a second copy of it as sawlab.cli is never compiled
+    script = """import runpy, sys
+try:
+    runpy.run_module("sawlab.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    print(exc.code, "sawlab.cli" in sys.modules)
+"""
+    out = tmp_path / "t.json"
+    proc = subprocess.run([sys.executable, "-c", script, "count", "--family", "z2", "--n", "4",
+                           "--out", str(out)], capture_output=True, text=True, env=child_env())
+    assert proc.stdout == "0 False\n", proc.stderr
+    assert json.loads(out.read_text())["sigma"][4] == "100"
+
+
+def tracer_cli_names():
+    """The sawlab.cli attributes that perfbench/tracer.py patches, read from
+    its TIMED and FAMILY_PARSERS tuples."""
+    tracer = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    names = []
+    for node in ast.parse(tracer.read_text()).body:
+        if (isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
+                and node.targets[0].id in ("TIMED", "FAMILY_PARSERS")):
+            names += [attr for module, attr, *_ in ast.literal_eval(node.value)
+                      if module == "sawlab.cli"]
+    return names
+
+
+def test_tracer_patched_names_resolve_on_a_fresh_cli_module():
+    names = tracer_cli_names()
+    assert len(names) == 11
+    script = """import sys, sawlab.cli
+print([a for a in sys.argv[1:] if not callable(getattr(sawlab.cli, a, None))])
+"""
+    proc = subprocess.run([sys.executable, "-c", script, *names], capture_output=True,
+                          text=True, env=child_env())
+    assert proc.stdout == "[]\n", proc.stderr
+
+
+@pytest.mark.parametrize("attr, argv", [
+    ("build_count_table", ["count", "--family", "z2", "--n", "4"]),
+    ("read_table", ["verify", "--table", "TABLE"]),
+    ("bracket", ["bounds", "--table", "TABLE"]),
+])
+def test_subcommands_call_what_is_bound_on_the_cli_module(tmp_path, monkeypatch, attr, argv):
+    # the benchmark's tracer patches these names on sawlab.cli
+    table = tmp_path / "t.json"
+    assert main(["count", "--family", "z2", "--n", "4", "--out", str(table)]) == 0
+    original, calls = getattr(cli, attr), []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, attr, spy)
+    argv = [str(table) if a == "TABLE" else a for a in argv]
+    assert main([*argv, "--out", str(tmp_path / "out.json")]) == 0
+    assert len(calls) == 1
 
 
 def test_decompose_cli(tmp_path):
