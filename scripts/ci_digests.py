@@ -27,11 +27,14 @@ the case's stdout.  The cases:
 * the subcommands that import a layer only when they run it: ``bounds``
   and ``verify`` on a z3 n=9 table that a first case writes with
   ``count --out``, ``decompose`` on a z2 and a hex half-space walk of
-  three spans, ``synth-height`` on Z2/(3,3), and a ``count`` whose options
-  all come from a ``--config`` file.
+  three spans, ``synth-height`` on Z2/(3,3), a ``count`` whose options
+  all come from a ``--config`` file, and ``synth-height --quotient`` on
+  the document that ``quotient --family z2 --shifts 2,1;0,5 --out``
+  writes (its shifts read as a JSON list of integer lists).
 
-Every case runs in one temporary directory, which holds the table and the
-config file, so that the paths in the outputs are the same on every run.
+Every case runs in one temporary directory, which holds the table, the
+quotient document and the config file, so that the paths in the outputs
+are the same on every run.
 
 The cases are this script's, not the package's, so one copy of it diffs two
 checkouts:
@@ -69,6 +72,7 @@ QUOTIENTS = ("z1 3", "z2 3,0;0,3", "z2 2,1;0,5", "z2 4,0;0,4", "z2 1,0;0,1;1,1",
              "z4 1,1,0,0;0,1,1,0;0,0,1,1;0,0,0,2")
 
 TABLE = "z3-n9.json"
+QUOTIENT_FILE = "q.json"
 CONFIG_FILE = "config.json"
 CONFIG = {"family": "squareoct", "n_max": 12, "kind": "bridge", "per_span": True}
 DECOMPOSITIONS = (("z2", "0,0;1,0;2,0;3,0;3,-1;2,-1;1,-1;1,-2;2,-2"),
@@ -116,6 +120,9 @@ def cases():
     yield ("synth-height z2 3,0;0,3",
            (*cli, "synth-height", "--family", "z2", "--shifts", "3,0;0,3"), {})
     yield "count --config squareoct@12 bridge", (*cli, "--config", CONFIG_FILE, "count"), {}
+    yield ("quotient z2 2,1;0,5 --out",
+           (*cli, "quotient", "--family", "z2", "--shifts", "2,1;0,5", "--out", QUOTIENT_FILE), {})
+    yield "synth-height --quotient", (*cli, "synth-height", "--quotient", QUOTIENT_FILE), {}
 
 
 def main(argv=None) -> int:

@@ -29,7 +29,7 @@ from .errors import (
     UsageError,
     budget,
 )
-from .families import parse_family
+from .families import decode_int, parse_family
 from .heights import parse_height, validate_height, verify_r
 
 # the names that only some subcommands read, and the module of each: a
@@ -41,8 +41,8 @@ _LAZY = {
     **dict.fromkeys(("build_quotient", "check_symmetric"), ".quotient"),
     **dict.fromkeys(("increment_invariant_problems", "quotient_tables", "synthesize_height",
                      "verify_cocycle"), ".synthesis"),
-    **dict.fromkeys(("build_count_table", "check_table_invariants", "decode_int", "read_json",
-                     "read_table", "table_to_dict"), ".tables"),
+    **dict.fromkeys(("build_count_table", "check_table_invariants", "read_json", "read_table",
+                     "table_to_dict"), ".tables"),
     **dict.fromkeys(("decompose", "make_walk"), ".walks"),
     "Decimal": "decimal",
     "Fraction": "fractions",
@@ -133,7 +133,6 @@ def _bounds_doc(rep: BoundsReport) -> dict:
 def _parse_vectors(value, flag: str, example: str) -> tuple[tuple[int, ...], ...]:
     """Integer vectors written as 'a,b;c,d', or read from a JSON document as
     a list of integer lists (``flag`` names the option or field)."""
-    _need("decode_int")
     if not value:
         raise UsageError(f"missing {flag} (e.g. '{example}')")
     if isinstance(value, str):

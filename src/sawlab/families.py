@@ -358,11 +358,21 @@ def balls(family: GraphFamily, center: Label) -> Iterator[Ball]:
         level = list(islice(dist, first, None))
 
 
+def decode_int(x) -> int:
+    """An integer written as a JSON number or a decimal string: ASCII digits
+    after an optional minus sign, so ``"1_000"``, ``"+5"`` and ``"٣"`` are
+    rejected although ``int`` reads them.  This is the one reader of
+    decimal integers, in spec strings, vectors and count tables alike."""
+    if type(x) is int or type(x) is str and re.fullmatch("-?[0-9]+", x):
+        return int(x)
+    raise ValueError(f"{x!r} is not a decimal integer")
+
+
 def _spec_int(text: str, spec: str, signed: bool = False) -> int:
     try:
-        if re.fullmatch("-?[0-9]+" if signed else "[0-9]+", text):
-            return int(text)
-    except ValueError:  # more digits than int() converts
+        if signed or not text.startswith("-"):
+            return decode_int(text)
+    except ValueError:  # not decimal, or more digits than int() converts
         pass
     raise UsageError(f"bad integer {text!r} in family spec {spec!r}")
 

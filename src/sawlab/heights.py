@@ -77,8 +77,10 @@ def _horocyclic(v):
 
 def horocyclic_height() -> HeightFunction:
     """Horocyclic height on the suspended tree: depth below the ray minus
-    position along it.  Every call shares one evaluate function, so the
-    tree counters can tell it is the height their cone check measured in."""
+    position along it.  Every call shares one evaluate function,
+    ``_horocyclic``, which is what lets a tree's SAW, half-space and bridge
+    counts from one start share one cone ball (``walks._cone_ball`` caches
+    the ball by the function it was measured in)."""
     return HeightFunction(
         spec="horocyclic", evaluate=_horocyclic, declared_d=1, declared_r=0,
         h_orbits=((0, ()),), h_orbit_of=lambda v: 0,

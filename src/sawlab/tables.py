@@ -10,11 +10,10 @@ is serialized as a decimal string so arbitrary precision survives JSON.
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass
 
 from .errors import InvariantViolationError, UsageError
-from .families import GraphFamily, parse_family
+from .families import GraphFamily, decode_int, parse_family
 from .heights import HeightFunction, parse_height
 from .walks import count_bridges, count_halfspace, count_saws
 
@@ -96,8 +95,10 @@ def build_count_table(family: GraphFamily, hf: HeightFunction, n_max: int,
 
 
 def check_table_invariants(t: CountTable) -> list[str]:
-    """Structural invariants: conventions at n = 0, span sums, and the
-    per-vertex chain bridges <= half-space <= SAWs."""
+    """Structural invariants: conventions at n = 0, span rows, and the
+    per-vertex chain bridges <= half-space <= SAWs.  A span row's counts
+    are not negative and sum to b; its spans are 0 at n = 0 and at least 1
+    beyond, since a bridge of length n >= 1 ends above its start."""
     problems = []
     for name, rows in (("sigma", t.sigma_by_rep), ("c", t.c_by_rep), ("b", t.b_by_rep)):
         for row in rows:
@@ -107,10 +108,16 @@ def check_table_invariants(t: CountTable) -> list[str]:
                 problems.append(f"{name} has a negative count")
     for i in range(len(t.reps)):
         for n in range(t.n_max + 1):
+            spans = t.b_spans_by_rep[i][n]
             if not t.b_by_rep[i][n] <= t.c_by_rep[i][n] <= t.sigma_by_rep[i][n]:
                 problems.append(f"chain b <= c <= sigma fails at rep {i}, n = {n}")
-            if sum(t.b_spans_by_rep[i][n].values()) != t.b_by_rep[i][n]:
+            if sum(spans.values()) != t.b_by_rep[i][n]:
                 problems.append(f"span sums differ from b at rep {i}, n = {n}")
+            if any(x < 0 for x in spans.values()):
+                problems.append(f"negative span count at rep {i}, n = {n}")
+            bad = sorted(s for s in spans if (s < 1 if n else s != 0))
+            if bad:
+                problems.append(f"impossible spans {bad} at rep {i}, n = {n}")
     return problems
 
 
@@ -143,15 +150,6 @@ def _label_from_json(x):
     if type(x) is not int:
         raise TypeError(f"label entry {x!r} is not an integer or a list")
     return x
-
-
-def decode_int(x) -> int:
-    """An integer written as a JSON number or a decimal string: ASCII digits
-    after an optional minus sign, so ``"1_000"``, ``"+5"`` and ``"٣"`` are
-    rejected although ``int`` reads them."""
-    if type(x) is int or type(x) is str and re.fullmatch("-?[0-9]+", x):
-        return int(x)
-    raise ValueError(f"{x!r} is not a decimal integer")
 
 
 def table_from_dict(d: dict) -> CountTable:

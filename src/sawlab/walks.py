@@ -19,7 +19,7 @@ import functools
 from collections import Counter
 from dataclasses import dataclass
 from itertools import islice, repeat
-from operator import eq, ne, sub
+from operator import eq
 from typing import Iterator, Literal
 
 from .errors import InvariantViolationError, ResourceBudgetError, UsageError, budget
@@ -77,40 +77,41 @@ def is_reversed_bridge(hf: HeightFunction, w: Walk) -> bool:
 
 # Largest ball the cone types are measured on.  Tree balls grow as fast as
 # the walk set, so the check covers the short walks exactly and stays cheap;
-# the counts beyond it rest on how the family is built.
+# the counts beyond it rest on how the family and its height are built.
 CONE_CHECK_MAX_VERTICES = 4096
 
 
 @functools.lru_cache(maxsize=1)
-def _cone_ball(family, start):
-    """Measure a tree's cone types on a ball around ``start``.
+def _cone_ball(family, evaluate, start):
+    """Measure a tree's cone types on a ball around ``start``, in the height
+    function ``evaluate``.
 
     In a tree every SAW is a non-backtracking walk, so how a walk may
     continue depends only on the type of its last vertex.  A vertex's type
-    is the default-height (``heights.default_height``) increment of the
-    step into it, None for the start, and its row maps each increment of
-    its onward steps to their number.  A breadth-first search expands the
-    tree until the ball has more than CONE_CHECK_MAX_VERTICES vertices, or
-    until the tree ends.  Each expanded vertex must list its parent once and
-    only new vertices besides (so the ball is a tree), and must have the row
-    of the first expanded vertex of its type; when the search stops at the
-    cap, every type must have a row.  A failure raises
-    InvariantViolationError.  The walks of length n are verified exactly
-    when every vertex closer than n to the start was expanded; beyond that
-    length the counts rest on how the family is built.
+    is the height increment of the step into it, None for the start, and
+    its row maps each increment of its onward steps to their number.  A
+    breadth-first search expands the tree until the ball has more than
+    CONE_CHECK_MAX_VERTICES vertices, or until the tree ends.  Each expanded
+    vertex must list its parent once and only new vertices besides (so the
+    ball is a tree), and must have the row of the first expanded vertex of
+    its type; when the search stops at the cap, every type must have a row.
+    A failure raises InvariantViolationError.  The walks of length n are
+    verified exactly when every vertex closer than n to the start was
+    expanded; beyond that length the counts rest on how the family and its
+    height are built.
 
-    Returns ``(ball, rows, ev)``: ``ball`` maps each label reached to its
-    default height relative to the start's, ``rows`` each type to its row,
-    and ``ev`` is the default height's evaluate function.
-    It depends on neither the walk kind nor the length, so the one-entry
-    cache serves every count from one start in turn.
+    Returns ``(ball, rows)``: ``ball`` maps each label reached to its height
+    relative to the start's, and ``rows`` each type to its row.  It depends
+    on neither the walk kind nor the length, so the one-entry cache serves
+    every count from one start in turn that passes the same function: the
+    built-in trees' SAW, half-space and bridge counts all pass
+    ``heights._horocyclic``, and so share one ball.
     """
     # a miss: drop the previous start's ball before this one is built, so
     # that two balls are never held at once
     _cone_ball.cache_clear()
-    ev = default_height(family).evaluate
     neighbors = family.neighbors
-    h0 = ev(start)
+    h0 = evaluate(start)
     ball = {start: 0}
     rows = {}
     # each type's onward increments, sorted, as its first vertex had them
@@ -132,7 +133,7 @@ def _cone_ball(family, start):
                 # one hash per child: a vertex already in the ball leaves
                 # its size unchanged
                 size = len(ball)
-                hu = ball[u] = ev(u) - h0
+                hu = ball[u] = evaluate(u) - h0
                 if len(ball) == size:
                     raise InvariantViolationError(
                         f"{family.spec} is marked a tree, but {u!r} closes a cycle "
@@ -163,29 +164,10 @@ def _cone_ball(family, start):
                         f"{family.spec}: the cone check passed {CONE_CHECK_MAX_VERTICES} "
                         f"vertices before it expanded a vertex entered by a step of each "
                         f"increment in {sorted(unmeasured)}")
-                return ball, rows, ev
+                return ball, rows
         level = nxt
         radius += 1
-    return ball, rows, ev
-
-
-@functools.lru_cache(maxsize=1)
-def _verify_cones(family, hf, start):
-    """The cone types measured around start (:func:`_cone_ball`), after
-    checking, when hf is given, that it is the height they are measured in.
-    The check is skipped when hf evaluates with the very function the ball
-    was measured with: a pure function gives the stored heights again.  Any
-    other function is evaluated once per ball vertex.  The one-entry cache
-    serves the half-space and bridge counts from one start in turn, so hf
-    is checked once per ball, not once per walk kind or length."""
-    ball, rows, ev = _cone_ball(family, start)
-    if hf is not None and hf.evaluate is not ev:
-        h0 = hf.evaluate(start)
-        if any(map(ne, map(sub, map(hf.evaluate, ball), repeat(h0)), ball.values())):
-            raise InvariantViolationError(
-                f"{family.spec}: height {hf.spec!r} differs from the one the family's "
-                f"cone types are measured in")
-    return rows
+    return ball, rows
 
 
 def _count_cones(rows, n_max, mode):
@@ -531,7 +513,8 @@ def _count(family, hf, start, n_max, mode, jobs, node_budget=None):
     from the row sums c up to the split depth s, with k = n_max - s.
     Otherwise, and at jobs = 1, they are counted in process.  Totals are sums of exact integers,
     independent of scheduling.  A tree is counted by :func:`_count_cones`
-    instead, at every ``jobs``.
+    instead, at every ``jobs``, on the cone types measured in hf (in the
+    family's default height for SAWs).
     """
     if n_max < 0:
         raise UsageError("n_max must be >= 0")
@@ -542,7 +525,8 @@ def _count(family, hf, start, n_max, mode, jobs, node_budget=None):
             return tally
         n_max = len(tally) - 1
     if family.tree:
-        return _count_cones(_verify_cones(family, hf, start), n_max, mode)
+        ev = (default_height(family) if hf is None else hf).evaluate
+        return _count_cones(_cone_ball(family, ev, start)[1], n_max, mode)
     if mode == "saw":
         _, adj, perms = _compile_ball(family, start, n_max)
         heights = None

@@ -107,6 +107,22 @@ def test_verify_reports_row_invariants(tmp_path, key, n, value, problem):
     assert problem in json.loads(report.read_text())["problems"]
 
 
+@pytest.mark.parametrize("n, row, problem", [
+    (2, {"1": "5", "2": "-2"}, "negative span count at rep 0, n = 2"),
+    (1, {"-5": "1"}, "impossible spans [-5] at rep 0, n = 1"),
+    (0, {"1": "1"}, "impossible spans [1] at rep 0, n = 0"),
+], ids=["negative-count", "below-1", "nonzero-at-0"])
+def test_verify_reports_impossible_span_rows(tmp_path, n, row, problem):
+    # each row keeps the span sum, so only its counts or spans are wrong
+    out, report = tmp_path / "t.json", tmp_path / "v.json"
+    main(["count", "--family", "z2", "--n", "3", "--out", str(out)])
+    doc = json.loads(out.read_text())
+    doc["b_spans_by_rep"][0][n] = row
+    out.write_text(json.dumps(doc))
+    assert main(["verify", "--table", str(out), "--out", str(report)]) == 4
+    assert problem in json.loads(report.read_text())["problems"]
+
+
 def test_bounds_refuses_a_table_that_verify_rejects(tmp_path):
     # b_2 = 100 keeps the span sums but breaks b <= c <= sigma, and would
     # put the certified lower end above the upper one
@@ -350,8 +366,11 @@ def test_each_subcommand_imports_only_the_layers_it_runs(tmp_path):
     assert not {"sawlab.bounds", "sawlab.quotient", "sawlab.synthesis"} & set(loaded)
     assert footprint(["validate-height", "--family", "z2", "--radius", "3", *out]) == \
         (0, CLI_CORE)
+    assert footprint(["quotient", "--family", "z2", "--shifts", "3,0;0,3", *out]) == \
+        (0, [*CLI_CORE, "sawlab.quotient"])
     code, loaded = footprint(["synth-height", "--family", "z2", "--shifts", "3,0;0,3", *out])
     assert code == 0 and "sawlab.synthesis" in loaded
+    assert not {"sawlab.tables", "sawlab.walks"} & set(loaded)
     assert json.loads((tmp_path / "out.json").read_text())["lifted_valid"]
 
 

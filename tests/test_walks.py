@@ -299,7 +299,7 @@ def test_budgeted_tree_counts_check_each_cone_ball_once():
     table = build_count_table(fam, hf, 30, node_budget=10**9)
     table_calls, calls = calls, 0
     walks._cone_ball.cache_clear()
-    walks._cone_ball(fam, fam.origin)
+    walks._cone_ball(fam, hf.evaluate, fam.origin)
     assert table_calls == calls
     assert table.n_max == 28
     assert table == build_count_table(fam, hf, 28)
@@ -324,7 +324,7 @@ def test_one_cone_check_per_start_at_every_length():
     build_count_table(fam, hf, 30, node_budget=10**9)
     table_calls, calls = calls, 0
     walks._cone_ball.cache_clear()
-    walks._cone_ball(fam, fam.origin)
+    walks._cone_ball(fam, hf.evaluate, fam.origin)
     assert table_calls == calls
 
 
@@ -810,12 +810,16 @@ def test_cone_check_messages(fam, message):
         count_saws(fam, fam.origin, 8)
 
 
-def test_cone_types_are_checked_against_the_height_used():
+@pytest.mark.parametrize("scale", [2, -1], ids=["doubled", "negated"])
+def test_cone_types_are_measured_in_the_height_counted(scale):
+    # a tree counted in a height other than its default one measures its
+    # cone types in that height, and so counts what the kernel counts
     t3 = regular_tree(3)
     hf = default_height(t3)
-    doubled = dataclasses.replace(hf, evaluate=lambda v: 2 * hf.evaluate(v))
-    with pytest.raises(InvariantViolationError, match="differs"):
-        count_halfspace(t3, doubled, t3.origin, 5)
+    scaled = dataclasses.replace(hf, evaluate=lambda v: scale * hf.evaluate(v))
+    kernel = dataclasses.replace(t3, tree=False)
+    for count in (count_halfspace, count_bridges):
+        assert count(t3, scaled, t3.origin, 7) == count(kernel, scaled, t3.origin, 7)
 
 
 def test_one_cone_check_per_representative():
@@ -830,16 +834,17 @@ def test_one_cone_check_per_representative():
         return t5.neighbors(v)
 
     fam = dataclasses.replace(t5, neighbors=counted)
-    build_count_table(fam, default_height(fam), 9)
+    hf = default_height(fam)
+    build_count_table(fam, hf, 9)
     table_calls, calls = calls, 0
     walks._cone_ball.cache_clear()
-    walks._cone_ball(fam, fam.origin)
+    walks._cone_ball(fam, hf.evaluate, fam.origin)
     assert table_calls == calls < walks.CONE_CHECK_MAX_VERTICES
 
 
 def test_one_height_check_per_cone_ball():
-    # the half-space and bridge counts share one check of the height
-    # against the cone ball: one evaluation per ball vertex, plus the start
+    # the half-space and bridge counts share one cone ball, measured in the
+    # height they are given: one evaluation per ball vertex
     t5 = parse_family("tree:5")
     hf = default_height(t5)
     calls = 0
@@ -850,12 +855,12 @@ def test_one_height_check_per_cone_ball():
         return hf.evaluate(v)
 
     build_count_table(t5, dataclasses.replace(hf, evaluate=counted), 9)
-    assert calls == len(walks._cone_ball(t5, t5.origin)[0]) + 1
+    assert calls == len(walks._cone_ball(t5, hf.evaluate, t5.origin)[0])
 
 
 def test_measured_height_is_not_evaluated_again(monkeypatch):
-    # the built-in trees' height is the function their cone ball was
-    # measured with, so a table evaluates it once per ball vertex in all
+    # a built-in tree's three counts pass its one shared height function,
+    # so a table measures one cone ball and evaluates it once per ball vertex
     calls = 0
 
     def counted(v):
@@ -866,9 +871,8 @@ def test_measured_height_is_not_evaluated_again(monkeypatch):
     monkeypatch.setattr("sawlab.heights._horocyclic", counted)
     t5 = parse_family("tree:5")
     walks._cone_ball.cache_clear()
-    walks._verify_cones.cache_clear()
     build_count_table(t5, parse_height(t5, "default"), 9)
-    assert calls == len(walks._cone_ball(t5, t5.origin)[0])
+    assert calls == len(walks._cone_ball(t5, counted, t5.origin)[0])
 
 
 @given(st.integers(0, 6))
