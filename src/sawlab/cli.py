@@ -29,7 +29,7 @@ from .errors import (
     UsageError,
     budget,
 )
-from .families import decode_int, parse_family
+from .families import decode_int, parse_family, read_json
 from .heights import parse_height, validate_height, verify_r
 
 # the names that only some subcommands read, and the module of each: a
@@ -41,7 +41,7 @@ _LAZY = {
     **dict.fromkeys(("build_quotient", "check_symmetric"), ".quotient"),
     **dict.fromkeys(("increment_invariant_problems", "quotient_tables", "synthesize_height",
                      "verify_cocycle"), ".synthesis"),
-    **dict.fromkeys(("build_count_table", "check_table_invariants", "read_json", "read_table",
+    **dict.fromkeys(("build_count_table", "check_table_invariants", "read_table",
                      "table_to_dict"), ".tables"),
     **dict.fromkeys(("decompose", "make_walk"), ".walks"),
     "Decimal": "decimal",
@@ -276,7 +276,6 @@ def cmd_synth_height(cfg: RunConfig) -> int:
     _need("synthesize_height", "increment_invariant_problems", "quotient_tables",
           "verify_cocycle")
     if cfg.quotient:
-        _need("read_json")
         qdoc = read_json(cfg.quotient, "quotient document")
         if not isinstance(qdoc, dict) or qdoc.get("kind") != "quotient":
             raise UsageError("--quotient file must be a quotient document")
@@ -431,7 +430,6 @@ def _check_config(defaults: dict) -> None:
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     defaults: dict = {}
     if args.config:
-        _need("read_json")
         defaults = read_json(args.config, "config file")
         if not isinstance(defaults, dict):
             raise UsageError("config file must hold a JSON object")

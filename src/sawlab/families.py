@@ -27,6 +27,7 @@ Neighbor lists are returned sorted, so enumeration order is reproducible.
 
 from __future__ import annotations
 
+import json
 import re
 from dataclasses import dataclass, field
 from functools import partial
@@ -366,6 +367,16 @@ def decode_int(x) -> int:
     if type(x) is int or type(x) is str and re.fullmatch("-?[0-9]+", x):
         return int(x)
     raise ValueError(f"{x!r} is not a decimal integer")
+
+
+def read_json(path: str, what: str):
+    """Load a JSON document; a file that cannot be read or does not hold
+    JSON raises UsageError naming ``what`` it should have been."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise UsageError(f"cannot load {what} {path!r}: {exc}") from exc
 
 
 def _spec_int(text: str, spec: str, signed: bool = False) -> int:

@@ -45,11 +45,13 @@ partner's), a SAW from a to b crosses exactly the blocks on the block–cut
 tree path between them, and a block either holds a cycle with a
 non-integer sum, which gives every crossing of it two sums differing by
 that cycle's sum, or fixes each crossing's sum mod 1 by a potential.
-Each candidate perturbation of a segment is scored by the number of
-touched vertex pairs this block test resolves, and a segment joining two
-distinct explored vertices asks it whether a non-integer return SAW
-exists; when none does, the staged method is stuck and ``auto`` falls back
-to the direct method.  No return path is searched for: every explored
+The test is split into a structure pass (:class:`BlockCut`), which does
+not read the values, and a values pass.  Each segment builds one block–cut
+decomposition, and each candidate perturbation is scored on it by the
+number of touched vertex pairs it resolves, counted from class sizes.  A
+segment joining two distinct explored vertices asks the test whether a
+non-integer return SAW exists; when none does, the staged method is stuck
+and ``auto`` falls back to the direct method.  No return path is searched for: every explored
 cycle sums to its winding, so values minus windings sum along any explored
 path to the difference of a potential, which the solve extends as each
 vertex is first reached.  A segment's total is its winding plus that
@@ -72,7 +74,7 @@ from __future__ import annotations
 import functools
 import itertools
 import random
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
@@ -124,12 +126,16 @@ class QuotientTables:
     smaller of the two; ``undirected`` lists the canonical ids in order.
     ``lam`` maps an id to the int numerator of its winding ``step . w``
     (:func:`dual_form`) over ``lam_den``, so a closed walk's coefficient on
-    the distinguished cycle is its sum over ``lam_den``.
+    the distinguished cycle is its sum over ``lam_den``.  ``axes`` holds the
+    ranks of the steps +e_i and -e_i for each axis i.
     """
 
     def __init__(self, q: QuotientGraph):
-        steps = sorted(_unit_steps(_dim(q)))
+        units = _unit_steps(_dim(q))
+        steps = sorted(units)
         self.step_rank = {s: r for r, s in enumerate(steps)}
+        self.axes = tuple((self.step_rank[u], self.step_rank[d])
+                          for u, d in zip(units[0::2], units[1::2]))
         self.edges = tuple((i, s) for i in range(q.orbit_count) for s in steps)
         self.head = tuple(edge_head(q, e) for e in self.edges)
         self.partner = tuple(h * len(steps) + self.step_rank[_vec_neg(e[1])]
@@ -160,6 +166,19 @@ class QuotientTables:
             out.append(k)
             start = self.head[k]
         return out
+
+    def straight_sum(self, nums, orbit: int, shift) -> int:
+        """The sum of ``nums`` along the straight quotient path from
+        ``orbit`` along ``shift``, axis by axis as :func:`straight_steps`."""
+        head, width = self.head, len(self.step_rank)
+        total = 0
+        for c, (up, down) in zip(shift, self.axes):
+            r = up if c > 0 else down
+            for _ in range(abs(c)):
+                k = orbit * width + r
+                total += nums[k]
+                orbit = head[k]
+        return total
 
     def winding(self, ids) -> Fraction:
         """The coefficient of a closed walk on the distinguished cycle."""
@@ -511,14 +530,6 @@ class _StagedStuck(Exception):
     pass
 
 
-def _find(parent: list[int], x: int) -> int:
-    """The root of x in the union-find forest ``parent``, halving its path."""
-    while parent[x] != x:
-        parent[x] = parent[parent[x]]
-        x = parent[x]
-    return x
-
-
 # ---------------------------------------------------------------------------
 # directed SAWs over explored edges
 #
@@ -527,6 +538,121 @@ def _find(parent: list[int], x: int) -> int:
 # ``nums[e] / den``: an int numerator over one positive denominator.  A SAW
 # visits distinct vertices, so it never returns to its start (nor takes a
 # loop).
+
+def _half_pairs(sizes) -> int:
+    """The number of 2-subsets within groups of the given sizes."""
+    return sum(k * (k - 1) // 2 for k in sizes)
+
+
+class BlockCut:
+    """The structure pass of the non-integer pair test: the block–cut
+    decomposition of an explored graph, which does not read its values.
+
+    The explored graph must be a gain graph: the ``partner`` of every
+    explored edge runs back along it and is explored too (else
+    ``InvariantViolationError``); :meth:`classes` checks that it carries the
+    negated value.  One depth-first search (Tarjan's, over edge ids,
+    skipping loops and, on the way back up, only the tree edge's own
+    partner, so that parallel edges make cycles) gives ``root_of``, each
+    vertex's component root, ``tree``, the tree edges as ``(tail, edge,
+    head)`` in discovery order, and ``blocks``, each block (biconnected
+    component) as ``(top, inner, edges)``: the vertex it hangs from, its
+    other vertices, each reached by a tree edge of the block, and its edges
+    as triples.  Blocks are listed top-down, so a block's top is the inner
+    vertex of a block listed before it, or a root.  The values pass,
+    :meth:`classes`, reads only these, so one structure serves every
+    assignment of values to the same edges.
+    """
+
+    def __init__(self, adj, head, partner):
+        for v, out in enumerate(adj):
+            for e in out:
+                p = partner[e]
+                if head[p] != v or p not in adj[head[e]]:
+                    raise InvariantViolationError(
+                        f"explored edge {e} lacks an explored partner of negated value")
+        self.partners = [(e, partner[e]) for out in adj for e in out]
+        n = len(adj)
+        disc = [-1] * n  # discovery order
+        low = [0] * n
+        self.root_of = root_of = [0] * n
+        self.tree = tree = []
+        blocks = []
+
+        order = 0
+        for root in range(n):
+            if disc[root] >= 0:
+                continue
+            disc[root] = low[root] = order
+            order += 1
+            root_of[root] = root
+            stack = [(root, -1, iter(adj[root]))]  # (vertex, tree edge into it, edges left)
+            block_edges: list[tuple[int, int, int]] = []
+            while stack:
+                v, up, out = stack[-1]
+                for e in out:
+                    w = head[e]
+                    if w == v or (up >= 0 and e == partner[up]):
+                        continue
+                    if disc[w] < 0:
+                        disc[w] = low[w] = order
+                        order += 1
+                        root_of[w] = root
+                        tree.append((v, e, w))
+                        block_edges.append((v, e, w))
+                        stack.append((w, e, iter(adj[w])))
+                        break
+                    if disc[w] < disc[v]:  # back edge to an ancestor
+                        block_edges.append((v, e, w))
+                        low[v] = min(low[v], disc[w])
+                else:
+                    stack.pop()
+                    if up < 0:
+                        continue
+                    u = stack[-1][0]
+                    low[u] = min(low[u], low[v])
+                    if low[v] >= disc[u]:  # up and the edges stacked after it: a block
+                        block = [block_edges.pop()]
+                        while block[-1][1] != up:
+                            block.append(block_edges.pop())
+                        inner = {w for _, _, w in block}
+                        inner.discard(u)
+                        blocks.append((u, inner, block))
+        # a block is found below every block that hangs from one of its vertices
+        self.blocks = blocks[::-1]
+
+    def classes(self, nums, den: int) -> tuple[list[int], list[int]]:
+        """The values pass, for the values ``nums[e] / den``: ``(phi, cls)``.
+        phi is each vertex's numerator sum mod den along the tree path from
+        its component root, and two vertices share a class ``cls`` exactly
+        when the block–cut tree path between them crosses balanced blocks
+        only, whose cycles all have integer sums."""
+        for e, p in self.partners:
+            if nums[p] != -nums[e]:
+                raise InvariantViolationError(
+                    f"explored edge {e} lacks an explored partner of negated value")
+        n = len(self.root_of)
+        phi = [0] * n
+        for v, e, w in self.tree:
+            phi[w] = (phi[v] + nums[e]) % den
+        cls = list(range(n))  # a root or an unbalanced block's vertex heads a class
+        for top, inner, block in self.blocks:
+            if all((phi[v] + nums[e] - phi[w]) % den == 0 for v, e, w in block):
+                c = cls[top]
+                for w in inner:
+                    cls[w] = c
+        return phi, cls
+
+    def nonint_count(self, nums, den: int, vertices) -> int:
+        """How many 2-subsets {a, b} of the distinct ``vertices`` are joined
+        by a directed SAW with a non-integer sum: the pairs within one
+        component less those that share φ and a class (a class lies within
+        one component)."""
+        phi, cls = self.classes(nums, den)
+        root_of = self.root_of
+        return (_half_pairs(Counter(root_of[v] for v in vertices).values())
+                - _half_pairs(Counter((cls[v], phi[v]) for v in vertices).values()))
+
 
 def nonint_saw_pairs(adj, head, nums, den: int, partner, pairs) -> set:
     """The pairs (a, b) of ``pairs`` joined by a directed SAW from a to b
@@ -545,69 +671,15 @@ def nonint_saw_pairs(adj, head, nums, den: int, partner, pairs) -> set:
     exactly when a and b are connected and either a block on their path is
     unbalanced or φ(b) − φ(a) is not an integer.
 
-    One depth-first search (Tarjan's, over edge ids, skipping loops and,
-    on the way back up, only the tree edge's own partner, so that parallel
-    edges make cycles) finds the blocks and φ; a union-find merges the
-    vertices of each balanced block, so a and b share a class exactly when
-    their path crosses balanced blocks only.
+    The blocks come from :class:`BlockCut`, the structure pass, and φ and
+    the classes of vertices joined through balanced blocks from its values
+    pass.
     """
-    for v, out in enumerate(adj):
-        for e in out:
-            p = partner[e]
-            if head[p] != v or p not in adj[head[e]] or nums[p] != -nums[e]:
-                raise InvariantViolationError(
-                    f"explored edge {e} lacks an explored partner of negated value")
-    n = len(adj)
-    disc = [-1] * n  # discovery order
-    low = [0] * n
-    root_of = [0] * n
-    phi = [0] * n  # numerator sum along the tree path from the root, mod den
-    merged = list(range(n))  # union-find over balanced blocks
-
-    order = 0
-    for root in range(n):
-        if disc[root] >= 0:
-            continue
-        disc[root] = low[root] = order
-        order += 1
-        root_of[root] = root
-        stack = [(root, -1, iter(adj[root]))]  # (vertex, tree edge into it, edges left)
-        block_edges: list[int] = []
-        while stack:
-            v, up, out = stack[-1]
-            for e in out:
-                w = head[e]
-                if w == v or (up >= 0 and e == partner[up]):
-                    continue
-                if disc[w] < 0:
-                    disc[w] = low[w] = order
-                    order += 1
-                    root_of[w] = root
-                    phi[w] = (phi[v] + nums[e]) % den
-                    block_edges.append(e)
-                    stack.append((w, e, iter(adj[w])))
-                    break
-                if disc[w] < disc[v]:  # back edge to an ancestor
-                    block_edges.append(e)
-                    low[v] = min(low[v], disc[w])
-            else:
-                stack.pop()
-                if up < 0:
-                    continue
-                u = stack[-1][0]
-                low[u] = min(low[u], low[v])
-                if low[v] >= disc[u]:  # up and the edges stacked after it: a block
-                    block = [block_edges.pop()]
-                    while block[-1] != up:
-                        block.append(block_edges.pop())
-                    # the tail of f is head[partner[f]]
-                    if all((phi[head[partner[f]]] + nums[f] - phi[head[f]]) % den == 0
-                           for f in block):
-                        for f in block:
-                            merged[_find(merged, head[partner[f]])] = _find(merged, head[f])
+    structure = BlockCut(adj, head, partner)
+    phi, cls = structure.classes(nums, den)
+    root_of = structure.root_of
     return {(a, b) for a, b in pairs
-            if a != b and root_of[a] == root_of[b]
-            and (phi[a] != phi[b] or _find(merged, a) != _find(merged, b))}
+            if a != b and root_of[a] == root_of[b] and (phi[a] != phi[b] or cls[a] != cls[b])}
 
 
 def _staged_solve(basis: DirectedCycleBasis, q: QuotientGraph) -> tuple[list[int], int]:
@@ -704,16 +776,19 @@ def _staged_solve(basis: DirectedCycleBasis, q: QuotientGraph) -> tuple[list[int
                 pattern[rot] = eps
                 pattern[(rot + 1) % m] = -eps
                 candidates.append([share + p for p in pattern])
-        # every candidate sets the same edges, so touches the same vertices
-        heads = {head[k] for k in seg}
-        pairs = list(itertools.combinations(
-            [i for i in range(n_orb) if touched(i) or i in heads], 2))
-        best = None
+        # every candidate sets the same edge ids into the same tail lists and
+        # unset_value takes them out again, so the candidates share one
+        # explored adjacency, one block–cut structure and the touched vertices
+        structure = best = None
         for vals in candidates:
             for k, v in zip(seg, vals):
                 set_value(k, v)
-            count = len(nonint_saw_pairs(explored, head, nums, den, partner, pairs))
-            if count == len(pairs):
+            if structure is None:
+                structure = BlockCut(explored, head, partner)
+                vertices = list(pot)
+                n_pairs = len(vertices) * (len(vertices) - 1) // 2
+            count = structure.nonint_count(nums, den, vertices)
+            if count == n_pairs:
                 return
             if best is None or count > best[1]:
                 best = (vals, count)
@@ -857,33 +932,19 @@ class LiftedHeight:
 
     increments: EdgeIncrement
     quotient: QuotientGraph = field(repr=False)
-    _axes: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
     _origin_orbit: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         q = self.quotient
-        t = self.increments.tables
-        n = _dim(q)
-        object.__setattr__(self, "_axes", tuple(
-            (t.step_rank[u], t.step_rank[_vec_neg(u)]) for u in _unit_steps(n)[0::2]))
-        object.__setattr__(self, "_origin_orbit", q.project((0,) * n))
+        object.__setattr__(self, "_origin_orbit", q.project((0,) * _dim(q)))
 
     @property
     def scaling(self) -> int:
         return self.increments.den
 
     def evaluate(self, v: Label) -> int:
-        t, scaled = self.increments.tables, self.increments.nums
-        head, width = t.head, len(t.step_rank)
-        orbit = self._origin_orbit
-        total = 0
-        for c, (up, down) in zip(v, self._axes):
-            r = up if c > 0 else down
-            for _ in range(abs(c)):
-                k = orbit * width + r
-                total += scaled[k]
-                orbit = head[k]
-        return total
+        inc = self.increments
+        return inc.tables.straight_sum(inc.nums, self._origin_orbit, v)
 
     def max_edge_change(self) -> int:
         return max(abs(x) for x in self.increments.nums)
@@ -929,18 +990,23 @@ def verify_cocycle(inc: EdgeIncrement, family: GraphFamily, q: QuotientGraph,
     sums vanish; vacuously true for zero trials."""
     rng = random.Random(seed)
     n = _dim(q)
-    steps = _unit_steps(n)
     t = quotient_tables(q)
-    nums = inc.nums
+    head, width, nums = t.head, len(t.step_rank), inc.nums
+    # the step ranks in _unit_steps order, so choice draws the index it
+    # would draw from the step vectors
+    ranks = [r for axis in t.axes for r in axis]
     for _ in range(trials):
         start = tuple(rng.randint(-3, 3) for _ in range(n))
         length = rng.randint(2, 10)
-        walk = [rng.choice(steps) for _ in range(length)]
-        end = start
-        for s in walk:
-            end = _vec_add(end, s)
-        closed = walk + straight_steps(tuple(a - c for a, c in zip(start, end)))
-        if sum(map(nums.__getitem__, t.walk(q.project(start), closed))):
+        walk = [rng.choice(ranks) for _ in range(length)]
+        orbit = q.project(start)
+        total = 0
+        for r in walk:
+            k = orbit * width + r
+            total += nums[k]
+            orbit = head[k]
+        back = [walk.count(down) - walk.count(up) for up, down in t.axes]
+        if total + t.straight_sum(nums, orbit, back):
             return False
     return True
 

@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass
 
 from .errors import InvariantViolationError, UsageError
-from .families import GraphFamily, decode_int, parse_family
+from .families import GraphFamily, decode_int, parse_family, read_json
 from .heights import HeightFunction, parse_height
 from .walks import count_bridges, count_halfspace, count_saws
 
@@ -196,16 +196,6 @@ def write_table(t: CountTable, path: str) -> None:
     with open(path, "w") as fh:
         json.dump(table_to_dict(t), fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def read_json(path: str, what: str):
-    """Load a JSON document; a file that cannot be read or does not hold
-    JSON raises UsageError naming ``what`` it should have been."""
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except (OSError, ValueError) as exc:
-        raise UsageError(f"cannot load {what} {path!r}: {exc}") from exc
 
 
 def read_table(path: str) -> CountTable:

@@ -368,10 +368,17 @@ def test_each_subcommand_imports_only_the_layers_it_runs(tmp_path):
         (0, CLI_CORE)
     assert footprint(["quotient", "--family", "z2", "--shifts", "3,0;0,3", *out]) == \
         (0, [*CLI_CORE, "sawlab.quotient"])
-    code, loaded = footprint(["synth-height", "--family", "z2", "--shifts", "3,0;0,3", *out])
-    assert code == 0 and "sawlab.synthesis" in loaded
-    assert not {"sawlab.tables", "sawlab.walks"} & set(loaded)
-    assert json.loads((tmp_path / "out.json").read_text())["lifted_valid"]
+    (tmp_path / "out.json").rename(tmp_path / "q.json")
+    (tmp_path / "cfg.json").write_text('{"radius": 3}')
+    # reading a JSON document loads no counting kernel
+    assert footprint(["--config", str(tmp_path / "cfg.json"), "validate-height",
+                      "--family", "z2", *out]) == (0, CLI_CORE)
+    for source in (["--family", "z2", "--shifts", "3,0;0,3"],
+                   ["--quotient", str(tmp_path / "q.json")]):
+        code, loaded = footprint(["synth-height", *source, *out])
+        assert code == 0 and "sawlab.synthesis" in loaded
+        assert not {"sawlab.tables", "sawlab.walks"} & set(loaded)
+        assert json.loads((tmp_path / "out.json").read_text())["lifted_valid"]
 
 
 def test_run_as_a_module_the_cli_is_not_imported_again(tmp_path):

@@ -6,6 +6,7 @@ bug in themselves.
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import random
 from collections import deque
@@ -21,6 +22,7 @@ from sawlab.families import ball, hypercubic
 from sawlab.heights import validate_height
 from sawlab.quotient import build_quotient
 from sawlab.synthesis import (
+    BlockCut,
     EdgeIncrement,
     cycle_basis,
     cycle_vector,
@@ -182,6 +184,48 @@ def test_staged_solve_keeps_den_reduced(family, shifts):
     q = quotient_of(family, shifts)
     nums, den = synthesis._staged_solve(cycle_basis(q, unit_square_generators(q)), q)
     assert gcd(den, *nums) == 1
+
+
+def reference_verify_cocycle(inc, q, trials, seed):
+    """verify_cocycle as it was written over step vectors: the oracle for
+    the closed walks that the edge-rank form draws and checks."""
+    rng = random.Random(seed)
+    n = q.lattice.dim
+    steps = synthesis._unit_steps(n)
+    t = quotient_tables(q)
+    for _ in range(trials):
+        start = tuple(rng.randint(-3, 3) for _ in range(n))
+        length = rng.randint(2, 10)
+        walk = [rng.choice(steps) for _ in range(length)]
+        end = start
+        for s in walk:
+            end = tuple(x + y for x, y in zip(end, s))
+        closed = walk + straight_steps(tuple(a - c for a, c in zip(start, end)))
+        if sum(map(inc.nums.__getitem__, t.walk(q.project(start), closed))):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("family,shifts", [SYNTH_QUOTIENTS[0], SYNTH_QUOTIENTS[3]])
+def test_cocycle_check_draws_the_reference_walks(family, shifts):
+    """On the true increment and on each copy with one numerator raised by
+    one, verify_cocycle gives the step-vector oracle's verdict for every
+    trial count and seed."""
+    q, basis, inc, lifted = synthesize_height(family, shifts)
+    increments = [inc]
+    for k in range(len(inc.nums)):
+        nums = list(inc.nums)
+        nums[k] += 1
+        increments.append(dataclasses.replace(inc, nums=tuple(nums)))
+    verdicts = []
+    for trials in (1, 2, 5, 20):
+        for seed in range(5):
+            for x in increments:
+                want = reference_verify_cocycle(x, q, trials, seed)
+                assert verify_cocycle(x, family, q, trials, seed) == want, (trials, seed)
+                verdicts.append(want)
+    assert all(verdicts[::len(increments)])  # the true increment passes
+    assert not all(verdicts)
 
 
 def test_perturbed_increment_fails_cocycle():
@@ -549,12 +593,43 @@ def test_pair_test_matches_brute_force_on_gain_graphs(graph):
         brute_force_nonint_pairs(adj, head, values)
 
 
+@st.composite
+def gain_graphs_with_two_assignments(draw):
+    """(adj, head, partner, vertices, [values, values']): a gain graph, a
+    subset of its vertices, and its values before and after one partner
+    pair's values are drawn again."""
+    adj, head, values, partner = draw(gain_graphs())
+    vertices = sorted(draw(st.sets(st.integers(0, len(adj) - 1))))
+    redrawn = list(values)
+    if values:
+        e = draw(st.integers(0, len(values) - 1))
+        redrawn[e] = Fraction(draw(st.integers(-6, 6)), draw(st.integers(1, 4)))
+        redrawn[partner[e]] = -redrawn[e]
+    return adj, head, partner, vertices, [values, redrawn]
+
+
+@settings(max_examples=300, deadline=None)
+@given(gain_graphs_with_two_assignments())
+def test_one_structure_pass_counts_the_pairs_of_every_assignment(case):
+    """The block–cut structure does not read the values, so one structure
+    pass counts the non-integer pairs of each assignment to the same edges."""
+    adj, head, partner, vertices, assignments = case
+    structure = BlockCut(adj, head, partner)
+    pairs = list(itertools.combinations(vertices, 2))
+    for values in assignments:
+        nums, den = over_one_denominator(values)
+        assert structure.nonint_count(nums, den, vertices) == \
+            len(nonint_saw_pairs(adj, head, nums, den, partner, pairs))
+
+
 def test_pair_test_rejects_a_graph_that_is_not_a_gain_graph():
     # 0 -> 1 (id 0) and 1 -> 0 (id 1) are partners; values over den 2
     adj, head, partner = [[0], [1]], [1, 0], [1, 0]
     assert nonint_saw_pairs(adj, head, [1, -1], 2, partner, [(0, 1)]) == {(0, 1)}
     with pytest.raises(InvariantViolationError):  # values not negated
         nonint_saw_pairs(adj, head, [1, 1], 2, partner, [(0, 1)])
+    with pytest.raises(InvariantViolationError):  # checked on every values pass
+        BlockCut(adj, head, partner).nonint_count([1, 1], 2, [0, 1])
     with pytest.raises(InvariantViolationError):  # partner not explored
         nonint_saw_pairs([[0], []], head, [1, 0], 2, partner, [(0, 1)])
     with pytest.raises(InvariantViolationError):  # partner does not run back
@@ -681,21 +756,28 @@ def test_one_edge_table_per_synthesis(monkeypatch):
 
 
 def test_pair_queries_per_synthesis(monkeypatch):
-    """The staged solve asks the block test once per scored candidate
-    perturbation, and not again after the seed, a zero connector or a
-    single-edge segment; these quotients close every segment on itself, so
-    no segment asks whether a non-integer return SAW exists."""
+    """The staged solve runs one structure pass per segment of two or more
+    edges, and scores each of its candidate perturbations on it, but none
+    after the seed, a zero connector or a single-edge segment; these
+    quotients close every segment on itself, so no segment asks whether a
+    non-integer return SAW exists."""
     calls = []
-    pairs = synthesis.nonint_saw_pairs
 
-    def counting(*args):
-        calls.append(args)
-        return pairs(*args)
+    class Counting(BlockCut):
+        def __init__(self, *args):
+            calls.append("structure")
+            super().__init__(*args)
 
-    monkeypatch.setattr(synthesis, "nonint_saw_pairs", counting)
+        def nonint_count(self, *args):
+            calls.append("scored")
+            return super().nonint_count(*args)
+
+    monkeypatch.setattr(synthesis, "BlockCut", Counting)
+    monkeypatch.setattr(synthesis, "nonint_saw_pairs", lambda *args: calls.append("query"))
     for family, shifts in SYNTH_QUOTIENTS:
         assert synthesize_height(family, shifts)[2].method == "staged"
-    assert len(calls) == 180
+    assert (calls.count("structure"), calls.count("scored")) == (20, 180)
+    assert "query" not in calls
 
 
 def test_staged_solves_the_cube_of_side_4():
