@@ -122,8 +122,8 @@ def ball_isomorphic(a: Ball, b: Ball) -> bool:
     for v in b.vertices:
         klass_b.setdefault((b.dist[v], len(adj_b[v])), []).append(v)
 
-    mapping: dict = {}
-    rmapping: dict = {}
+    mapping = {a.root: b.root}
+    rmapping = {b.root: a.root}
 
     def feasible(v, w) -> bool:
         # mapped neighbors of v must land on neighbors of w, and mapped
@@ -137,25 +137,33 @@ def ball_isomorphic(a: Ball, b: Ball) -> bool:
                 return False
         return True
 
-    def extend(i: int) -> bool:
-        if i == len(order):
-            return True
+    def candidates(v):
+        # checked against the vertices mapped when the iterator is advanced
+        for w in klass_b.get((a.dist[v], len(adj_a[v])), ()):
+            if w not in rmapping and feasible(v, w):
+                yield w
+
+    # backtracking over an explicit stack, so the depth is not bounded by
+    # the interpreter's recursion limit: stack[i - 1] walks the candidates
+    # for order[i], and order[:i] is mapped
+    stack: list = []
+    i = 1
+    while i < len(order):
         v = order[i]
-        key = (a.dist[v], len(adj_a[v]))
-        for w in klass_b.get(key, ()):
-            if w in rmapping or not feasible(v, w):
-                continue
+        if len(stack) < i:
+            stack.append(candidates(v))
+        w = next(stack[-1], None)
+        if w is None:  # v has no image left: remap the vertex before it
+            stack.pop()
+            i -= 1
+            if i == 0:
+                return False
+            del rmapping[mapping.pop(order[i])]
+        else:
             mapping[v] = w
             rmapping[w] = v
-            if extend(i + 1):
-                return True
-            del mapping[v]
-            del rmapping[w]
-        return False
-
-    mapping[a.root] = b.root
-    rmapping[b.root] = a.root
-    return extend(1)
+            i += 1
+    return True
 
 
 @dataclass(frozen=True)

@@ -34,6 +34,7 @@ the distinguished coordinate of the closed walk it completes, spread in
 equal shares with a small prime-scaled perturbation that keeps explored
 path sums off the integers; when no pending translate meets the region,
 the first edge leaving it is set to zero.  Residual edges are fixed last.
+Each segment's edges are set once, to the best of its candidate values.
 The direct method is the dual-form solution delta(i, step) = step . w,
 which meets every cycle target and both strict signs by construction; it
 is the fallback and cross-check.  On Z^n / kZ^n its lift has m = k, d = 1.
@@ -48,25 +49,28 @@ that cycle's sum, or fixes each crossing's sum mod 1 by a potential.
 The test is split into a structure pass (:class:`BlockCut`), which does
 not read the values, and a values pass.  Each segment builds one block–cut
 decomposition, and each candidate perturbation is scored on it by the
-number of touched vertex pairs it resolves, counted from class sizes.  A
-segment joining two distinct explored vertices asks the test whether a
-non-integer return SAW exists; when none does, the staged method is stuck
-and ``auto`` falls back to the direct method.  No return path is searched for: every explored
-cycle sums to its winding, so values minus windings sum along any explored
-path to the difference of a potential, which the solve extends as each
-vertex is first reached.  A segment's total is its winding plus that
-difference, and so is a residual edge's value.  A lifted height sums
-integer scaled increments m * delta along the same tables.
+number of touched vertex pairs it resolves, counted from class sizes; a
+candidate rewrites only its segment's numerators and their negated
+partners.  A segment joining two distinct explored vertices asks the test
+whether a non-integer return SAW exists; when none does, the staged
+method is stuck and ``auto`` falls back to the direct method.  No return
+path is searched for: every explored cycle sums to its winding, so values
+minus windings sum along any explored path to the difference of a
+potential, one ``Fraction`` per touched vertex, set as the vertex is first
+reached.  A segment's total is its winding plus that difference, and so
+is a residual edge's value.  A lifted height sums integer scaled
+increments m * delta along the same tables.
 
 All arithmetic in this module is exact; no floats.  An increment is stored
 in one form, an int numerator per edge id over one denominator
-(:class:`EdgeIncrement`), and every path sum is an int sum over one
-denominator: windings over :attr:`QuotientTables.lam_den`, an increment's
-sums over its ``den``, and the staged solve's explored sums over a
-denominator it grows as values are set.  Fractions appear only at the
-document boundary (:attr:`EdgeIncrement.values`) and as the staged solve's
-segment totals; the checks compare integer sums with the denominator or 0.
-The cycle-basis echelon keeps primitive integer rows.
+(:class:`EdgeIncrement`), and the checks and the lift sum those ints:
+windings over :attr:`QuotientTables.lam_den`, an increment's values over
+its ``den``.  The staged solve keeps its values the same way, over a
+denominator grown once per segment to cover every candidate and divided
+out once the segment is set.  Fractions appear only at the document
+boundary (:attr:`EdgeIncrement.values`) and as the staged solve's
+potentials and segment totals.  The cycle-basis echelon keeps primitive
+integer rows.
 """
 
 from __future__ import annotations
@@ -687,116 +691,72 @@ def _staged_solve(basis: DirectedCycleBasis, q: QuotientGraph) -> tuple[list[int
     as ``(nums, den)``, one int numerator per edge id over den."""
     t = quotient_tables(q)
     head, partner, canonical = t.head, t.partner, t.canonical
-    n_orb = q.orbit_count
 
-    explored: list[list[int]] = [[] for _ in range(n_orb)]  # ids per tail
+    explored: list[list[int]] = [[] for _ in range(q.orbit_count)]  # ids per tail
     # the value of a set edge k is nums[k] / den; connectors are set to 0, so
-    # is_set, not the numerator, tells a set edge.  Scaling den, nums and pot
-    # by one factor leaves every "is this sum an integer" answer unchanged
+    # is_set, not the numerator, tells a set edge.  Scaling den and nums by
+    # one factor leaves every "is this sum an integer" answer unchanged
     nums = [0] * len(t.edges)
     is_set = [False] * len(t.edges)
     den = 1
-    # Every explored cycle sums to its winding, so the potential
-    # psi(v) = pot[v] / den - wind[v] / t.lam_den, summed along the explored
-    # edges as v is first reached from the seed's start, gives every explored
-    # path from x to y a sum of values minus windings of psi(y) - psi(x).
-    # The touched vertices are exactly those with a potential.
+    # Every explored cycle sums to its winding, so the potential psi, summed
+    # along explored edges as each vertex is first reached, gives every
+    # explored path from x to y a sum of values minus windings of
+    # psi[y] - psi[x].  The touched vertices are those with a potential.
     dist = basis.distinguished()
-    pot = {t.tail(dist[0]): 0}
-    wind = {t.tail(dist[0]): 0}
+    psi = {t.tail(dist[0]): Fraction(0)}
+    touched = psi.__contains__
 
-    def set_value(k: int, val: Fraction):
+    def closing_total(seg) -> Fraction:
+        """The total of a path of unset edges closing a cycle through the
+        explored edges: its winding plus psi(end) - psi(start)."""
+        return t.winding(seg) + psi[head[seg[-1]]] - psi[t.tail(seg[0])]
+
+    def write(seg, vals):
+        for k, v in zip(seg, vals):
+            nums[k] = v.numerator * (den // v.denominator)
+            nums[partner[k]] = -nums[k]
+
+    def set_segment(seg, candidates):
+        """Set the edges of seg, a path from a touched vertex, once: to the
+        first candidate values that leave every touched vertex pair joined
+        by an explored SAW with a non-integer sum, else to the first that
+        leave the most such pairs."""
         nonlocal den
-        c = canonical[k]
-        if c != k:
-            val = -val
-        p = partner[c]
-        is_set[c] = is_set[p] = True
-        if den % val.denominator:
-            scale = val.denominator // gcd(den, val.denominator)
+        scale = lcm(den, *(v.denominator for vals in candidates for v in vals)) // den
+        if scale > 1:
             den *= scale
             nums[:] = [x * scale for x in nums]
-            for v in pot:
-                pot[v] *= scale
-        nums[c] = val.numerator * (den // val.denominator)
-        nums[p] = -nums[c]
-        for e in (c, p):
+        ids = [e for k in seg for e in (canonical[k], partner[canonical[k]])]
+        for e in ids:
+            is_set[e] = True
             explored[t.tail(e)].append(e)
-            if head[e] not in pot:
-                pot[head[e]] = pot[t.tail(e)] + nums[e]
-                wind[head[e]] = wind[t.tail(e)] + t.lam[e]
-
-    def unset_value(k: int):
-        c = canonical[k]
-        p = partner[c]
-        is_set[c] = is_set[p] = False
-        nums[c] = nums[p] = 0
-        for e in (c, p):
-            explored[t.tail(e)].remove(e)
-            if not explored[t.tail(e)]:
-                del pot[t.tail(e)], wind[t.tail(e)]
-
-    touched = pot.__contains__
-
-    def closing_total(seg: list[int]) -> Fraction:
-        """The total of a path of unset edges that closes a cycle through
-        the explored edges: its winding plus psi(end) - psi(start)."""
-        a, b = t.tail(seg[0]), head[seg[-1]]
-        return (Fraction(sum(map(t.lam.__getitem__, seg)) + wind[a] - wind[b], t.lam_den)
-                + Fraction(pot[b] - pot[a], den))
-
-    def reduce():
-        """Divide den, nums and pot by gcd(den, *nums), dropping the factors
-        of rejected candidates.  Every pot is a sum of nums along explored
-        edges, so the gcd divides it too."""
-        nonlocal den
+        best = candidates[0]
+        if len(candidates) > 1:
+            # the candidates differ only in seg's numerators, so they share
+            # one explored adjacency, one block–cut structure and the
+            # touched vertices
+            structure = BlockCut(explored, head, partner)
+            vertices = {*psi, *map(head.__getitem__, ids)}
+            n_pairs = len(vertices) * (len(vertices) - 1) // 2
+            most = -1
+            for vals in candidates:
+                write(seg, vals)
+                count = structure.nonint_count(nums, den, vertices)
+                if count > most:
+                    best, most = vals, count
+                    if count == n_pairs:
+                        break
+        write(seg, best)
+        for e in ids:  # the edge or its partner reaches each new vertex
+            if head[e] not in psi:
+                psi[head[e]] = (psi[t.tail(e)] + Fraction(nums[e], den)
+                                - Fraction(t.lam[e], t.lam_den))
+        # drop the factors of the rejected candidates
         g = gcd(den, *nums)
         if g > 1:
             den //= g
             nums[:] = [x // g for x in nums]
-            for v in pot:
-                pot[v] //= g
-
-    def assign_segment(seg: list[int], total: Fraction):
-        """Spread total in equal shares of one sign, perturbed so that as
-        many explored path sums as possible avoid the integers."""
-        m = len(seg)
-        if total == 0:
-            raise _StagedStuck("segment total vanished")
-        if m == 1:
-            set_value(seg[0], total)
-            return
-        share = total / m
-        candidates = []
-        for attempt in range(3):
-            # eps <= |share| / 101, so every value is nonzero with total's sign
-            eps = abs(total) / (m * _PERTURB_PRIME ** (attempt + 1))
-            for rot in range(min(m, 3)):
-                pattern = [Fraction(0)] * m
-                pattern[rot] = eps
-                pattern[(rot + 1) % m] = -eps
-                candidates.append([share + p for p in pattern])
-        # every candidate sets the same edge ids into the same tail lists and
-        # unset_value takes them out again, so the candidates share one
-        # explored adjacency, one block–cut structure and the touched vertices
-        structure = best = None
-        for vals in candidates:
-            for k, v in zip(seg, vals):
-                set_value(k, v)
-            if structure is None:
-                structure = BlockCut(explored, head, partner)
-                vertices = list(pot)
-                n_pairs = len(vertices) * (len(vertices) - 1) // 2
-            count = structure.nonint_count(nums, den, vertices)
-            if count == n_pairs:
-                return
-            if best is None or count > best[1]:
-                best = (vals, count)
-            for k in seg:
-                unset_value(k)
-        # no candidate resolved everything; apply the best one
-        for k, v in zip(seg, best[0]):
-            set_value(k, v)
 
     def explore_cycle(cyc: tuple[int, ...]):
         # cyc is explored only once it meets the explored region
@@ -811,16 +771,33 @@ def _staged_solve(basis: DirectedCycleBasis, q: QuotientGraph) -> tuple[list[int
                 run = []
 
     def finish_run(seg: list[int]):
-        a = t.tail(seg[0])
-        b = head[seg[-1]]
+        a, b = t.tail(seg[0]), head[seg[-1]]
         if a != b and not nonint_saw_pairs(explored, head, nums, den, partner, [(b, a)]):
             raise _StagedStuck("no non-integer return SAW for a segment")
-        assign_segment(seg, closing_total(seg))
-        reduce()
+        total = closing_total(seg)
+        if total == 0:
+            raise _StagedStuck("segment total vanished")
+        m = len(seg)
+        if m == 1:
+            set_segment(seg, [[total]])
+            return
+        # equal shares of total's sign, perturbed so that as many explored
+        # path sums as possible avoid the integers; eps <= |share| / 101, so
+        # every value is nonzero with total's sign
+        share = total / m
+        candidates = []
+        for attempt in range(3):
+            eps = abs(share) / _PERTURB_PRIME ** (attempt + 1)
+            for rot in range(min(m, 3)):
+                vals = [share] * m
+                vals[rot] += eps
+                vals[(rot + 1) % m] -= eps
+                candidates.append(vals)
+        set_segment(seg, candidates)
 
     # translates of the distinguished cycle through every orbit
     translates = {}
-    for i in range(n_orb):
+    for i in range(q.orbit_count):
         cyc = distinguished_cycle(q, i)
         if (len({t.tail(k) for k in cyc}) != len(cyc)
                 or len({canonical[k] for k in cyc}) != len(cyc)):
@@ -828,9 +805,7 @@ def _staged_solve(basis: DirectedCycleBasis, q: QuotientGraph) -> tuple[list[int
         translates[i] = cyc
 
     # Stage 1: seed the distinguished cycle uniformly
-    unit = Fraction(1, len(dist))
-    for k in dist:
-        set_value(k, unit)
+    set_segment(dist, [[Fraction(1, len(dist))] * len(dist)])
 
     # Stages 2-4: explore the lowest pending translate that meets the
     # explored region; when none does, the touched vertices are those of the
@@ -841,8 +816,8 @@ def _staged_solve(basis: DirectedCycleBasis, q: QuotientGraph) -> tuple[list[int
         nxt = next((i for i in pending if any(touched(t.tail(k)) for k in translates[i])),
                    None)
         if nxt is None:
-            set_value(next(k for k in t.undirected if touched(t.tail(k)) != touched(head[k])),
-                      Fraction(0))
+            k = next(k for k in t.undirected if touched(t.tail(k)) != touched(head[k]))
+            set_segment([k], [[Fraction(0)]])
             continue
         pending.remove(nxt)
         explore_cycle(translates[nxt])
@@ -850,7 +825,7 @@ def _staged_solve(basis: DirectedCycleBasis, q: QuotientGraph) -> tuple[list[int
     # Stage 5: residual edges fixed by the explored-walk rule
     for k in t.undirected:
         if not is_set[k]:
-            set_value(k, closing_total([k]))
+            set_segment([k], [[closing_total([k])]])
     return nums, den
 
 

@@ -157,9 +157,10 @@ def table_from_dict(d: dict) -> CountTable:
 
     A missing key, a non-integer count, a ``family`` or ``height`` that is
     not a string, a representative that is not an int or a nested list of
-    ints, or a row whose length is not n_max + 1 raises UsageError.  Top-level ``sigma``, ``c`` or ``b`` series
-    that differ from what the per-representative rows imply raise
-    InvariantViolationError.
+    ints, a row whose length is not n_max + 1, or two keys of one span row
+    that name the same span raise UsageError.  Top-level ``sigma``, ``c`` or
+    ``b`` series that differ from what the per-representative rows imply
+    raise InvariantViolationError.
     """
     if not isinstance(d, dict) or d.get("kind") != "count-table":
         raise UsageError("not a count-table document")
@@ -172,6 +173,8 @@ def table_from_dict(d: dict) -> CountTable:
                 for k in ("sigma_by_rep", "c_by_rep", "b_by_rep")}
         spans = tuple(tuple({decode_int(s): decode_int(c) for s, c in table.items()} for table in row)
                       for row in d["b_spans_by_rep"])
+        if any(len(a) != len(b) for r, raw in zip(spans, d["b_spans_by_rep"]) for a, b in zip(r, raw)):
+            raise ValueError("two keys of one span row name the same span")
         series = {k: tuple(decode_int(x) for x in d[k]) for k in ("sigma", "c", "b")}
     except KeyError as exc:
         raise UsageError(f"count table lacks key {exc}") from exc

@@ -533,33 +533,39 @@ def _count(family, hf, start, n_max, mode, jobs, node_budget=None):
     else:
         adj, heights, perms = _height_ball(family, hf, start, n_max)
     split = 3
-    if n_max <= split:
-        return _count_from(adj, heights, [0], n_max, mode)
-    tally = _count_from(adj, heights, [0], split, mode)
-    tally += [[0] * len(tally[0]) for _ in range(n_max - split)]
-    prefixes = [(0,)]
-    for _ in range(split):
-        prefixes = [p + (u,) for p in prefixes for u in adj[p[-1]] if u not in p]
-    reps, weights = _prefix_orbits(prefixes, perms)
+    # the kernel's depth-first search recurses once per step, so a length
+    # past the interpreter's recursion limit is a budget, not a traceback
+    try:
+        if n_max <= split:
+            return _count_from(adj, heights, [0], n_max, mode)
+        tally = _count_from(adj, heights, [0], split, mode)
+        tally += [[0] * len(tally[0]) for _ in range(n_max - split)]
+        prefixes = [(0,)]
+        for _ in range(split):
+            prefixes = [p + (u,) for p in prefixes for u in adj[p[-1]] if u not in p]
+        reps, weights = _prefix_orbits(prefixes, perms)
 
-    def add(parts):
-        for weight, part in zip(weights, parts):
-            for d in range(split + 1, n_max + 1):
-                tally[d] = [x + weight * y for x, y in zip(tally[d], part[d])]
+        def add(parts):
+            for weight, part in zip(weights, parts):
+                for d in range(split + 1, n_max + 1):
+                    tally[d] = [x + weight * y for x, y in zip(tally[d], part[d])]
 
-    k = n_max - split
-    if (jobs <= 1 or not reps
-            or len(reps) * sum(tally[split]) ** k < POOL_MIN_WALKS * sum(tally[split - 1]) ** k):
-        add(_count_from(adj, heights, list(p), n_max, mode) for p in reps)
+        k = n_max - split
+        if (jobs <= 1 or not reps
+                or len(reps) * sum(tally[split]) ** k < POOL_MIN_WALKS * sum(tally[split - 1]) ** k):
+            add(_count_from(adj, heights, list(p), n_max, mode) for p in reps)
+            return tally
+        # imported here: concurrent.futures loads logging, which a call that
+        # opens no pool need not pay for
+        import concurrent.futures
+        with concurrent.futures.ProcessPoolExecutor(
+                max_workers=min(jobs, len(reps)), initializer=_init_worker,
+                initargs=(adj, heights, mode, n_max)) as pool:
+            add(pool.map(_worker_counts, reps))
         return tally
-    # imported here: concurrent.futures loads logging, which a call that
-    # opens no pool need not pay for
-    import concurrent.futures
-    with concurrent.futures.ProcessPoolExecutor(
-            max_workers=min(jobs, len(reps)), initializer=_init_worker,
-            initargs=(adj, heights, mode, n_max)) as pool:
-        add(pool.map(_worker_counts, reps))
-    return tally
+    except RecursionError:
+        raise ResourceBudgetError(
+            f"walks of length {n_max} are deeper than the recursion limit") from None
 
 
 def count_saws(family: GraphFamily, start: Label, n_max: int, jobs: int = 1,

@@ -126,6 +126,16 @@ def test_similarity_capped_and_symmetric():
         assert similarity_K(a, b, cap).K == similarity_K(b, a, cap).K
 
 
+def test_similarity_K_past_the_recursion_limit():
+    """The isomorphism search maps one ball vertex per level, so these
+    balls (1,013 vertices at radius 22, 1,201 at 24) are deeper than the
+    interpreter's default recursion limit."""
+    res = similarity_K(Z2, hypercubic(2), 22)
+    assert (res.K, res.capped) == (22, True)
+    res = similarity_K(Z2, parse_family("zcyl:2:0,50"), 30)
+    assert (res.K, res.mismatch_radius, res.capped) == (24, 25, False)
+
+
 def test_similarity_K_asks_each_oracle_once_per_vertex(monkeypatch):
     calls = {}
 

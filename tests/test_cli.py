@@ -252,6 +252,12 @@ def _corrupt_underscored_count(doc):
     doc["sigma"][2] = doc["sigma_by_rep"][0][2] = "1_2"
 
 
+def _corrupt_repeated_span(doc):
+    # "01" and "1" both decode to span 1, so one of the two counts is lost
+    assert doc["b_spans_by_rep"][0][1] == {"1": "1"}
+    doc["b_spans_by_rep"][0][1] = {"1": "7", "01": "1"}
+
+
 def _corrupt_top_level_sigma(doc):
     doc["sigma"][3] = str(int(doc["sigma"][3]) + 1)
 
@@ -265,6 +271,7 @@ def _corrupt_top_level_sigma(doc):
     (_corrupt_rep_entry, 2),
     (_corrupt_rep_coordinate, 2),
     (_corrupt_underscored_count, 2),
+    (_corrupt_repeated_span, 2),
     (_corrupt_top_level_sigma, 4),
 ])
 @pytest.mark.parametrize("command", ["verify", "bounds"])
@@ -311,6 +318,14 @@ def test_ball_over_budget_exits_3(jobs):
                                  {"SAWLAB_BUDGET_BALL_VERTICES": "1000"})
     assert code == 3, err
     assert "exceeds 1000 vertices" in err and not out
+
+
+def test_count_deeper_than_the_recursion_limit_exits_3():
+    # the kernel's depth-first search recurses once per step
+    code, out, err = run_cli_env(["count", "--family", "z1", "--n", "1000"], {})
+    assert code == 3 and not out
+    assert err.startswith("resource error:") and "length 1000" in err
+    assert "Traceback" not in err
 
 
 def test_resource_error_exit_3(tmp_path, monkeypatch):
