@@ -31,6 +31,9 @@ the case's stdout.  The cases:
   all come from a ``--config`` file, and ``synth-height --quotient`` on
   the document that ``quotient --family z2 --shifts 2,1;0,5 --out``
   writes (its shifts read as a JSON list of integer lists).
+* ``help``: ``--help`` of the top-level parser and of every subcommand,
+  with ``COLUMNS=80``, so that each parser's flags, types and choices stay
+  the same.
 
 Every case runs in one temporary directory, which holds the table, the
 quotient document and the config file, so that the paths in the outputs
@@ -75,6 +78,8 @@ TABLE = "z3-n9.json"
 QUOTIENT_FILE = "q.json"
 CONFIG_FILE = "config.json"
 CONFIG = {"family": "squareoct", "n_max": 12, "kind": "bridge", "per_span": True}
+SUBCOMMANDS = ("count", "bounds", "locality", "quotient", "synth-height", "validate-height",
+               "decompose", "verify")
 DECOMPOSITIONS = (("z2", "0,0;1,0;2,0;3,0;3,-1;2,-1;1,-1;1,-2;2,-2"),
                   ("hex", "0,0;1,0;2,0;3,0;3,-1;2,-1;2,-2;1,-2;1,-3;2,-3"))
 
@@ -123,6 +128,9 @@ def cases():
     yield ("quotient z2 2,1;0,5 --out",
            (*cli, "quotient", "--family", "z2", "--shifts", "2,1;0,5", "--out", QUOTIENT_FILE), {})
     yield "synth-height --quotient", (*cli, "synth-height", "--quotient", QUOTIENT_FILE), {}
+    yield "help", (*cli, "--help"), {"COLUMNS": "80"}
+    for sub in SUBCOMMANDS:
+        yield f"help {sub}", (*cli, sub, "--help"), {"COLUMNS": "80"}
 
 
 def main(argv=None) -> int:

@@ -55,7 +55,11 @@ class BoundsReport:
 
     @property
     def width(self) -> float:
-        return self.certified_upper - self.certified_lower
+        """certified_upper - certified_lower, rounded up."""
+        w = self.certified_upper - self.certified_lower
+        if Fraction(w) < Fraction(self.certified_upper) - Fraction(self.certified_lower):
+            w = math.nextafter(w, math.inf)
+        return w
 
     @property
     def midpoint(self) -> float:

@@ -44,7 +44,6 @@ _LAZY = {
     **dict.fromkeys(("build_count_table", "check_table_invariants", "read_table",
                      "table_to_dict"), ".tables"),
     **dict.fromkeys(("decompose", "make_walk"), ".walks"),
-    "Decimal": "decimal",
     "Fraction": "fractions",
 }
 
@@ -78,9 +77,9 @@ CHOICES = {"kind": ("saw", "halfspace", "bridge"), "method": ("auto", "staged", 
 
 @dataclass
 class RunConfig:
-    """Resolved options for one run; config-file values fill unset flags."""
+    """Resolved options for one run; config-file values fill unset flags.
+    Each field declares its flag (see :func:`build_parser`) and config key."""
 
-    command: str
     family: str = ""
     family_b: str = ""
     height: str = "default"
@@ -192,10 +191,10 @@ def _table_problems(table) -> list[str]:
 
 
 def _decimals(x: Fraction, places: int, up: bool) -> str:
-    """x with ``places`` decimals, rounded up or down, never to nearest."""
-    _need("Decimal")
-    scaled = x * 10 ** places
-    return f"{Decimal(math.ceil(scaled) if up else math.floor(scaled)).scaleb(-places):f}"
+    """x with ``places`` >= 1 decimals, rounded up or down, never to nearest."""
+    scaled = (math.ceil if up else math.floor)(x * 10 ** places)
+    digits = str(abs(scaled)).zfill(places + 1)
+    return f"{'-' * (scaled < 0)}{digits[:-places]}.{digits[-places:]}"
 
 
 def cmd_bounds(cfg: RunConfig) -> int:
@@ -361,29 +360,14 @@ _COMMANDS = {
 }
 
 
-# each option a subcommand can take: its flags with their add_argument
-# keywords (every default is None, so that config values fill unset flags)
-_OPTIONS = {
-    "family": [("--family", {})],
-    "family_b": [("--b", {"dest": "family_b"}), ("--a", {"dest": "family"})],
-    "height": [("--height", {})],
-    "height_b": [("--height-b", {})],
-    "kind": [("--kind", {"choices": CHOICES["kind"]})],
-    "n": [("--n", {"dest": "n_max", "type": int})],
-    "cap": [("--cap", {"type": int})],
-    "jobs": [("--jobs", {"type": int})],
-    "seed": [("--seed", {"type": int})],
-    "radius": [("--radius", {"type": int})],
-    "r": [("--r", {"type": int})],
-    "shifts": [("--shifts", {})],
-    "walk": [("--walk", {})],
-    "per_span": [("--per-span", {"action": "store_true"})],
-    "pretty": [("--pretty", {"action": "store_true"})],
-    "out": [("--out", {})],
-    "table": [("--table", {})],
-    "quotient": [("--quotient", {})],
-    "method": [("--method", {"choices": CHOICES["method"]})],
-}
+# the options of build_parser's add() whose flag does not name their RunConfig field
+_FIELDS = {"n": "n_max", "a": "family", "b": "family_b"}
+
+
+def _field_types() -> dict[str, tuple]:
+    """The types each RunConfig field allows: ``(int, NoneType)`` for ``int | None``."""
+    return {name: typing.get_args(t) or (t,)
+            for name, t in typing.get_type_hints(RunConfig).items()}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -392,17 +376,22 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact SAW/bridge enumeration and certified connective-constant brackets.")
     parser.add_argument("--config", default="", help="JSON file with default options")
     sub = parser.add_subparsers(dest="command")
+    types = _field_types()
 
     def add(name, *options):
+        # a bool is a flag, an int takes an integer, and a field of CHOICES one
+        # of its values; every default is None, so config values fill unset flags
         p = sub.add_parser(name)
         for option in options:
-            for flag, kwargs in _OPTIONS[option]:
-                p.add_argument(flag, default=None, **kwargs)
-        return p
+            field = _FIELDS.get(option, option)
+            kwargs = ({"action": "store_true"} if types[field] == (bool,) else
+                      {"type": int if int in types[field] else None,
+                       "choices": CHOICES.get(field)})
+            p.add_argument("--" + option.replace("_", "-"), dest=field, default=None, **kwargs)
 
     add("count", "family", "height", "kind", "n", "per_span", "pretty", "jobs", "out")
     add("bounds", "table", "pretty", "out")
-    add("locality", "family_b", "height", "height_b", "n", "cap", "jobs", "out")
+    add("locality", "b", "a", "height", "height_b", "n", "cap", "jobs", "out")
     add("quotient", "family", "shifts", "out")
     add("synth-height", "family", "shifts", "quotient", "method", "radius", "seed", "out")
     add("validate-height", "family", "height", "radius", "r", "out")
@@ -414,14 +403,12 @@ def build_parser() -> argparse.ArgumentParser:
 def _check_config(defaults: dict) -> None:
     """Each key of a config file must name a RunConfig option and its value
     have the option's type (an int is not a bool here, nor a bool an int)."""
-    types = typing.get_type_hints(RunConfig)
-    del types["command"]
+    types = _field_types()
     for name, value in defaults.items():
         if name not in types:
             raise UsageError(f"config file: unknown option {name!r}")
-        allowed = typing.get_args(types[name]) or (types[name],)
-        if not any(type(value) is t for t in allowed):
-            want = " or ".join("null" if t is type(None) else t.__name__ for t in allowed)
+        if not any(type(value) is t for t in types[name]):
+            want = " or ".join("null" if t is type(None) else t.__name__ for t in types[name])
             raise UsageError(f"config file: option {name!r} must be {want}, not {value!r}")
         if value not in CHOICES.get(name, (value,)):
             raise UsageError(f"config file: option {name!r} must be one of {CHOICES[name]}")
@@ -434,10 +421,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         if not isinstance(defaults, dict):
             raise UsageError("config file must hold a JSON object")
         _check_config(defaults)
-    cfg = RunConfig(command=args.command)
+    cfg = RunConfig()
     for name in vars(cfg):
-        if name == "command":
-            continue
         value = getattr(args, name, None)
         if value is None:
             value = defaults.get(name, getattr(cfg, name))
@@ -460,7 +445,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         cfg = resolve_config(args)
-        code = _COMMANDS[cfg.command](cfg)
+        code = _COMMANDS[args.command](cfg)
         sys.stdout.flush()
         return code
     except BrokenPipeError as exc:

@@ -152,15 +152,23 @@ def _label_from_json(x):
     return x
 
 
+def _array(x) -> list:
+    """x, if a JSON array: a string or object would be read as its characters or keys."""
+    if not isinstance(x, list):
+        raise TypeError(f"a {type(x).__name__} where an array belongs")
+    return x
+
+
 def table_from_dict(d: dict) -> CountTable:
     """Decode a count-table document.
 
     A missing key, a non-integer count, a ``family`` or ``height`` that is
     not a string, a representative that is not an int or a nested list of
-    ints, a row whose length is not n_max + 1, or two keys of one span row
-    that name the same span raise UsageError.  Top-level ``sigma``, ``c`` or
-    ``b`` series that differ from what the per-representative rows imply
-    raise InvariantViolationError.
+    ints, a by-rep block, row or series that is not an array, a row whose
+    length is not n_max + 1, or two keys of one span row that name the same
+    span raise UsageError.  Top-level ``sigma``, ``c`` or ``b`` series that
+    differ from what the per-representative rows imply raise
+    InvariantViolationError.
     """
     if not isinstance(d, dict) or d.get("kind") != "count-table":
         raise UsageError("not a count-table document")
@@ -169,13 +177,13 @@ def table_from_dict(d: dict) -> CountTable:
         if not (isinstance(family, str) and isinstance(height, str)):
             raise TypeError("family and height must be strings")
         reps = tuple(_label_from_json(r) for r in d["reps"])
-        rows = {k: tuple(tuple(decode_int(x) for x in row) for row in d[k])
+        rows = {k: tuple(tuple(decode_int(x) for x in _array(row)) for row in _array(d[k]))
                 for k in ("sigma_by_rep", "c_by_rep", "b_by_rep")}
-        spans = tuple(tuple({decode_int(s): decode_int(c) for s, c in table.items()} for table in row)
-                      for row in d["b_spans_by_rep"])
+        spans = tuple(tuple({decode_int(s): decode_int(c) for s, c in table.items()}
+                            for table in _array(row)) for row in _array(d["b_spans_by_rep"]))
         if any(len(a) != len(b) for r, raw in zip(spans, d["b_spans_by_rep"]) for a, b in zip(r, raw)):
             raise ValueError("two keys of one span row name the same span")
-        series = {k: tuple(decode_int(x) for x in d[k]) for k in ("sigma", "c", "b")}
+        series = {k: tuple(decode_int(x) for x in _array(d[k])) for k in ("sigma", "c", "b")}
     except KeyError as exc:
         raise UsageError(f"count table lacks key {exc}") from exc
     except (AttributeError, TypeError, ValueError) as exc:

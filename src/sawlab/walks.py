@@ -211,7 +211,7 @@ def _count_cones(rows, n_max, mode):
 
 
 @functools.lru_cache(maxsize=1)
-def _compile_ball(family, start, n_max):
+def _compile_ball(family, start, n_max, cap):
     """The radius-n_max ball around ``start`` as int ids in BFS order.
 
     Returns ``(labels, adj, perms)`` with start as id 0: ``labels[i]`` is
@@ -220,20 +220,19 @@ def _compile_ball(family, start, n_max):
     oracle is called once for each of them: no walk of length n_max steps
     out of the sphere.  The search raises ResourceBudgetError, with
     :func:`families.balls`'s message, as soon as the ball has more than
-    ``budget("BALL_VERTICES")`` vertices.  The kernel counts a walk's last
-    steps from how many of a vertex's neighbors the walk holds, so it needs
-    a simple, symmetric adjacency: a vertex that lists itself or lists a
-    neighbor twice, or that lists a vertex with an ``adj`` entry which does
-    not list it back, raises InvariantViolationError.  When start is the
-    origin, ``perms`` holds each of the family's declared symmetries as a
-    permutation of the ids, verified on the ball; otherwise it is empty.
+    ``cap`` vertices.  The kernel counts a walk's last steps from how many
+    of a vertex's neighbors the walk holds, so it needs a simple, symmetric
+    adjacency: a vertex that lists itself or lists a neighbor twice, or that
+    lists a vertex with an ``adj`` entry which does not list it back, raises
+    InvariantViolationError.  When start is the origin, ``perms`` holds each
+    of the family's declared symmetries as a permutation of the ids,
+    verified on the ball; otherwise it is empty.
 
     The result does not depend on the walk kind, so the one-entry cache
-    serves the SAW, half-space and bridge counts from one start in turn.
-    The cap is read on a miss only: clear this cache and
-    :func:`_height_ball`'s after changing it.
+    serves the SAW, half-space and bridge counts from one start in turn;
+    ``cap`` is part of its key, so no count reuses a ball built under
+    another cap.
     """
-    cap = budget("BALL_VERTICES")
     ids = {start: 0}
     adj = []
     level = [start]
@@ -285,14 +284,14 @@ def _compile_ball(family, start, n_max):
 
 
 @functools.lru_cache(maxsize=1)
-def _height_ball(family, hf, start, n_max):
+def _height_ball(family, hf, start, n_max, cap):
     """The compiled ball as the kernel reads it for half-space walks and
     bridges: ``(adj, heights, perms)``, where ``adj[i]`` holds the ids
     higher than the start among vertex i's neighbors, ``heights[i]`` is
     vertex i's height and ``perms`` are the verified symmetries that also
     preserve every height in the ball.  The one-entry cache serves both
     kinds from one start, so each height is evaluated once."""
-    labels, adj, perms = _compile_ball(family, start, n_max)
+    labels, adj, perms = _compile_ball(family, start, n_max, cap)
     heights = list(map(hf.evaluate, labels))
     h0 = heights[0]
     adj = tuple([tuple([u for u in nb if heights[u] > h0]) for nb in adj])
@@ -518,9 +517,10 @@ def _count(family, hf, start, n_max, mode, jobs, node_budget=None):
     """
     if n_max < 0:
         raise UsageError("n_max must be >= 0")
+    cap = budget("BALL_VERTICES")
     if node_budget is not None:
         tally = _budget_levels(family, hf, start, n_max, "saw" if mode == "saw" else "halfspace",
-                               node_budget, jobs, budget("BALL_VERTICES"))
+                               node_budget, jobs, cap)
         if mode != "bridge" or not tally:
             return tally
         n_max = len(tally) - 1
@@ -528,10 +528,10 @@ def _count(family, hf, start, n_max, mode, jobs, node_budget=None):
         ev = (default_height(family) if hf is None else hf).evaluate
         return _count_cones(_cone_ball(family, ev, start)[1], n_max, mode)
     if mode == "saw":
-        _, adj, perms = _compile_ball(family, start, n_max)
+        _, adj, perms = _compile_ball(family, start, n_max, cap)
         heights = None
     else:
-        adj, heights, perms = _height_ball(family, hf, start, n_max)
+        adj, heights, perms = _height_ball(family, hf, start, n_max, cap)
     split = 3
     # the kernel's depth-first search recurses once per step, so a length
     # past the interpreter's recursion limit is a budget, not a traceback

@@ -20,7 +20,7 @@ from sawlab.errors import ResourceBudgetError
 from sawlab.families import ball, hypercubic, parse_family, regular_tree
 from sawlab.heights import default_height
 from sawlab.quotient import cylinder
-from sawlab.tables import CountTable, build_count_table
+from sawlab.tables import CountTable, build_count_table, check_table_invariants
 
 Z2 = hypercubic(2)
 
@@ -74,6 +74,19 @@ def test_single_step_bracket():
     rep = bracket(table_for("z2", 1))
     assert rep.certified_lower == 1.0  # b_1 = 1
     assert rep.certified_upper == 4.0  # sigma_1 = 4
+
+
+def test_width_is_rounded_up():
+    # a table that verify accepts, whose bracket ends' float difference,
+    # 4.012511838969152, falls below their exact difference
+    t = CountTable(family="z1", height="default", n_max=2, reps=((0,),),
+                   sigma_by_rep=((1, 6, 33),), c_by_rep=((1, 1, 3),), b_by_rep=((1, 1, 3),),
+                   b_spans_by_rep=(({0: 1}, {1: 1}, {1: 3}),))
+    assert not check_table_invariants(t) and check_fekete(t)
+    rep = bracket(t)
+    exact = Fraction(rep.certified_upper) - Fraction(rep.certified_lower)
+    assert rep.certified_upper - rep.certified_lower < exact
+    assert math.nextafter(rep.width, 0.0) < exact <= rep.width
 
 
 def test_fekete_checks():

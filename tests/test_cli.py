@@ -258,6 +258,20 @@ def _corrupt_repeated_span(doc):
     doc["b_spans_by_rep"][0][1] = {"1": "7", "01": "1"}
 
 
+def _corrupt_object_row(doc):
+    # an object read as its keys gives z2's counts 1, 4, 12, 36, 100
+    doc["sigma_by_rep"][0] = doc["sigma"] = {"1": 0, "4": 0, "12": 0, "36": 0, "100": 0}
+
+
+def _corrupt_string_rows(doc):
+    # a string read as its characters gives the n = 3 rows 1, 4, 4, 4 and so on
+    doc["n_max"] = 3
+    for key, row in (("sigma", "1444"), ("c", "1333"), ("b", "1111")):
+        doc[key] = row
+        doc[f"{key}_by_rep"] = [row]
+    doc["b_spans_by_rep"] = [[{"0": "1"}, {"1": "1"}, {"1": "1"}, {"1": "1"}]]
+
+
 def _corrupt_top_level_sigma(doc):
     doc["sigma"][3] = str(int(doc["sigma"][3]) + 1)
 
@@ -272,6 +286,8 @@ def _corrupt_top_level_sigma(doc):
     (_corrupt_rep_coordinate, 2),
     (_corrupt_underscored_count, 2),
     (_corrupt_repeated_span, 2),
+    (_corrupt_object_row, 2),
+    (_corrupt_string_rows, 2),
     (_corrupt_top_level_sigma, 4),
 ])
 @pytest.mark.parametrize("command", ["verify", "bounds"])

@@ -154,7 +154,6 @@ def test_over_cap_ball_names_the_radius_that_crossed_the_cap(monkeypatch):
     # ball stops there and says so, whatever radius it asked for
     z2 = hypercubic(2)
     monkeypatch.setenv("SAWLAB_BUDGET_BALL_VERTICES", "100")
-    walks._compile_ball.cache_clear()
     for read in (lambda: ball(z2, z2.origin, 50), lambda: walks.count_saws(z2, z2.origin, 50),
                  lambda: similarity_K(z2, z2, 50)):
         with pytest.raises(ResourceBudgetError,

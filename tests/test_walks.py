@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sawlab import walks
-from sawlab.errors import InvariantViolationError, ResourceBudgetError, UsageError
+from sawlab.errors import InvariantViolationError, ResourceBudgetError, UsageError, budget
 from sawlab.families import (
     BUILTIN_FAMILY_SPECS,
     GraphFamily,
@@ -38,6 +38,8 @@ from z2_oracle import z2_bridge_count, z2_halfspace_count, z2_saw_counts
 
 Z2 = hypercubic(2)
 HZ2 = default_height(Z2)
+# the ball cap the counts read, with which a test reads their cached ball
+CAP = budget("BALL_VERTICES")
 
 
 def test_z2_saw_counts_against_oracle():
@@ -582,10 +584,10 @@ def test_count_from_counts_the_extensions_of_each_prefix(spec, n, mode):
         fam = parse_family(spec)
         hf = default_height(fam)
     start = fam.origin
-    labels, adj, _ = walks._compile_ball(fam, start, n)
+    labels, adj, _ = walks._compile_ball(fam, start, n, CAP)
     heights = None
     if mode != "saw":
-        adj, heights, _ = walks._height_ball(fam, hf, start, n)
+        adj, heights, _ = walks._height_ball(fam, hf, start, n, CAP)
     ids = {v: i for i, v in enumerate(labels)}
     h0 = hf.evaluate(start)
     width = max(map(hf.evaluate, labels)) - h0 + 1 if mode == "bridge" else 1
@@ -611,7 +613,7 @@ def test_count_from_counts_the_extensions_of_each_prefix(spec, n, mode):
 
 def test_z4_radius_9_ball_compiles():
     z4 = parse_family("z4")
-    labels, adj, perms = walks._compile_ball(z4, z4.origin, 9)
+    labels, adj, perms = walks._compile_ball(z4, z4.origin, 9, CAP)
     assert len(labels) == 5641
     assert len(perms) == len(z4.symmetries) == 3
     assert count_saws(z4, z4.origin, 9)[9] == 40_613_816  # OEIS A010575
@@ -647,9 +649,9 @@ def test_hypercubic_generators_give_the_same_prefix_orbits(spec, references):
         orbits = []
         for f in (fam, *(dataclasses.replace(fam, symmetries=g) for g in references)):
             if filtered:
-                adj, _, perms = walks._height_ball(f, hf, f.origin, 5)
+                adj, _, perms = walks._height_ball(f, hf, f.origin, 5, CAP)
             else:
-                _, adj, perms = walks._compile_ball(f, f.origin, 5)
+                _, adj, perms = walks._compile_ball(f, f.origin, 5, CAP)
                 assert len(perms) == len(f.symmetries)
             prefixes = [(0,)]
             for _ in range(3):
@@ -662,12 +664,10 @@ def test_hypercubic_generators_give_the_same_prefix_orbits(spec, references):
 def test_ball_over_budget_is_a_resource_error(monkeypatch):
     z2 = parse_family("z2")
     monkeypatch.setenv("SAWLAB_BUDGET_BALL_VERTICES", "100")
-    walks._compile_ball.cache_clear()
     with pytest.raises(ResourceBudgetError, match="exceeds 100 vertices"):
         count_saws(z2, z2.origin, 8)
     # under a node budget the over-cap ball ends the count at the last level
     # whose ball fits: radius 6 has 85 vertices, radius 7 has 113
-    walks._compile_ball.cache_clear()
     assert count_saws(z2, z2.origin, 8, node_budget=10**9) == count_saws(Z2, (0, 0), 6)
 
 
@@ -679,8 +679,18 @@ def test_budgeted_tree_counts_need_no_ball(monkeypatch):
     hf = default_height(t3)
     full = build_count_table(t3, hf, 12)
     monkeypatch.setenv("SAWLAB_BUDGET_BALL_VERTICES", "100")
-    walks._compile_ball.cache_clear()
     assert build_count_table(t3, hf, 12, node_budget=10**9) == full
+
+
+def test_a_cached_ball_is_not_reused_under_a_smaller_cap(monkeypatch):
+    # the cap is part of the compiled ball's cache key: the radius-10 ball
+    # built under the default cap does not serve a count under a cap of 10
+    z2 = parse_family("z2")
+    assert count_saws(z2, z2.origin, 10)[10] == 44_100
+    monkeypatch.setenv("SAWLAB_BUDGET_BALL_VERTICES", "10")
+    for n in (10, 9):
+        with pytest.raises(ResourceBudgetError, match=r"^ball\(z2, r=2\) .* exceeds 10 vertices$"):
+            count_saws(z2, z2.origin, n)
 
 
 def test_negative_length_is_a_usage_error_before_any_work():
@@ -704,7 +714,7 @@ def test_negative_length_is_a_usage_error_before_any_work():
 def test_symmetry_reduced_counts_match_unreduced(spec):
     fam = parse_family(spec)
     hf = default_height(fam)
-    assert walks._compile_ball(fam, fam.origin, 6)[2], "no symmetry survived verification"
+    assert walks._compile_ball(fam, fam.origin, 6, CAP)[2], "no symmetry survived verification"
     unreduced = _all_counts(dataclasses.replace(fam, symmetries=()), hf, fam.origin, 6)
     for jobs in (1, 2):
         assert _all_counts(fam, hf, fam.origin, 6, jobs) == unreduced
@@ -740,7 +750,7 @@ def test_one_ball_compile_per_representative():
     build_count_table(fam, default_height(fam), 5)
     table_calls, calls = calls, 0
     walks._compile_ball.cache_clear()
-    walks._compile_ball(fam, fam.origin, 5)
+    walks._compile_ball(fam, fam.origin, 5, CAP)
     assert table_calls == calls > 0
 
 
