@@ -8,9 +8,11 @@ the case's stdout.  The cases:
 * ``count``: `count --per-span` for every built-in family and two
   cylinders, each n keeping its call under 1 s on a 2-core VM.  The trees
   cover every degree's cone-type count, at lengths inside and far beyond
-  the checked ball, and the budgeted tree:3 and tree:4 counts, which stop at
-  n = 15 and n = 3 and exit 3, cover the budgeted one; zcyl:3:1,1,0 covers a
-  cylinder whose symmetries include axis swaps.
+  the checked ball; zcyl:3:1,1,0 covers a cylinder whose symmetries include
+  axis swaps.  The budgeted counts stop short and exit 3: tree:3 and tree:4
+  at n = 15 and n = 3 cover the cone-type DP, and z2, hex (two height
+  representatives) and squareoct (four) at n = 14, 13 and 11 cover the
+  counting kernel.
 * ``validate-height``: radius 5 with each family's declared r (1 for hex, 5
   for squareoct, 0 otherwise), plus r values on either side of the least
   certified one (3 for squareoct, 1 for hex) and squareoct's r = 11.
@@ -62,7 +64,8 @@ FAMILIES = ("z1", "z2", "z3", "z4", "tree:3", "tree:4", "tree:5", "tree:6",
 COUNTS = ("z1@60", "z2@14", "z3@10", "z4@8", "heis@9", "hex@18", "squareoct@16",
           "zcyl:2:0,6@13", "zcyl:3:1,1,0@10", "tree:3@40", "tree:4@12", "tree:5@10",
           "tree:6@9", "tree:3@3", "tree:4@2", "tree:6@1", "tree:5@0")
-BUDGETED_COUNTS = (("tree:3@40", 100000), ("tree:4@12", 50))
+BUDGETED_COUNTS = (("tree:3@40", 100000), ("tree:4@12", 50), ("z2@16", 3000000),
+                   ("hex@18", 20000), ("squareoct@16", 5000))
 HEIGHTS = ("z1@0", "z2@0", "z3@0", "z4@0", "heis@0", "hex@1", "squareoct@5",
            "zcyl:2:0,6@0", "tree:3@0", "tree:4@0", "tree:5@0", "tree:6@0",
            "squareoct@2", "squareoct@3", "squareoct@11", "hex@0", "hex@4")

@@ -13,6 +13,7 @@ counts.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -95,6 +96,19 @@ def check_fekete(table: CountTable) -> bool:
             if b[m + n] < b[m] * b[n]:
                 return False
     return True
+
+
+def check_roots(table: CountTable) -> bool:
+    """b_n^m <= sigma_m^n for 1 <= m, n <= n_max, in exact integers: no
+    n-th root of b exceeds an m-th root of sigma, so the certified bracket
+    is not empty.  The roots are ordered exactly by b_i^j against b_j^i, so
+    the largest root of b and the smallest of sigma decide."""
+    if table.n_max < 1:
+        return True
+    b, sigma, top = table.b, table.sigma, range(1, table.n_max + 1)
+    n = max(top, key=functools.cmp_to_key(lambda i, j: b[i] ** j - b[j] ** i))
+    m = min(top, key=functools.cmp_to_key(lambda i, j: sigma[i] ** j - sigma[j] ** i))
+    return b[n] ** m <= sigma[m] ** n
 
 
 # ---------------------------------------------------------------------------

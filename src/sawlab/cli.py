@@ -37,7 +37,8 @@ from .heights import parse_height, validate_height, verify_r
 # (``_need``), so that a call imports only the layers it runs, and a name
 # patched on this module is the one the subcommand calls
 _LAZY = {
-    **dict.fromkeys(("BoundsReport", "bracket", "check_fekete", "locality_report"), ".bounds"),
+    **dict.fromkeys(("BoundsReport", "bracket", "check_fekete", "check_roots", "locality_report"),
+                    ".bounds"),
     **dict.fromkeys(("build_quotient", "check_symmetric"), ".quotient"),
     **dict.fromkeys(("increment_invariant_problems", "quotient_tables", "synthesize_height",
                      "verify_cocycle"), ".synthesis"),
@@ -182,11 +183,14 @@ def cmd_count(cfg: RunConfig) -> int:
 
 
 def _table_problems(table) -> list[str]:
-    """The table's structural invariants and Fekete inequalities that fail."""
-    _need("check_table_invariants", "check_fekete")
+    """The table's structural invariants, Fekete inequalities and root
+    inequality that fail."""
+    _need("check_table_invariants", "check_fekete", "check_roots")
     problems = check_table_invariants(table)
     if not check_fekete(table):
         problems.append("a Fekete inequality fails")
+    if not check_roots(table):
+        problems.append("an n-th root of b exceeds an m-th root of sigma")
     return problems
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .errors import InvariantViolationError, UsageError
+from .errors import InvariantViolationError, ResourceBudgetError, UsageError
 from .families import GraphFamily, decode_int, parse_family, read_json
 from .heights import HeightFunction, parse_height
 from .walks import count_bridges, count_halfspace, count_saws
@@ -69,28 +69,34 @@ def build_count_table(family: GraphFamily, hf: HeightFunction, n_max: int,
     """Count SAWs, half-space walks, and bridges from every height-orbit
     representative.
 
-    Under a node budget the result may stop short of n_max: the returned
-    table's n_max is the high-water mark actually completed for every
-    representative and kind.
+    Under a node budget the result may stop short of n_max: each
+    representative's SAW levels are counted under the budget, up to the
+    high-water mark of the representatives before it (see
+    :func:`walks.count_saws`).  Bridges are half-space walks and half-space
+    walks are SAWs, so their levels cost no more: both are counted once, at
+    that mark.  The bridge search recurses a little deeper than the SAW
+    search, so a mark that it cannot reach within the recursion limit ends
+    the table one length earlier.  The returned table's n_max is the mark.
     """
-    sigma_rows, c_rows, b_rows, span_rows = [], [], [], []
-    achieved = n_max
+    rows = []
     for rep in hf.h_orbits:
         sigma = count_saws(family, rep, n_max, jobs=jobs, node_budget=node_budget)
-        c = count_halfspace(family, hf, rep, n_max, jobs=jobs, node_budget=node_budget)
-        b, spans = count_bridges(family, hf, rep, n_max, jobs=jobs, node_budget=node_budget)
-        achieved = min(achieved, len(sigma) - 1, len(c) - 1, len(b) - 1)
-        sigma_rows.append(tuple(sigma))
-        c_rows.append(tuple(c))
-        b_rows.append(tuple(b))
-        span_rows.append(tuple(spans))
-    cut = achieved + 1
+        n_max = len(sigma) - 1
+        while True:
+            try:
+                c = count_halfspace(family, hf, rep, n_max, jobs=jobs)
+                b, spans = count_bridges(family, hf, rep, n_max, jobs=jobs)
+                break
+            except ResourceBudgetError:
+                if node_budget is None:
+                    raise
+                n_max -= 1
+        rows.append((sigma, c, b, spans))
+    sigma_rows, c_rows, b_rows, span_rows = (
+        tuple(tuple(r[:n_max + 1]) for r in kind) for kind in zip(*rows))
     return CountTable(
-        family=family.spec, height=hf.spec, n_max=achieved, reps=tuple(hf.h_orbits),
-        sigma_by_rep=tuple(r[:cut] for r in sigma_rows),
-        c_by_rep=tuple(r[:cut] for r in c_rows),
-        b_by_rep=tuple(r[:cut] for r in b_rows),
-        b_spans_by_rep=tuple(r[:cut] for r in span_rows),
+        family=family.spec, height=hf.spec, n_max=n_max, reps=tuple(hf.h_orbits),
+        sigma_by_rep=sigma_rows, c_by_rep=c_rows, b_by_rep=b_rows, b_spans_by_rep=span_rows,
     )
 
 

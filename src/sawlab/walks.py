@@ -413,36 +413,6 @@ def _count_from(adj, heights, path, n_max, mode):
     return tally
 
 
-@functools.lru_cache(maxsize=1)
-def _budget_levels(family, hf, start, n_max, kind, node_budget, jobs, ball_cap):
-    """The tally of kind (``"saw"`` or ``"halfspace"``) from start, levels
-    0..m, for the high-water mark m of ``node_budget``.
-
-    A depth-first search of level n looks up the neighbors of each walk it
-    extends, so level n costs one unit per walk of length below n: the sum
-    of the rows below n.  Those counts are known once level n - 1 is
-    counted, so level n is counted only while the running total of its
-    costs fits the budget.  A level that does not fit, or whose ball is over
-    ``ball_cap`` (the ``budget("BALL_VERTICES")`` it was read under), is not
-    started.
-
-    The one-entry cache serves the half-space levels of
-    :func:`count_halfspace` to :func:`count_bridges` from the same start,
-    whose high-water mark they set.
-    """
-    tally, spent = [], 0
-    for n in range(n_max + 1):
-        if n:
-            spent += sum(map(sum, tally))
-            if spent > node_budget:
-                break
-        try:
-            tally = _count(family, hf, start, n, kind, jobs)
-        except ResourceBudgetError:
-            break
-    return tally
-
-
 # The estimated walk count below which _count stays in process at any
 # ``jobs``.  Two workers at best halve the kernel's time t, so a pool pays
 # once t / 2 exceeds its start-up and teardown cost O ~ 20 ms: past 2 * O * R
@@ -490,15 +460,10 @@ def _prefix_orbits(prefixes, perms):
     return reps, weights
 
 
-def _count(family, hf, start, n_max, mode, jobs, node_budget=None):
+def _count(family, hf, start, n_max, mode, jobs):
     """The tally of the walks from start; see :func:`_count_from`.  SAWs
     are counted on :func:`_compile_ball`'s ball, half-space walks and
     bridges on :func:`_height_ball`'s.
-
-    With a ``node_budget`` the levels 0..m are counted instead, for the
-    high-water mark m that :func:`_budget_levels` finds.  Bridges are grown
-    through half-space walks, so the half-space levels set their mark, and
-    they are counted once, at it.
 
     The walks longer than a fixed depth are split by their prefix of that
     depth.  A symmetry of the ball that fixes the start (and every height,
@@ -518,12 +483,6 @@ def _count(family, hf, start, n_max, mode, jobs, node_budget=None):
     if n_max < 0:
         raise UsageError("n_max must be >= 0")
     cap = budget("BALL_VERTICES")
-    if node_budget is not None:
-        tally = _budget_levels(family, hf, start, n_max, "saw" if mode == "saw" else "halfspace",
-                               node_budget, jobs, cap)
-        if mode != "bridge" or not tally:
-            return tally
-        n_max = len(tally) - 1
     if family.tree:
         ev = (default_height(family) if hf is None else hf).evaluate
         return _count_cones(_cone_ball(family, ev, start)[1], n_max, mode)
@@ -573,10 +532,13 @@ def count_saws(family: GraphFamily, start: Label, n_max: int, jobs: int = 1,
     """Exact per-length SAW counts from a start vertex.
 
     With a node budget the levels are counted in order, level n costing one
-    unit per walk of length below n (the neighbor lookups a depth-first
-    search of it makes), and a level that would not fit is not started: the
-    completed prefix of the table is returned (its length marks the high
-    water) instead of an error.  See :func:`_count`.
+    unit per SAW of length below n (the neighbor lookups a depth-first
+    search of it makes).  A level that would not fit is not started, and
+    one whose ball is over ``budget("BALL_VERTICES")`` or whose search
+    passes the recursion limit is dropped: the completed prefix is returned
+    instead of an error, and its length marks the high water.  Half-space
+    walks and bridges are SAWs, so their levels cost no more:
+    :func:`tables.build_count_table` counts them once, at the SAW mark.
 
     The walks are counted on the radius-n_max ball compiled to int ids; a
     ball of more than ``budget("BALL_VERTICES")`` vertices raises
@@ -590,22 +552,34 @@ def count_saws(family: GraphFamily, start: Label, n_max: int, jobs: int = 1,
     in process at every ``jobs``.  The same holds for
     :func:`count_halfspace` and :func:`count_bridges`.
     """
-    return [row[0] for row in _count(family, None, start, n_max, "saw", jobs, node_budget)]
+    if node_budget is None:
+        return [row[0] for row in _count(family, None, start, n_max, "saw", jobs)]
+    # level 0 is the start alone and costs nothing; _count refuses a
+    # negative n_max before any work
+    tally = _count(family, None, start, min(n_max, 0), "saw", jobs)
+    spent = 0
+    for n in range(1, n_max + 1):
+        spent += sum(row[0] for row in tally)
+        if spent > node_budget:
+            break
+        try:
+            tally = _count(family, None, start, n, "saw", jobs)
+        except ResourceBudgetError:
+            break
+    return [row[0] for row in tally]
 
 
 def count_halfspace(family: GraphFamily, hf: HeightFunction, start: Label,
-                    n_max: int, jobs: int = 1,
-                    node_budget: int | None = None) -> list[int]:
+                    n_max: int, jobs: int = 1) -> list[int]:
     """Exact counts of walks whose non-initial heights all exceed the start's."""
-    return [row[0] for row in _count(family, hf, start, n_max, "halfspace", jobs, node_budget)]
+    return [row[0] for row in _count(family, hf, start, n_max, "halfspace", jobs)]
 
 
 def count_bridges(family: GraphFamily, hf: HeightFunction, start: Label,
-                  n_max: int, jobs: int = 1,
-                  node_budget: int | None = None) -> tuple[list[int], list[dict]]:
+                  n_max: int, jobs: int = 1) -> tuple[list[int], list[dict]]:
     """Exact bridge counts per length (the tally's row sums), plus per-length
     span distributions (its nonzero entries)."""
-    tally = _count(family, hf, start, n_max, "bridge", jobs, node_budget)
+    tally = _count(family, hf, start, n_max, "bridge", jobs)
     return [sum(row) for row in tally], [{s: c for s, c in enumerate(row) if c} for row in tally]
 
 

@@ -137,6 +137,24 @@ def test_bounds_refuses_a_table_that_verify_rejects(tmp_path):
     assert err.startswith("invariant violation:") and "chain b <= c <= sigma fails" in err
 
 
+def test_verify_and_bounds_refuse_a_table_whose_bracket_is_empty(tmp_path):
+    # every Fekete pair with m + n <= 3 holds, but b_2^3 = 729 exceeds
+    # sigma_3^2 = 100: the bracket would be [3.000000000, 2.154434691]
+    out, report = tmp_path / "t.json", tmp_path / "v.json"
+    main(["count", "--family", "z1", "--n", "3", "--out", str(out)])
+    doc = json.loads(out.read_text())
+    doc["b"] = doc["c"] = doc["b_by_rep"][0] = doc["c_by_rep"][0] = ["1", "1", "9", "9"]
+    doc["sigma"] = doc["sigma_by_rep"][0] = ["1", "3", "9", "10"]
+    doc["b_spans_by_rep"][0] = [{"0": "1"}, {"1": "1"}, {"2": "9"}, {"3": "9"}]
+    out.write_text(json.dumps(doc))
+    assert main(["verify", "--table", str(out), "--out", str(report)]) == 4
+    assert json.loads(report.read_text())["problems"] == [
+        "an n-th root of b exceeds an m-th root of sigma"]
+    code, stdout, err = run_cli(["bounds", "--table", str(out), "--pretty"])
+    assert code == 4 and not stdout
+    assert err.startswith("invariant violation:") and "root of b exceeds" in err
+
+
 def test_usage_errors_exit_2(tmp_path):
     assert main(["count", "--family", "nosuch", "--n", "3"]) == 2
     assert main(["bounds"]) == 2
@@ -325,6 +343,22 @@ def test_count_budget_on_a_tree_writes_partial_table(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["n_max"] == 6 and doc["requested_n_max"] == 40
     assert doc["sigma"] == ["1", "3", "6", "12", "24", "48", "96"]
+
+
+def test_count_budget_at_the_recursion_limit_writes_partial_table(tmp_path, monkeypatch):
+    # with the limit lowered in process, as `count --family z1 --n 1000`
+    # meets it under the default one
+    out = tmp_path / "part.json"
+    monkeypatch.setenv("SAWLAB_BUDGET_COUNT_NODES", str(10**9))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(300)
+    try:
+        code = main(["count", "--family", "z1", "--n", "400", "--out", str(out)])
+    finally:
+        sys.setrecursionlimit(limit)
+    doc = json.loads(out.read_text())
+    assert code == 3
+    assert doc["requested_n_max"] == 400 and 0 < doc["n_max"] < 400
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])

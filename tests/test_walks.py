@@ -2,6 +2,7 @@
 
 import dataclasses
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -228,22 +229,19 @@ def test_budgeted_counts_return_clean_prefix():
     part = count_saws(Z2, (0, 0), 8, node_budget=300)
     assert len(part) == 6
     assert part == full[:len(part)]
-    fb, fs = count_bridges(Z2, HZ2, (0, 0), 8)
-    pb, ps = count_bridges(Z2, HZ2, (0, 0), 8, node_budget=150)
-    assert len(pb) == len(ps) == 7
-    assert pb == fb[:len(pb)] and ps == fs[:len(ps)]
-    pc = count_halfspace(Z2, HZ2, (0, 0), 8, node_budget=150)
-    assert len(pc) == 7
-    assert pc == count_halfspace(Z2, HZ2, (0, 0), 8)[:len(pc)]
+    table = build_count_table(Z2, HZ2, 8, node_budget=150)
+    assert table.n_max == 4
+    assert table == build_count_table(Z2, HZ2, 8).truncate(4)
     # level 0 needs no lookup, so even a zero budget completes it
     assert count_saws(Z2, (0, 0), 8, node_budget=0) == [1]
+    assert build_count_table(Z2, HZ2, 8, node_budget=0).n_max == 0
 
 
 @pytest.mark.parametrize("spec, n, budgets, high_water", [
-    # (SAW, half-space, bridge) high-water marks per budget; 341/342 and
-    # 688/689 straddle the lookups that complete a half-space level
-    ("z2", 10, (341, 342, 5272), ((5, 6, 6), (5, 7, 7), (8, 9, 9))),
-    ("z3", 7, (688, 689, 5592), ((4, 5, 5), (4, 6, 6), (6, 7, 7))),
+    # (SAW, table) high-water marks per budget; 665/666 and 1144/1145
+    # straddle the lookups that complete a SAW level
+    ("z2", 10, (665, 666, 5272), ((5, 5), (6, 6), (8, 8))),
+    ("z3", 7, (1144, 1145, 5592), ((4, 4), (5, 5), (6, 6))),
 ])
 def test_budget_high_water_marks_are_pinned(spec, n, budgets, high_water):
     # each level is charged one lookup per vertex a walk one step short of
@@ -252,35 +250,49 @@ def test_budget_high_water_marks_are_pinned(spec, n, budgets, high_water):
     hf = default_height(fam)
     for node_budget, marks in zip(budgets, high_water):
         assert (len(count_saws(fam, fam.origin, n, node_budget=node_budget)) - 1,
-                len(count_halfspace(fam, hf, fam.origin, n, node_budget=node_budget)) - 1,
-                len(count_bridges(fam, hf, fam.origin, n, node_budget=node_budget)[0]) - 1,
-                ) == marks
+                build_count_table(fam, hf, n, node_budget=node_budget).n_max) == marks
 
 
-def test_budgeted_bridges_reuse_the_half_space_levels(monkeypatch):
-    # a budgeted table counts each half-space level once per representative:
-    # count_bridges takes its high-water mark from count_halfspace's levels
+def test_budgeted_table_counts_half_space_walks_and_bridges_once(monkeypatch):
+    # the SAW levels set a budgeted table's mark: half-space walks and
+    # bridges are SAWs, so each is counted once per representative, at it
     calls = []
     count = walks._count
 
-    def recorded(family, hf, start, n_max, mode, jobs, node_budget=None):
-        if node_budget is None:
-            calls.append((start, n_max, mode))
-        return count(family, hf, start, n_max, mode, jobs, node_budget)
+    def recorded(family, hf, start, n_max, mode, jobs):
+        calls.append((start, n_max, mode))
+        return count(family, hf, start, n_max, mode, jobs)
 
     monkeypatch.setattr(walks, "_count", recorded)
-    for spec, node_budget in (("z2", 5272), ("z2", 10**9), ("hex", 1000)):
+    for spec, node_budget, high_water in (("z2", 5272, 8), ("z2", 10**9, 9), ("hex", 1000, 8)):
         fam = parse_family(spec)
         hf = default_height(fam)
-        walks._budget_levels.cache_clear()
         calls.clear()
         table = build_count_table(fam, hf, 9, node_budget=node_budget)
-        halfspace = [c for c in calls if c[2] == "halfspace"]
-        assert len(halfspace) == len(set(halfspace))
-        for rep in hf.h_orbits:
-            assert {(rep, n, "halfspace") for n in range(table.n_max + 1)} <= set(halfspace)
-        walks._budget_levels.cache_clear()
+        assert table.n_max == high_water
+        for mode in ("halfspace", "bridge"):
+            assert [c for c in calls if c[2] == mode] == [
+                (rep, table.n_max, mode) for rep in hf.h_orbits]
         assert table == build_count_table(fam, hf, 9, node_budget=node_budget, jobs=2)
+
+
+def test_budgeted_table_ends_where_bridges_fit_below_the_recursion_limit():
+    # the bridge search recurses a little deeper than the SAW search, so at
+    # the recursion limit the SAW mark can be out of the bridges' reach: the
+    # budgeted table then ends earlier instead of raising
+    z1 = parse_family("z1")
+    hf = default_height(z1)
+    full = build_count_table(z1, hf, 400)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(300)
+    try:
+        with pytest.raises(ResourceBudgetError, match="deeper than the recursion limit"):
+            build_count_table(z1, hf, 400)
+        table = build_count_table(z1, hf, 400, node_budget=10**9)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert 0 < table.n_max < 400
+    assert table == full.truncate(table.n_max)
 
 
 def test_budgeted_tree_counts_check_each_cone_ball_once():
@@ -498,18 +510,15 @@ def test_kernel_matches_oracle_on_random_simple_graphs(graph):
             assert count_bridges(fam, hf, start, n) == (want_b[:n + 1], want_spans[:n + 1])
 
 
-def _dfs_high_water(fam, hf, start, n_max, kind, node_budget):
+def _dfs_high_water(fam, start, n_max, node_budget):
     """The high-water mark of a budget that a plain depth-first search of
-    each level in turn charges one unit per call of ``fam.neighbors``: the
-    last level whose calls, summed with those of the levels before it, fit.
-    Half-space walks and bridges are both grown through half-space walks."""
-    h0 = hf.evaluate(start)
-
+    each SAW level in turn charges one unit per call of ``fam.neighbors``:
+    the last level whose calls, summed with those of the levels before it,
+    fit."""
     def calls(path, n):
         if len(path) - 1 == n:
             return 0
-        return 1 + sum(calls(path + [u], n) for u in fam.neighbors(path[-1])
-                       if u not in path and (kind == "saw" or hf.evaluate(u) > h0))
+        return 1 + sum(calls(path + [u], n) for u in fam.neighbors(path[-1]) if u not in path)
 
     spent = 0
     for n in range(n_max + 1):
@@ -521,21 +530,20 @@ def _dfs_high_water(fam, hf, start, n_max, kind, node_budget):
 
 @settings(max_examples=40, deadline=None)
 @given(_simple_graphs(),
-       # budgets spread over orders of magnitude, one per walk kind
+       # budgets spread over orders of magnitude
        st.lists(st.integers(0, 12).flatmap(lambda e: st.integers(0, 2 ** e)),
                 min_size=3, max_size=3))
 def test_budget_charge_equals_the_lookups_of_a_plain_search(graph, budgets):
+    # the table's mark is the least SAW mark over its representatives
     adjacency, heights, other = graph
     fam, hf = _hand_built(adjacency, heights)
-    for start in (0, other):
-        for kind, node_budget in zip(("saw", "halfspace", "bridge"), budgets):
-            if kind == "saw":
-                got = count_saws(fam, start, 7, node_budget=node_budget)
-            elif kind == "halfspace":
-                got = count_halfspace(fam, hf, start, 7, node_budget=node_budget)
-            else:
-                got = count_bridges(fam, hf, start, 7, node_budget=node_budget)[0]
-            assert len(got) - 1 == _dfs_high_water(fam, hf, start, 7, kind, node_budget)
+    starts = tuple(dict.fromkeys((0, other)))
+    two_reps = dataclasses.replace(hf, h_orbits=starts)
+    for node_budget in budgets:
+        marks = [_dfs_high_water(fam, start, 7, node_budget) for start in starts]
+        for start, mark in zip(starts, marks):
+            assert len(count_saws(fam, start, 7, node_budget=node_budget)) - 1 == mark
+        assert build_count_table(fam, two_reps, 7, node_budget=node_budget).n_max == min(marks)
 
 
 @pytest.mark.parametrize("adjacency", [
@@ -700,13 +708,13 @@ def test_negative_length_is_a_usage_error_before_any_work():
     for fam in (Z2, parse_family("tree:3")):
         silent = dataclasses.replace(fam, neighbors=refuse)
         hf = default_height(fam)
-        for count in (lambda b: count_saws(silent, fam.origin, -1, node_budget=b),
-                      lambda b: count_halfspace(silent, hf, fam.origin, -1, node_budget=b),
-                      lambda b: count_bridges(silent, hf, fam.origin, -1, node_budget=b),
-                      lambda b: build_count_table(silent, hf, -1, node_budget=b)):
-            for node_budget in (None, 10**6):
+        for b in (None, 10**6):
+            for count in (lambda: count_saws(silent, fam.origin, -1, node_budget=b),
+                          lambda: count_halfspace(silent, hf, fam.origin, -1),
+                          lambda: count_bridges(silent, hf, fam.origin, -1),
+                          lambda: build_count_table(silent, hf, -1, node_budget=b)):
                 with pytest.raises(UsageError, match=r"^n_max must be >= 0$"):
-                    count(node_budget)
+                    count()
 
 
 @pytest.mark.parametrize("spec", ["z1", "z2", "z3", "z4", "heis", "hex", "zcyl:2:0,6",
