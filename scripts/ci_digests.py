@@ -33,6 +33,10 @@ the case's stdout.  The cases:
   all come from a ``--config`` file, and ``synth-height --quotient`` on
   the document that ``quotient --family z2 --shifts 2,1;0,5 --out``
   writes (its shifts read as a JSON list of integer lists).
+* ``synth-height --method``: the staged solve where it gets stuck, on
+  Z2/⟨(2,3),(0,4)⟩, whose segment finds no non-integer return SAW (exit
+  4 under ``staged``, the direct fallback under ``auto``), and where it
+  solves, on the Z3 cube of side 3 and on Z2/⟨(4,1),(0,5)⟩.
 * ``help``: ``--help`` of the top-level parser and of every subcommand,
   with ``COLUMNS=80``, so that each parser's flags, types and choices stay
   the same.
@@ -83,6 +87,8 @@ CONFIG_FILE = "config.json"
 CONFIG = {"family": "squareoct", "n_max": 12, "kind": "bridge", "per_span": True}
 SUBCOMMANDS = ("count", "bounds", "locality", "quotient", "synth-height", "validate-height",
                "decompose", "verify")
+SYNTHESES = (("z2", "2,3;0,4", "staged"), ("z2", "2,3;0,4", "auto"),
+             ("z3", "3,0,0;0,3,0;0,0,3", "staged"), ("z2", "4,1;0,5", "staged"))
 DECOMPOSITIONS = (("z2", "0,0;1,0;2,0;3,0;3,-1;2,-1;1,-1;1,-2;2,-2"),
                   ("hex", "0,0;1,0;2,0;3,0;3,-1;2,-1;2,-2;1,-2;1,-3;2,-3"))
 
@@ -127,6 +133,10 @@ def cases():
                (*cli, "decompose", "--family", family, "--walk", walk), {})
     yield ("synth-height z2 3,0;0,3",
            (*cli, "synth-height", "--family", "z2", "--shifts", "3,0;0,3"), {})
+    for family, shifts, method in SYNTHESES:
+        yield (f"synth-height {family} {shifts} {method}",
+               (*cli, "synth-height", "--family", family, "--shifts", shifts,
+                "--method", method), {})
     yield "count --config squareoct@12 bridge", (*cli, "--config", CONFIG_FILE, "count"), {}
     yield ("quotient z2 2,1;0,5 --out",
            (*cli, "quotient", "--family", "z2", "--shifts", "2,1;0,5", "--out", QUOTIENT_FILE), {})

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvariantViolationError, ResourceBudgetError, UsageError, budget
-from .families import Ball, GraphFamily, ball, balls
+from .families import Ball, GraphFamily, ball, balls  # noqa: F401 (perfbench patches ball here)
 from .heights import HeightFunction
 from .tables import CountTable
 
@@ -253,16 +253,13 @@ def _first_divergence(xs, ys):
 
 def _rep_radius(family: GraphFamily, hf: HeightFunction) -> int:
     """The largest breadth-first distance from the origin to a
-    representative of hf's orbits."""
-    radius = 0
-    while True:
-        dist = ball(family, family.origin, radius).dist
-        if all(v in dist for v in hf.h_orbits):
-            return max(dist[v] for v in hf.h_orbits)
-        if max(dist.values()) < radius:  # the origin's component is exhausted
+    representative of hf's orbits, from one growing search (:func:`balls`)."""
+    for b in balls(family, family.origin):
+        if all(v in b.dist for v in hf.h_orbits):
+            return max(b.dist[v] for v in hf.h_orbits)
+        if b.dist[b.vertices[-1]] < b.radius:  # the origin's component is exhausted
             raise InvariantViolationError(
                 f"{hf.spec}: an orbit representative is not reachable from the origin")
-        radius += 1
 
 
 def locality_report(fam_a: GraphFamily, hf_a: HeightFunction,

@@ -39,38 +39,31 @@ The direct method is the dual-form solution delta(i, step) = step . w,
 which meets every cycle target and both strict signs by construction; it
 is the fallback and cross-check.  On Z^n / kZ^n its lift has m = k, d = 1.
 
-Which vertex pairs already have an explored SAW with a non-integer sum is
-answered without enumerating SAWs (:func:`nonint_saw_pairs`): the
-explored edges form a gain graph (each value is the negative of its
-partner's), a SAW from a to b crosses exactly the blocks on the block–cut
-tree path between them, and a block either holds a cycle with a
-non-integer sum, which gives every crossing of it two sums differing by
-that cycle's sum, or fixes each crossing's sum mod 1 by a potential.
-The test is split into a structure pass (:class:`BlockCut`), which does
-not read the values, and a values pass.  Each segment builds one block–cut
-decomposition, and each candidate perturbation is scored on it by the
-number of touched vertex pairs it resolves, counted from class sizes; a
-candidate rewrites only its segment's numerators and their negated
-partners.  A segment joining two distinct explored vertices asks the test
-whether a non-integer return SAW exists; when none does, the staged
-method is stuck and ``auto`` falls back to the direct method.  No return
-path is searched for: every explored cycle sums to its winding, so values
-minus windings sum along any explored path to the difference of a
-potential, one ``Fraction`` per touched vertex, set as the vertex is first
-reached.  A segment's total is its winding plus that difference, and so
-is a residual edge's value.  A lifted height sums integer scaled
-increments m * delta along the same tables.
+No SAW is enumerated and no return path is searched for.  Every explored
+cycle sums to its winding, an integer, so two potentials, one ``Fraction``
+each per touched vertex and set as the vertex is first reached, answer
+every question the construction asks.  psi, the values minus windings,
+sums along any explored path to psi(end) - psi(start), which gives a
+segment's total and a residual edge's value.  phi, the value sum mod 1 from
+the seed, is the same for every explored walk, so the explored graph is
+balanced mod 1 and two touched vertices are joined by an explored SAW with
+a non-integer sum exactly when their phi differ (the balance theorem for
+gain graphs: Zaslavsky, "Biased graphs I", JCTB 47, 1989).  A segment
+joining two distinct touched vertices of one phi has no non-integer return
+SAW; the staged method is then stuck and ``auto`` falls back to the direct
+method.  Each candidate perturbation of a segment is scored by the pairs
+that its new vertices would form with vertices of the same phi, fewest
+first.  A lifted height sums integer scaled increments m * delta along the
+same tables.
 
 All arithmetic in this module is exact; no floats.  An increment is stored
 in one form, an int numerator per edge id over one denominator
 (:class:`EdgeIncrement`), and the checks and the lift sum those ints:
 windings over :attr:`QuotientTables.lam_den`, an increment's values over
-its ``den``.  The staged solve keeps its values the same way, over a
-denominator grown once per segment to cover every candidate and divided
-out once the segment is set.  Fractions appear only at the document
-boundary (:attr:`EdgeIncrement.values`) and as the staged solve's
-potentials and segment totals.  The cycle-basis echelon keeps primitive
-integer rows.
+its ``den``.  Fractions appear only at the document boundary
+(:attr:`EdgeIncrement.values`) and inside the staged solve, whose values,
+potentials and segment totals are Fractions until its values are written
+over their lcm.  The cycle-basis echelon keeps primitive integer rows.
 """
 
 from __future__ import annotations
@@ -534,177 +527,26 @@ class _StagedStuck(Exception):
     pass
 
 
-# ---------------------------------------------------------------------------
-# directed SAWs over explored edges
-#
-# The explored graph is given by ``adj[v]``, the ids of the explored edges
-# leaving vertex v, ``head[e]``, the head of edge e, and its value as
-# ``nums[e] / den``: an int numerator over one positive denominator.  A SAW
-# visits distinct vertices, so it never returns to its start (nor takes a
-# loop).
-
-def _half_pairs(sizes) -> int:
-    """The number of 2-subsets within groups of the given sizes."""
-    return sum(k * (k - 1) // 2 for k in sizes)
-
-
-class BlockCut:
-    """The structure pass of the non-integer pair test: the block–cut
-    decomposition of an explored graph, which does not read its values.
-
-    The explored graph must be a gain graph: the ``partner`` of every
-    explored edge runs back along it and is explored too (else
-    ``InvariantViolationError``); :meth:`classes` checks that it carries the
-    negated value.  One depth-first search (Tarjan's, over edge ids,
-    skipping loops and, on the way back up, only the tree edge's own
-    partner, so that parallel edges make cycles) gives ``root_of``, each
-    vertex's component root, ``tree``, the tree edges as ``(tail, edge,
-    head)`` in discovery order, and ``blocks``, each block (biconnected
-    component) as ``(top, inner, edges)``: the vertex it hangs from, its
-    other vertices, each reached by a tree edge of the block, and its edges
-    as triples.  Blocks are listed top-down, so a block's top is the inner
-    vertex of a block listed before it, or a root.  The values pass,
-    :meth:`classes`, reads only these, so one structure serves every
-    assignment of values to the same edges.
-    """
-
-    def __init__(self, adj, head, partner):
-        for v, out in enumerate(adj):
-            for e in out:
-                p = partner[e]
-                if head[p] != v or p not in adj[head[e]]:
-                    raise InvariantViolationError(
-                        f"explored edge {e} lacks an explored partner of negated value")
-        self.partners = [(e, partner[e]) for out in adj for e in out]
-        n = len(adj)
-        disc = [-1] * n  # discovery order
-        low = [0] * n
-        self.root_of = root_of = [0] * n
-        self.tree = tree = []
-        blocks = []
-
-        order = 0
-        for root in range(n):
-            if disc[root] >= 0:
-                continue
-            disc[root] = low[root] = order
-            order += 1
-            root_of[root] = root
-            stack = [(root, -1, iter(adj[root]))]  # (vertex, tree edge into it, edges left)
-            block_edges: list[tuple[int, int, int]] = []
-            while stack:
-                v, up, out = stack[-1]
-                for e in out:
-                    w = head[e]
-                    if w == v or (up >= 0 and e == partner[up]):
-                        continue
-                    if disc[w] < 0:
-                        disc[w] = low[w] = order
-                        order += 1
-                        root_of[w] = root
-                        tree.append((v, e, w))
-                        block_edges.append((v, e, w))
-                        stack.append((w, e, iter(adj[w])))
-                        break
-                    if disc[w] < disc[v]:  # back edge to an ancestor
-                        block_edges.append((v, e, w))
-                        low[v] = min(low[v], disc[w])
-                else:
-                    stack.pop()
-                    if up < 0:
-                        continue
-                    u = stack[-1][0]
-                    low[u] = min(low[u], low[v])
-                    if low[v] >= disc[u]:  # up and the edges stacked after it: a block
-                        block = [block_edges.pop()]
-                        while block[-1][1] != up:
-                            block.append(block_edges.pop())
-                        inner = {w for _, _, w in block}
-                        inner.discard(u)
-                        blocks.append((u, inner, block))
-        # a block is found below every block that hangs from one of its vertices
-        self.blocks = blocks[::-1]
-
-    def classes(self, nums, den: int) -> tuple[list[int], list[int]]:
-        """The values pass, for the values ``nums[e] / den``: ``(phi, cls)``.
-        phi is each vertex's numerator sum mod den along the tree path from
-        its component root, and two vertices share a class ``cls`` exactly
-        when the block–cut tree path between them crosses balanced blocks
-        only, whose cycles all have integer sums."""
-        for e, p in self.partners:
-            if nums[p] != -nums[e]:
-                raise InvariantViolationError(
-                    f"explored edge {e} lacks an explored partner of negated value")
-        n = len(self.root_of)
-        phi = [0] * n
-        for v, e, w in self.tree:
-            phi[w] = (phi[v] + nums[e]) % den
-        cls = list(range(n))  # a root or an unbalanced block's vertex heads a class
-        for top, inner, block in self.blocks:
-            if all((phi[v] + nums[e] - phi[w]) % den == 0 for v, e, w in block):
-                c = cls[top]
-                for w in inner:
-                    cls[w] = c
-        return phi, cls
-
-    def nonint_count(self, nums, den: int, vertices) -> int:
-        """How many 2-subsets {a, b} of the distinct ``vertices`` are joined
-        by a directed SAW with a non-integer sum: the pairs within one
-        component less those that share φ and a class (a class lies within
-        one component)."""
-        phi, cls = self.classes(nums, den)
-        root_of = self.root_of
-        return (_half_pairs(Counter(root_of[v] for v in vertices).values())
-                - _half_pairs(Counter((cls[v], phi[v]) for v in vertices).values()))
-
-
-def nonint_saw_pairs(adj, head, nums, den: int, partner, pairs) -> set:
-    """The pairs (a, b) of ``pairs`` joined by a directed SAW from a to b
-    whose value sum is not an integer.
-
-    The explored graph must be a gain graph: the ``partner`` of every
-    explored edge runs back along it, is explored too and carries the
-    negated value (else ``InvariantViolationError``).  A SAW from a to b
-    then crosses exactly the blocks (biconnected components) on the
-    block–cut tree path from a to b, and its sum is the sum of its
-    crossings' sums.  In a *balanced* block, whose cycles all have integer
-    sums, a crossing sums to φ(exit) − φ(entry) mod 1, φ being the sum
-    along a spanning tree.  In a block with a cycle C of non-integer sum,
-    two disjoint paths from any x ≠ y to C (Menger) and the two arcs of C
-    make two x→y SAWs whose sums differ by sum(C).  So (a, b) is returned
-    exactly when a and b are connected and either a block on their path is
-    unbalanced or φ(b) − φ(a) is not an integer.
-
-    The blocks come from :class:`BlockCut`, the structure pass, and φ and
-    the classes of vertices joined through balanced blocks from its values
-    pass.
-    """
-    structure = BlockCut(adj, head, partner)
-    phi, cls = structure.classes(nums, den)
-    root_of = structure.root_of
-    return {(a, b) for a, b in pairs
-            if a != b and root_of[a] == root_of[b] and (phi[a] != phi[b] or cls[a] != cls[b])}
-
-
 def _staged_solve(basis: DirectedCycleBasis, q: QuotientGraph) -> tuple[list[int], int]:
     """The staged exploration on the compiled quotient; returns the values
     as ``(nums, den)``, one int numerator per edge id over den."""
     t = quotient_tables(q)
     head, partner, canonical = t.head, t.partner, t.canonical
 
-    explored: list[list[int]] = [[] for _ in range(q.orbit_count)]  # ids per tail
-    # the value of a set edge k is nums[k] / den; connectors are set to 0, so
-    # is_set, not the numerator, tells a set edge.  Scaling den and nums by
-    # one factor leaves every "is this sum an integer" answer unchanged
-    nums = [0] * len(t.edges)
-    is_set = [False] * len(t.edges)
-    den = 1
-    # Every explored cycle sums to its winding, so the potential psi, summed
-    # along explored edges as each vertex is first reached, gives every
-    # explored path from x to y a sum of values minus windings of
-    # psi[y] - psi[x].  The touched vertices are those with a potential.
+    # the value of each set edge; connectors are set to 0, so None, not the
+    # value, tells an unset edge
+    value: list[Fraction | None] = [None] * len(t.edges)
+    # Every explored cycle sums to its winding, an integer.  So the
+    # potential psi, summed along explored edges as each vertex is first
+    # reached, gives every explored path from x to y a sum of values minus
+    # windings of psi[y] - psi[x]; and phi, the value sum mod 1 along the
+    # same edges, is that of every explored walk from the seed.  The touched
+    # vertices are those with a potential, and by_phi counts them by phi.
     dist = basis.distinguished()
-    psi = {t.tail(dist[0]): Fraction(0)}
+    seed = t.tail(dist[0])
+    psi = {seed: Fraction(0)}
+    phi = {seed: Fraction(0)}
+    by_phi = Counter(phi.values())
     touched = psi.__contains__
 
     def closing_total(seg) -> Fraction:
@@ -712,58 +554,49 @@ def _staged_solve(basis: DirectedCycleBasis, q: QuotientGraph) -> tuple[list[int
         explored edges: its winding plus psi(end) - psi(start)."""
         return t.winding(seg) + psi[head[seg[-1]]] - psi[t.tail(seg[0])]
 
-    def write(seg, vals):
+    def new_shared(seg, vals) -> int:
+        """How many pairs with a new vertex of seg would share a phi under
+        vals: seg's new vertices each against the touched ones and the new
+        ones before it."""
+        p = phi[t.tail(seg[0])]
+        new: Counter = Counter()
+        count = 0
         for k, v in zip(seg, vals):
-            nums[k] = v.numerator * (den // v.denominator)
-            nums[partner[k]] = -nums[k]
+            p = (p + v) % 1
+            if not touched(head[k]):
+                count += by_phi[p] + new[p]
+                new[p] += 1
+        return count
 
     def set_segment(seg, candidates):
         """Set the edges of seg, a path from a touched vertex, once: to the
-        first candidate values that leave every touched vertex pair joined
-        by an explored SAW with a non-integer sum, else to the first that
-        leave the most such pairs."""
-        nonlocal den
-        scale = lcm(den, *(v.denominator for vals in candidates for v in vals)) // den
-        if scale > 1:
-            den *= scale
-            nums[:] = [x * scale for x in nums]
-        ids = [e for k in seg for e in (canonical[k], partner[canonical[k]])]
-        for e in ids:
-            is_set[e] = True
-            explored[t.tail(e)].append(e)
+        first candidate values under which the fewest pairs with a new
+        vertex share a phi, so that the most touched vertex pairs are joined
+        by an explored SAW with a non-integer sum."""
         best = candidates[0]
-        if len(candidates) > 1:
-            # the candidates differ only in seg's numerators, so they share
-            # one explored adjacency, one block–cut structure and the
-            # touched vertices
-            structure = BlockCut(explored, head, partner)
-            vertices = {*psi, *map(head.__getitem__, ids)}
-            n_pairs = len(vertices) * (len(vertices) - 1) // 2
-            most = -1
-            for vals in candidates:
-                write(seg, vals)
-                count = structure.nonint_count(nums, den, vertices)
-                if count > most:
-                    best, most = vals, count
-                    if count == n_pairs:
-                        break
-        write(seg, best)
-        for e in ids:  # the edge or its partner reaches each new vertex
-            if head[e] not in psi:
-                psi[head[e]] = (psi[t.tail(e)] + Fraction(nums[e], den)
-                                - Fraction(t.lam[e], t.lam_den))
-        # drop the factors of the rejected candidates
-        g = gcd(den, *nums)
-        if g > 1:
-            den //= g
-            nums[:] = [x // g for x in nums]
+        fewest = new_shared(seg, best) if len(candidates) > 1 else 0
+        for vals in candidates[1:]:
+            if fewest == 0:
+                break
+            count = new_shared(seg, vals)
+            if count < fewest:
+                best, fewest = vals, count
+        for k, v in zip(seg, best):
+            value[k], value[partner[k]] = v, -v
+        for k in seg:  # the edge or its partner reaches each new vertex
+            for e in (k, partner[k]):
+                w, tail = head[e], t.tail(e)
+                if w not in psi:
+                    psi[w] = psi[tail] + value[e] - Fraction(t.lam[e], t.lam_den)
+                    phi[w] = p = (phi[tail] + value[e]) % 1
+                    by_phi[p] += 1
 
     def explore_cycle(cyc: tuple[int, ...]):
         # cyc is explored only once it meets the explored region
         start = next(i for i, k in enumerate(cyc) if touched(t.tail(k)))
         run: list[int] = []
         for k in cyc[start:] + cyc[:start]:
-            if is_set[k]:  # k's tail is touched, so no run is open here
+            if value[k] is not None:  # k's tail is touched, so no run is open here
                 continue
             run.append(k)
             if touched(head[k]):  # the start's tail is, so the last run ends too
@@ -771,8 +604,9 @@ def _staged_solve(basis: DirectedCycleBasis, q: QuotientGraph) -> tuple[list[int
                 run = []
 
     def finish_run(seg: list[int]):
+        # a non-integer return SAW from b to a exists iff phi[a] != phi[b]
         a, b = t.tail(seg[0]), head[seg[-1]]
-        if a != b and not nonint_saw_pairs(explored, head, nums, den, partner, [(b, a)]):
+        if a != b and phi[a] == phi[b]:
             raise _StagedStuck("no non-integer return SAW for a segment")
         total = closing_total(seg)
         if total == 0:
@@ -824,9 +658,10 @@ def _staged_solve(basis: DirectedCycleBasis, q: QuotientGraph) -> tuple[list[int
 
     # Stage 5: residual edges fixed by the explored-walk rule
     for k in t.undirected:
-        if not is_set[k]:
+        if value[k] is None:
             set_segment([k], [[closing_total([k])]])
-    return nums, den
+    den = lcm(*(v.denominator for v in value))
+    return [v.numerator * (den // v.denominator) for v in value], den
 
 
 def _direct_solve(q: QuotientGraph) -> tuple[tuple[int, ...], int]:

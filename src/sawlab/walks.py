@@ -173,7 +173,7 @@ def _cone_ball(family, evaluate, start):
 def _count_cones(rows, n_max, mode):
     """The tally of the walks from a start, as :func:`_count_from` returns
     it, by an exact DP over the cone types ``rows`` that
-    :func:`_verify_cones` measured around it.
+    :func:`_cone_ball` measured around it.
 
     A walk's state is the type of its last vertex, its height above the
     start and the running maximum of its heights; the walks sharing a state

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sawlab.bounds import (
+    _rep_radius,
     ball_isomorphic,
     bracket,
     check_fekete,
@@ -174,6 +175,20 @@ def test_similarity_K_asks_each_oracle_once_per_vertex(monkeypatch):
                            match=rf"^ball\({a.spec}, r=7\) around \(0, 0\) exceeds 100 vertices$"):
             similarity_K(a, b, 30)
     assert similarity_K(a, b, 6).capped
+
+
+def test_rep_radius_asks_each_oracle_once_per_vertex():
+    """The slack search grows one breadth-first search from the origin: on
+    squareoct its four representatives lie in the radius-2 ball, and the
+    oracle is asked once for each of its 9 vertices, not once per vertex
+    and radius (14)."""
+    squareoct = parse_family("squareoct")
+    calls = []
+    counted = dataclasses.replace(
+        squareoct, neighbors=lambda v: calls.append(v) or squareoct.neighbors(v))
+    assert _rep_radius(counted, default_height(squareoct)) == 2
+    assert sorted(calls) == sorted(ball(squareoct, squareoct.origin, 2).vertices)
+    assert len(calls) == 9
 
 
 def test_distinct_partitions_examples():

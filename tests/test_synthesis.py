@@ -6,7 +6,6 @@ bug in themselves.
 
 import dataclasses
 import hashlib
-import itertools
 import json
 import random
 from collections import deque
@@ -22,7 +21,6 @@ from sawlab.families import ball, hypercubic
 from sawlab.heights import validate_height
 from sawlab.quotient import build_quotient
 from sawlab.synthesis import (
-    BlockCut,
     EdgeIncrement,
     cycle_basis,
     cycle_vector,
@@ -30,7 +28,6 @@ from sawlab.synthesis import (
     dual_form,
     increment_invariant_problems,
     lift_height,
-    nonint_saw_pairs,
     quotient_tables,
     solve_increments,
     straight_steps,
@@ -532,13 +529,7 @@ def test_cycle_basis_rejects_an_open_generator():
 
 
 # ---------------------------------------------------------------------------
-# non-integer pair test against brute force
-
-def over_one_denominator(values):
-    """``(nums, den)`` with values[e] == nums[e] / den."""
-    den = lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
-
+# the staged solve's non-integer pair rule against brute force
 
 def brute_force_nonint_pairs(adj, head, values):
     """Every (a, b) joined by a directed SAW with a non-integer sum, by
@@ -559,81 +550,44 @@ def brute_force_nonint_pairs(adj, head, values):
     return found
 
 
-@st.composite
-def gain_graphs(draw):
-    """(adj, head, values, partner): a random symmetric gain graph, each
-    undirected edge (loops and parallel copies included) stored as two
-    directed ids with negated values, on up to 7 vertices, so that some
-    vertices are isolated and some graphs fall apart into several parts."""
-    n = draw(st.integers(1, 7))
-    undirected = draw(st.lists(
-        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
-                  st.integers(-6, 6), st.integers(1, 4)),
-        max_size=10))
-    arcs = []  # (tail, head, value, index of the reverse arc)
-    for k, (u, v, num, den) in enumerate(undirected):
-        arcs.append((u, v, Fraction(num, den), 2 * k + 1))
-        arcs.append((v, u, -Fraction(num, den), 2 * k))
-    order = sorted(range(len(arcs)), key=lambda i: arcs[i][0])  # ids in tail order
-    new_id = {i: k for k, i in enumerate(order)}
-    adj = [[new_id[i] for i in order if arcs[i][0] == v] for v in range(n)]
-    head = [arcs[i][1] for i in order]
-    values = [arcs[i][2] for i in order]
-    partner = [new_id[arcs[i][3]] for i in order]
-    return adj, head, values, partner
-
-
-@settings(max_examples=300, deadline=None)
-@given(gain_graphs())
-def test_pair_test_matches_brute_force_on_gain_graphs(graph):
-    adj, head, values, partner = graph
-    n = len(adj)
-    pairs = [(a, b) for a in range(n) for b in range(n)]
-    assert nonint_saw_pairs(adj, head, *over_one_denominator(values), partner, pairs) == \
-        brute_force_nonint_pairs(adj, head, values)
-
-
-@st.composite
-def gain_graphs_with_two_assignments(draw):
-    """(adj, head, partner, vertices, [values, values']): a gain graph, a
-    subset of its vertices, and its values before and after one partner
-    pair's values are drawn again."""
-    adj, head, values, partner = draw(gain_graphs())
-    vertices = sorted(draw(st.sets(st.integers(0, len(adj) - 1))))
-    redrawn = list(values)
-    if values:
-        e = draw(st.integers(0, len(values) - 1))
-        redrawn[e] = Fraction(draw(st.integers(-6, 6)), draw(st.integers(1, 4)))
-        redrawn[partner[e]] = -redrawn[e]
-    return adj, head, partner, vertices, [values, redrawn]
-
-
-@settings(max_examples=300, deadline=None)
-@given(gain_graphs_with_two_assignments())
-def test_one_structure_pass_counts_the_pairs_of_every_assignment(case):
-    """The block–cut structure does not read the values, so one structure
-    pass counts the non-integer pairs of each assignment to the same edges."""
-    adj, head, partner, vertices, assignments = case
-    structure = BlockCut(adj, head, partner)
-    pairs = list(itertools.combinations(vertices, 2))
-    for values in assignments:
-        nums, den = over_one_denominator(values)
-        assert structure.nonint_count(nums, den, vertices) == \
-            len(nonint_saw_pairs(adj, head, nums, den, partner, pairs))
-
-
-def test_pair_test_rejects_a_graph_that_is_not_a_gain_graph():
-    # 0 -> 1 (id 0) and 1 -> 0 (id 1) are partners; values over den 2
-    adj, head, partner = [[0], [1]], [1, 0], [1, 0]
-    assert nonint_saw_pairs(adj, head, [1, -1], 2, partner, [(0, 1)]) == {(0, 1)}
-    with pytest.raises(InvariantViolationError):  # values not negated
-        nonint_saw_pairs(adj, head, [1, 1], 2, partner, [(0, 1)])
-    with pytest.raises(InvariantViolationError):  # checked on every values pass
-        BlockCut(adj, head, partner).nonint_count([1, 1], 2, [0, 1])
-    with pytest.raises(InvariantViolationError):  # partner not explored
-        nonint_saw_pairs([[0], []], head, [1, 0], 2, partner, [(0, 1)])
-    with pytest.raises(InvariantViolationError):  # partner does not run back
-        nonint_saw_pairs([[0], [1]], [1, 1], [1, -1], 2, partner, [(0, 1)])
+def test_nonint_saw_pairs_are_the_pairs_whose_value_sums_differ_mod_1():
+    """Every cycle of a staged increment sums to its winding, an integer, so
+    each orbit v has one value sum phi(v) mod 1 over the walks to it from
+    orbit 0, and two orbits are joined by a directed SAW with a non-integer
+    sum exactly when their phi differ.  The staged solve decides its pairs
+    by this rule on its explored graph, which at every stage is a connected
+    subgraph of the final one with the same values.  Checked here on the
+    final increments of every Z^2 lattice of index <= 8 that ``staged``
+    solves, and of Z^3/2Z^3."""
+    cases = [(Z2, ((a, b), (0, d))) for a in range(1, 9) for d in range(1, 8 // a + 1)
+             for b in range(d)]
+    cases.append((Z3, ((2, 0, 0), (0, 2, 0), (0, 0, 2))))
+    stuck = []
+    for family, shifts in cases:
+        q = quotient_of(family, shifts)
+        try:
+            inc = solve_increments(cycle_basis(q, unit_square_generators(q)), q,
+                                   method="staged")
+        except InvariantViolationError:
+            stuck.append(shifts)
+            continue
+        t = inc.tables
+        values = [Fraction(x, inc.den) for x in inc.nums]
+        phi = {0: Fraction(0)}
+        queue = deque([0])
+        while queue:
+            v = queue.popleft()
+            for k in t.out_edges(v):
+                if t.head[k] not in phi:
+                    phi[t.head[k]] = (phi[v] + values[k]) % 1
+                    queue.append(t.head[k])
+        assert all((phi[t.tail(k)] + values[k]) % 1 == phi[t.head[k]]
+                   for k in range(len(values))), shifts
+        orbits = range(q.orbit_count)
+        adj = [list(t.out_edges(v)) for v in orbits]
+        assert brute_force_nonint_pairs(adj, t.head, values) == \
+            {(a, b) for a in orbits for b in orbits if phi[a] != phi[b]}, shifts
+    assert (len(cases), stuck) == (57, [((2, 3), (0, 4))])
 
 
 # ---------------------------------------------------------------------------
@@ -753,31 +707,6 @@ def test_one_edge_table_per_synthesis(monkeypatch):
         assert lift_height(inc, family, q).scaling == lifted.scaling
         assert calls == []
     assert total == 470
-
-
-def test_pair_queries_per_synthesis(monkeypatch):
-    """The staged solve runs one structure pass per segment of two or more
-    edges, and scores each of its candidate perturbations on it, but none
-    after the seed, a zero connector or a single-edge segment; these
-    quotients close every segment on itself, so no segment asks whether a
-    non-integer return SAW exists."""
-    calls = []
-
-    class Counting(BlockCut):
-        def __init__(self, *args):
-            calls.append("structure")
-            super().__init__(*args)
-
-        def nonint_count(self, *args):
-            calls.append("scored")
-            return super().nonint_count(*args)
-
-    monkeypatch.setattr(synthesis, "BlockCut", Counting)
-    monkeypatch.setattr(synthesis, "nonint_saw_pairs", lambda *args: calls.append("query"))
-    for family, shifts in SYNTH_QUOTIENTS:
-        assert synthesize_height(family, shifts)[2].method == "staged"
-    assert (calls.count("structure"), calls.count("scored")) == (20, 180)
-    assert "query" not in calls
 
 
 def test_staged_solves_the_cube_of_side_4():
