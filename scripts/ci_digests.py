@@ -15,7 +15,9 @@ the case's stdout.  The cases:
   counting kernel.
 * ``validate-height``: radius 5 with each family's declared r (1 for hex, 5
   for squareoct, 0 otherwise), plus r values on either side of the least
-  certified one (3 for squareoct, 1 for hex) and squareoct's r = 11.
+  certified one (3 for squareoct, 1 for hex) and squareoct's r = 11; and
+  radius 6, the radius ``synth-height`` validates at, on z2, z3 and heis
+  with r = 0, hex with r = 1 and squareoct with r = 11.
 * ``locality``: pairs that match to different radii (cylinders of two
   widths, lattices that differ at once, two trees, a family with itself).
 * ``quotient``: lattices of one to four dimensions, a skew and an
@@ -73,6 +75,7 @@ BUDGETED_COUNTS = (("tree:3@40", 100000), ("tree:4@12", 50), ("z2@16", 3000000),
 HEIGHTS = ("z1@0", "z2@0", "z3@0", "z4@0", "heis@0", "hex@1", "squareoct@5",
            "zcyl:2:0,6@0", "tree:3@0", "tree:4@0", "tree:5@0", "tree:6@0",
            "squareoct@2", "squareoct@3", "squareoct@11", "hex@0", "hex@4")
+HEIGHTS_R6 = ("z2@0", "z3@0", "heis@0", "hex@1", "squareoct@11")
 LOCALITIES = ("z2 zcyl:2:0,4 8 6", "z2 zcyl:2:0,6 10 8", "z2 hex 6 4", "hex squareoct 8 4",
               "tree:3 tree:4 8 4", "z3 heis 6 4", "z2 z2 10 6")
 QUOTIENTS = ("z1 3", "z2 3,0;0,3", "z2 2,1;0,5", "z2 4,0;0,4", "z2 1,0;0,1;1,1",
@@ -116,6 +119,10 @@ def cases():
         family, r = case.split("@")
         yield (f"validate-height {case}",
                (*cli, "validate-height", "--family", family, "--radius", "5", "--r", r), {})
+    for case in HEIGHTS_R6:
+        family, r = case.split("@")
+        yield (f"validate-height {case} radius=6",
+               (*cli, "validate-height", "--family", family, "--radius", "6", "--r", r), {})
     for case in LOCALITIES:
         a, b, n, cap = case.split()
         yield (f"locality {case}",

@@ -15,7 +15,6 @@ lower neighbor.  The two constants attached to a pair (h, group) are
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cache
 from typing import Callable
@@ -145,14 +144,18 @@ def parse_height(family: GraphFamily, spec: str) -> HeightFunction:
 
 def validate_height(family: GraphFamily, hf: HeightFunction,
                     radius: int) -> HeightValidationReport:
-    """Check the defining clauses of a height function on a ball.
+    """Check the defining clauses of a height function on a ball, in one
+    pass over its vertices.
 
-    Clause (a) at the origin, clause (c) on the radius-(radius-1) ball so
-    all neighbors are within reach, clause (b) by comparing each vertex's
-    height-difference profile with that of ``h_orbits[h_orbit_of(v)]``, plus
-    the consistency of the declared d.  Violations are reported, not raised.
-    Each label's height is evaluated once per call, and each vertex's
-    neighbors are read from the ball.
+    Clause (a) is checked at the origin.  Each vertex's neighbor height
+    differences, sorted once, decide the rest: the list must equal the sorted
+    profile of ``h_orbits[h_orbit_of(v)]`` (clause (b)); inside radius - 1,
+    where every neighbor is in the ball, its first entry must be negative and
+    its last positive (clause (c)), and its two ends are the vertex's largest
+    |difference|.  A sphere vertex counts only its edges inside the ball.
+    The largest is the measured d, checked against the declared d.
+    Violations are reported, not raised: a, d, then (c) before (b) per
+    vertex.  Each label's height is evaluated once per call.
     """
     if radius < 1:
         raise UsageError("validation radius must be >= 1")
@@ -161,22 +164,24 @@ def validate_height(family: GraphFamily, hf: HeightFunction,
     if h(family.origin) != 0:
         violations.append(Violation("a", family.origin, f"h(origin) = {h(family.origin)} != 0"))
     b = ball(family, family.origin, radius)
+    rep_profiles = [sorted([h(u) - h(rep) for u in family.neighbors(rep)]) for rep in hf.h_orbits]
     measured_d = 0
-    for (u, v) in b.edges:
-        measured_d = max(measured_d, abs(h(u) - h(v)))
+    per_vertex = []
+    for v in b.vertices:
+        hv = h(v)
+        diffs = sorted([h(u) - hv for u in b.neighbors[v]])
+        top = max(diffs[-1], -diffs[0]) if diffs else 0
+        if top > measured_d and b.dist[v] == radius:  # only the edges inside the ball
+            top = max(abs(h(u) - hv) if u in b.dist else 0 for u in b.neighbors[v])
+        measured_d = max(measured_d, top)
+        if b.dist[v] < radius and (not diffs or diffs[0] >= 0 or diffs[-1] <= 0):
+            per_vertex.append(Violation("c", v, f"neighbor height diffs {diffs}"))
+        if diffs != rep_profiles[hf.h_orbit_of(v)]:
+            per_vertex.append(Violation("b", v, "neighbor height-difference profile differs from representative's"))
     if measured_d > hf.declared_d:
         violations.append(Violation("d", family.origin,
                                     f"measured d = {measured_d} exceeds declared {hf.declared_d}"))
-    rep_profiles = [Counter(h(u) - h(rep) for u in family.neighbors(rep)) for rep in hf.h_orbits]
-    for v in b.vertices:
-        hv = h(v)
-        diffs = [h(u) - hv for u in b.neighbors[v]]
-        if b.dist[v] <= radius - 1 and (not any(d > 0 for d in diffs)
-                                        or not any(d < 0 for d in diffs)):
-            violations.append(Violation("c", v, f"neighbor height diffs {sorted(diffs)}"))
-        if Counter(diffs) != rep_profiles[hf.h_orbit_of(v)]:
-            violations.append(Violation("b", v, "neighbor height-difference profile differs from representative's"))
-    return HeightValidationReport(radius=radius, violations=tuple(violations),
+    return HeightValidationReport(radius=radius, violations=tuple(violations + per_vertex),
                                   measured_d=measured_d)
 
 

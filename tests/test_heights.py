@@ -1,6 +1,8 @@
 """Height functions: defining clauses, d, and the reach radius r."""
 
 import dataclasses
+from collections import Counter
+from functools import cache
 
 import pytest
 
@@ -8,10 +10,13 @@ from sawlab.errors import ResourceBudgetError, UsageError
 from sawlab.families import GraphFamily, ball, hypercubic, parse_family
 from sawlab.heights import (
     HeightFunction,
+    HeightValidationReport,
+    Violation,
     default_height,
     validate_height,
     verify_r,
 )
+from sawlab.synthesis import synthesize_height
 from sawlab.walks import enumerate_walks
 
 DECLARED = {  # (d, r) from the built-in catalogue
@@ -19,6 +24,15 @@ DECLARED = {  # (d, r) from the built-in catalogue
     "tree:3": (1, 0), "tree:4": (1, 0), "tree:5": (1, 0), "tree:6": (1, 0),
     "hex": (1, 1), "squareoct": (1, 5), "heis": (1, 0),
 }
+
+
+# the quotients the synth benchmark lifts and validates at radius 6
+SYNTH_QUOTIENTS = (("z2", [(4, 0), (0, 4)]), ("z2", [(5, 0), (0, 5)]), ("z2", [(6, 0), (0, 6)]),
+                   ("z3", [(3, 0, 0), (0, 3, 0), (0, 0, 3)]))
+
+
+def synthesized_height(fam, shifts):
+    return synthesize_height(fam, shifts)[3].as_height_function()
 
 
 def constant_height(fam):
@@ -99,17 +113,109 @@ def test_validate_height_reads_each_neighborhood_once():
     assert len(calls) == 57 + 4
 
 
-@pytest.mark.parametrize("spec", ["squareoct", "hex", "z3"])
-def test_validate_height_evaluates_each_label_once(spec):
+@pytest.mark.parametrize("spec,make_height", [
+    ("squareoct", default_height), ("hex", default_height), ("z3", default_height),
+    ("z3", lambda fam: synthesized_height(fam, SYNTH_QUOTIENTS[3][1])),
+], ids=["squareoct", "hex", "z3", "z3-synth"])
+def test_validate_height_evaluates_each_label_once(spec, make_height):
     """One call evaluates each label it meets once: the ball's edges, the
     neighbor lists and the representatives' profiles share the heights."""
     fam = parse_family(spec)
-    hf = default_height(fam)
+    hf = make_height(fam)
     calls = []
     counted = dataclasses.replace(hf, evaluate=lambda v: calls.append(v) or hf.evaluate(v))
     report = validate_height(fam, counted, 4)
     assert report == validate_height(fam, hf, 4)
     assert len(calls) == len(set(calls))
+
+
+def reference_validate_height(family, hf, radius):
+    """validate_height as it was written over the sorted ball edges and a
+    Counter per vertex: the oracle for the one-pass form's whole report."""
+    h = cache(hf.evaluate)
+    violations = []
+    if h(family.origin) != 0:
+        violations.append(Violation("a", family.origin, f"h(origin) = {h(family.origin)} != 0"))
+    b = ball(family, family.origin, radius)
+    measured_d = 0
+    for (u, v) in b.edges:
+        measured_d = max(measured_d, abs(h(u) - h(v)))
+    if measured_d > hf.declared_d:
+        violations.append(Violation("d", family.origin,
+                                    f"measured d = {measured_d} exceeds declared {hf.declared_d}"))
+    rep_profiles = [Counter(h(u) - h(rep) for u in family.neighbors(rep)) for rep in hf.h_orbits]
+    for v in b.vertices:
+        hv = h(v)
+        diffs = [h(u) - hv for u in b.neighbors[v]]
+        if b.dist[v] <= radius - 1 and (not any(d > 0 for d in diffs)
+                                        or not any(d < 0 for d in diffs)):
+            violations.append(Violation("c", v, f"neighbor height diffs {sorted(diffs)}"))
+        if Counter(diffs) != rep_profiles[hf.h_orbit_of(v)]:
+            violations.append(Violation("b", v, "neighbor height-difference profile differs from representative's"))
+    return HeightValidationReport(radius=radius, violations=tuple(violations),
+                                  measured_d=measured_d)
+
+
+@pytest.mark.parametrize("spec", list(DECLARED))
+def test_validate_height_matches_reference_on_builtin_heights(spec):
+    fam = parse_family(spec)
+    hf = default_height(fam)
+    for radius in range(1, 5 if spec.startswith("tree") else 6):
+        assert validate_height(fam, hf, radius) == reference_validate_height(fam, hf, radius)
+
+
+@pytest.mark.parametrize("spec,shifts", SYNTH_QUOTIENTS)
+def test_validate_height_matches_reference_on_synthesized_heights(spec, shifts):
+    fam = parse_family(spec)
+    hf = synthesized_height(fam, shifts)
+    report = validate_height(fam, hf, 6)
+    assert report.ok()
+    assert report == reference_validate_height(fam, hf, 6)
+
+
+BROKEN = {  # one change per clause it trips
+    "a": lambda hf: {"evaluate": lambda v: hf.evaluate(v) + 1},
+    "b": lambda hf: {"h_orbit_of": lambda v: 0},
+    "c": lambda hf: {"evaluate": lambda v: abs(hf.evaluate(v))},
+    "d": lambda hf: {"declared_d": 0},
+}
+
+
+@pytest.mark.parametrize("clause", list(BROKEN))
+@pytest.mark.parametrize("spec", ["z2", "hex", "squareoct", "heis", "tree:3"])
+def test_validate_height_matches_reference_on_broken_heights(spec, clause):
+    fam = parse_family(spec)
+    hf = default_height(fam)
+    broken = dataclasses.replace(hf, **BROKEN[clause](hf))
+    for radius in range(1, 5):
+        report = validate_height(fam, broken, radius)
+        assert report == reference_validate_height(fam, broken, radius)
+        # hex's two orbits share a profile, so only squareoct trips (b)
+        if clause != "b" or spec == "squareoct":
+            assert clause in {v.clause for v in report.violations}
+
+
+def test_validate_height_of_an_isolated_origin():
+    """A vertex with no neighbors fails clause (c) with an empty list and
+    has no edge, so d = 0."""
+    point = GraphFamily(spec="point", neighbors=lambda v: (), origin=(0,))
+    hf = constant_height(point)
+    report = validate_height(point, hf, 1)
+    assert report == reference_validate_height(point, hf, 1)
+    assert report.measured_d == 0
+    assert report.violations == (Violation("c", (0,), "neighbor height diffs []"),)
+
+
+def test_validate_height_counts_only_the_edges_inside_the_ball():
+    """h = x^3 is steepest on the edges leaving the ball, which d skips."""
+    z2 = hypercubic(2)
+    cubic = HeightFunction(
+        spec="x^3", evaluate=lambda v: v[0] ** 3, declared_d=1, declared_r=0,
+        h_orbits=((0, 0),), h_orbit_of=lambda v: 0)
+    for radius in range(1, 5):
+        report = validate_height(z2, cubic, radius)
+        assert report == reference_validate_height(z2, cubic, radius)
+        assert report.measured_d == radius ** 3 - (radius - 1) ** 3
 
 
 def test_measured_d_examples():
